@@ -48,9 +48,7 @@ from .expr import (
     JetExpr,
     as_expr,
     fn,
-    is_zero,
     ln_shift,
-    normalize,
     par,
     partial,
     partial_u_total,
@@ -74,4 +72,4 @@ from .kawahara import (
     verify_catalog,
     verify_theorem,
 )
-from .series import PsdSeries, adjoint, commutator, compose, degree, nth_root
+from .series import PsdSeries, adjoint, commutator, compose, nth_root

@@ -76,7 +76,7 @@ def characteristic_of_density(rho: JetExpr) -> JetExpr:
     return euler(as_expr(rho))
 
 
-def is_trivial_density(eq: EvolutionEquation, rho: JetExpr) -> bool:
+def is_trivial_density(rho: JetExpr) -> bool:
     """True when rho itself is a total x-derivative (equivalent to zero)."""
     _, residual = formal_x_integrate(as_expr(rho))
     return residual.is_zero
@@ -149,19 +149,10 @@ def split_by_free_monomials(e: JetExpr,
     algebraically independent coordinates.
     """
     e = as_expr(e)
-    buckets: dict[tuple, dict] = {}
-    for mono, c in e.num.terms.items():
-        free = []
-        rest = []
-        for g, ee in mono:
-            if g.kind in free_kinds:
-                free.append((g, ee))
-            else:
-                rest.append((g, ee))
-        buckets.setdefault(tuple(free), {})[tuple(rest)] = c
+    parts = e.num.split({g for g in e.num.generators() if g.kind in free_kinds})
     out = []
-    for free_mono in sorted(buckets, key=mono_sort_key, reverse=True):
-        coeff = JetExpr._reduce(Poly(buckets[free_mono]), e.den)
+    for free_mono in sorted(parts, key=mono_sort_key, reverse=True):
+        coeff = JetExpr._reduce(parts[free_mono], e.den)
         mono_expr = JetExpr._reduce(Poly({free_mono: Fraction(1)}), POLY_ONE)
         out.append((mono_expr, coeff))
     return out
@@ -231,12 +222,6 @@ class ScanReport:
         if self.survived:
             return f"SurvivedToRank({self.target_rank})"
         return f"ObstructionFound(xi^{self.obstruction_index}: {self.obstruction})"
-
-    def notes_in_order(self) -> list[str]:
-        out = []
-        for s in self.steps:
-            out.extend(s.notes)
-        return out
 
 
 class _UnresolvableConstraint(UnsupportedEquationShape):
@@ -421,18 +406,9 @@ def _param_field_matrix(residuals: list[JetExpr]) -> list[list[JetExpr]]:
     rows: dict[tuple, list[JetExpr]] = {}
     n = len(residuals)
     for j, r in enumerate(cleared):
-        for mono, c in r.num.terms.items():
-            free = []
-            params = []
-            for g, e in mono:
-                if g.kind == KIND_PARAM:
-                    params.append((g, e))
-                else:
-                    free.append((g, e))
-            key = tuple(free)
-            row = rows.setdefault(key, [ZERO_EXPR] * n)
-            row[j] = row[j] + JetExpr._reduce(
-                Poly({tuple(params): c}), POLY_ONE)
+        free = {g for g in r.num.generators() if g.kind != KIND_PARAM}
+        for mono, coeff in r.num.split(free).items():
+            rows.setdefault(mono, [ZERO_EXPR] * n)[j] = JetExpr._reduce(coeff, POLY_ONE)
     ordered = [rows[k] for k in sorted(rows, key=mono_sort_key, reverse=True)]
     return ordered
 

@@ -15,15 +15,19 @@ from .expr import (
     FunctionSpec,
     JetExpr,
     LOG_FAMILY,
+    ONE_EXPR,
     ZERO_EXPR,
     as_expr,
+    derive,
     ln_shift,
     par,
     partial,
     partial_u_total,
+    symbol_at_depth,
+    symbol_depth,
     u,
     u_derivative_of_symbol,
-    x,
+    u_image,
 )
 from .poly import (
     KIND_FN,
@@ -31,7 +35,9 @@ from .poly import (
     KIND_T,
     KIND_UNKNOWN,
     KIND_X,
+    X,
     Generator,
+    _to_univariate,
     fnsym,
     jet,
     unknown_t,
@@ -116,34 +122,36 @@ class EvolutionEquation:
         return f"EvolutionEquation(u_t = {self.rhs!r})"
 
 
+def _dx_image(g: Generator) -> JetExpr | None:
+    if g.kind == KIND_X:
+        return ONE_EXPR
+    if g.kind == KIND_JET:
+        return JetExpr.from_gen(jet(g.index + 1))
+    if g.kind == KIND_FN:
+        return u_derivative_of_symbol(g) * u(1)
+    return None
+
+
 def total_x(e: JetExpr) -> JetExpr:
     """D_x = d/dx + sum u_{(i+1)x} d/du_{ix}, with the function-symbol chain."""
-    e = as_expr(e)
-    total = ZERO_EXPR
-    for g in e.generators():
-        if g.kind == KIND_X:
-            total = total + partial(e, g)
-        elif g.kind == KIND_JET:
-            total = total + partial(e, g) * JetExpr.from_gen(jet(g.index + 1))
-        elif g.kind == KIND_FN:
-            total = total + partial(e, g) * u_derivative_of_symbol(g) * u(1)
-    return total
+    return derive(e, _dx_image)
 
 
 def total_t(e: JetExpr, eq: EvolutionEquation) -> JetExpr:
     """D_t = d/dt + sum D_x^i(K) d/du_{ix}, restricted to the equation."""
-    e = as_expr(e)
-    total = ZERO_EXPR
-    for g in e.generators():
+
+    def image(g: Generator) -> JetExpr | None:
         if g.kind == KIND_T:
-            total = total + partial(e, g)
-        elif g.kind == KIND_JET:
-            total = total + partial(e, g) * eq.dx_rhs(g.index)
-        elif g.kind == KIND_FN:
-            total = total + partial(e, g) * u_derivative_of_symbol(g) * eq.rhs
-        elif g.kind == KIND_UNKNOWN:
-            total = total + partial(e, g) * JetExpr.from_gen(unknown_t(g.name, g.index + 1))
-    return total
+            return ONE_EXPR
+        if g.kind == KIND_JET:
+            return eq.dx_rhs(g.index)
+        if g.kind == KIND_FN:
+            return u_derivative_of_symbol(g) * eq.rhs
+        if g.kind == KIND_UNKNOWN:
+            return JetExpr.from_gen(unknown_t(g.name, g.index + 1))
+        return None
+
+    return derive(e, image)
 
 
 def dx_power(e: JetExpr, k: int) -> JetExpr:
@@ -154,13 +162,7 @@ def dx_power(e: JetExpr, k: int) -> JetExpr:
 
 def du_coefficient(F: JetExpr, j: int) -> JetExpr:
     """dF/du_{jx}; for j = 0 the function-symbol chain rule is folded in."""
-    F = as_expr(F)
-    c = partial(F, jet(j))
-    if j == 0:
-        for g in F.generators():
-            if g.kind == KIND_FN:
-                c = c + partial(F, g) * u_derivative_of_symbol(g)
-    return c
+    return derive(F, u_image) if j == 0 else partial(F, jet(j))
 
 
 def order(F: JetExpr):
@@ -234,11 +236,19 @@ def _poly_in_gen(e: JetExpr, g: Generator) -> list[JetExpr] | None:
     denominator (rational dependence)."""
     if g in e.den.generators():
         return None
-    d = e.num.degree_in(g)
-    out = []
-    for k in range(d + 1):
-        out.append(JetExpr._reduce(e.num.coeff_of_power(g, k), e.den))
-    return out
+    return [JetExpr._reduce(c, e.den) for c in _to_univariate(e.num, g)]
+
+
+def _integrate_in(e: JetExpr, g: Generator) -> JetExpr | None:
+    """Antiderivative in g of e, or None when e is not polynomial in g."""
+    coeffs = _poly_in_gen(e, g)
+    if coeffs is None:
+        return None
+    ge = JetExpr.from_gen(g)
+    total = ZERO_EXPR
+    for k, a in enumerate(coeffs):
+        total = total + a * ge ** (k + 1) / (k + 1)
+    return total
 
 
 def _shifted_poly_in_u(e: JetExpr, c: JetExpr) -> list[JetExpr] | None:
@@ -262,14 +272,7 @@ def _integrate_rational_u(R: JetExpr) -> JetExpr | None:
     denominator is a power of (u+c); the residue slot produces ln(u+c)."""
     ugen = jet(0)
     if ugen not in R.den.generators():
-        coeffs = _poly_in_gen(R, ugen)
-        if coeffs is None:
-            return None
-        uu = u()
-        total = ZERO_EXPR
-        for k, a in enumerate(coeffs):
-            total = total + a * uu ** (k + 1) / (k + 1)
-        return total
+        return _integrate_in(R, ugen)
     dec = _uc_decomposition(R)
     if dec is None:
         return None
@@ -307,25 +310,6 @@ def _uc_decomposition(R: JetExpr) -> dict[int, JetExpr] | None:
     return out
 
 
-# depth of a symbol in the antiderivative chain rhat -> r -> f -> f' -> ...
-def _symbol_depth(g: Generator) -> int | None:
-    if g.name == "f":
-        return g.index
-    if g.name == "r" and g.index == 0:
-        return -1
-    if g.name == "rhat" and g.index == 0:
-        return -2
-    return None
-
-
-def _symbol_at_depth(d: int) -> Generator:
-    if d == -2:
-        return fnsym("rhat", 0)
-    if d == -1:
-        return fnsym("r", 0)
-    return fnsym("f", d)
-
-
 def _antiderivative_u(A: JetExpr) -> JetExpr | None:
     """Antiderivative of A with respect to u inside the rational class
     extended by the f/r/rhat tower and ln(u+c).
@@ -358,7 +342,7 @@ def _antiderivative_u(A: JetExpr) -> JetExpr | None:
             return zeta + tail
         depths = []
         for g in fams:
-            d = _symbol_depth(g)
+            d = symbol_depth(g)
             if d is None:
                 return None
             depths.append((d, g))
@@ -368,14 +352,9 @@ def _antiderivative_u(A: JetExpr) -> JetExpr | None:
         if rem.num.degree_in(H) != 1 or H in rem.den.generators():
             return None
         A_H = partial(rem, H)
-        P = _symbol_at_depth(d - 1)
-        coeffs = _poly_in_gen(A_H, P)
-        if coeffs is None:
+        C = _integrate_in(A_H, symbol_at_depth(d - 1))
+        if C is None:
             return None
-        Pe = JetExpr.from_gen(P)
-        C = ZERO_EXPR
-        for k, a in enumerate(coeffs):
-            C = C + a * Pe ** (k + 1) / (k + 1)
         zeta = zeta + C
         rem = rem - partial_u_total(C)
 
@@ -441,32 +420,17 @@ def formal_x_integrate(F: JetExpr) -> tuple[JetExpr, JetExpr]:
         if rem.num.degree_in(jet(m)) != 1:
             return zeta, rem
         A = partial(rem, jet(m))
-        if m >= 2:
-            coeffs = _poly_in_gen(A, jet(m - 1))
-            if coeffs is None:
-                return zeta, rem
-            C = ZERO_EXPR
-            low = JetExpr.from_gen(jet(m - 1))
-            for k, a in enumerate(coeffs):
-                C = C + a * low ** (k + 1) / (k + 1)
-        else:
-            C = _antiderivative_u(A)
-            if C is None:
-                return zeta, rem
+        C = _integrate_in(A, jet(m - 1)) if m >= 2 else _antiderivative_u(A)
+        if C is None:
+            return zeta, rem
         zeta = zeta + C
         rem = rem - total_x(C)
     # remaining order <= 0: u-dependence cannot be integrated in x
     gens = rem.generators()
     if any(g.kind in (KIND_JET, KIND_FN) for g in gens):
         return zeta, rem
-    xgen = Generator(KIND_X)
-    if xgen in rem.den.generators():
-        return zeta, rem
-    coeffs = _poly_in_gen(rem, xgen)
+    coeffs = _poly_in_gen(rem, X)
     if coeffs is None:
         return zeta, rem
-    residual = coeffs[0] if coeffs else ZERO_EXPR
-    xx = x()
-    for k in range(1, len(coeffs)):
-        zeta = zeta + coeffs[k] * xx ** (k + 1) / (k + 1)
-    return zeta, residual
+    residual = coeffs[0]
+    return zeta + _integrate_in(rem - residual, X), residual

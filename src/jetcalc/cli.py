@@ -22,7 +22,6 @@ from .analysis import (
     formal_symmetry_scan,
     is_conserved_density,
     is_trivial_density,
-    rank_of,
     reconstruct_flux,
     symmetry_from_density,
     symmetry_residual,
@@ -250,7 +249,7 @@ def cmd_density(args, report):
 def cmd_trivial(args, report):
     rho = parse(args.rho)
     report.add_input("rho", args.rho)
-    trivial = is_trivial_density(None, rho)
+    trivial = is_trivial_density(rho)
     report.verdict = "trivial density (a total x-derivative)" if trivial \
         else "nontrivial density"
     report.exit_code = 0 if trivial else 1

@@ -89,10 +89,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, series: bool = False):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.series = series
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -306,7 +305,7 @@ def parse(text: str) -> JetExpr:
 
 def parse_series(text: str) -> PsdSeries:
     """Parse a polynomial-in-xi series literal."""
-    v = _SeriesParser(text, series=True).parse()
+    v = _SeriesParser(text).parse()
     return PsdSeries.from_coeffs(v, exact=True)
 
 

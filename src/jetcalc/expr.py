@@ -18,6 +18,7 @@ density work without a general integration operator.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .errors import DivisionByZero, InconsistentJetSubstitution, NotAPointFunction
 from .poly import (
@@ -218,15 +219,6 @@ def as_expr(v) -> JetExpr:
     raise TypeError(f"cannot interpret {v!r} as a JetExpr")
 
 
-def normalize(v) -> JetExpr:
-    """Canonicalize a raw value; idempotent on JetExpr."""
-    return as_expr(v)
-
-
-def is_zero(e: JetExpr) -> bool:
-    return as_expr(e).is_zero
-
-
 # -- convenience atoms ----------------------------------------------------
 
 def x() -> JetExpr:
@@ -273,6 +265,25 @@ def u_derivative_of_symbol(g: Generator) -> JetExpr:
     return JetExpr.from_gen(fnsym(g.name, g.index + 1))
 
 
+def symbol_depth(g: Generator) -> int | None:
+    """Depth of a symbol in the chain rhat -> r -> f -> f' -> ... (f at 0)."""
+    if g.name == "f":
+        return g.index
+    if g.name == "r" and g.index == 0:
+        return -1
+    if g.name == "rhat" and g.index == 0:
+        return -2
+    return None
+
+
+def symbol_at_depth(d: int) -> Generator:
+    if d == -2:
+        return fnsym("rhat", 0)
+    if d == -1:
+        return fnsym("r", 0)
+    return fnsym("f", d)
+
+
 # -- calculus-free operations ----------------------------------------------
 
 def partial(e: JetExpr, g: Generator) -> JetExpr:
@@ -289,17 +300,36 @@ def partial(e: JetExpr, g: Generator) -> JetExpr:
     return JetExpr._reduce(dn, e.den) - e * dlog
 
 
+def derive(e: JetExpr, image) -> JetExpr:
+    """The derivation sum of partial(e, g) * image(g) over the generators of e.
+
+    image(g) is None for generators the derivation annihilates; ONE_EXPR
+    adds the partial derivative itself.
+    """
+    e = as_expr(e)
+    total = ZERO_EXPR
+    for g in e.generators():
+        img = image(g)
+        if img is not None:
+            d = partial(e, g)
+            total = total + (d if img is ONE_EXPR else d * img)
+    return total
+
+
+def u_image(g: Generator) -> JetExpr | None:
+    """Image of g under d/du: 1 on u, the fixed chain on function symbols."""
+    if g.kind == KIND_FN:
+        return u_derivative_of_symbol(g)
+    return ONE_EXPR if g is jet(0) else None
+
+
 def partial_u_total(e: JetExpr) -> JetExpr:
     """d/du with the function-symbol chain rule; input must be a point function."""
     e = as_expr(e)
     for g in e.generators():
         if g.kind == KIND_JET and g.index >= 1:
             raise NotAPointFunction(f"expression depends on {g!r}")
-    total = partial(e, jet(0))
-    for g in e.generators():
-        if g.kind == KIND_FN:
-            total = total + partial(e, g) * u_derivative_of_symbol(g)
-    return total
+    return derive(e, u_image)
 
 
 def substitute_map(e: JetExpr, mapping: dict) -> JetExpr:
@@ -396,65 +426,34 @@ class FunctionSpec:
             return f"FunctionSpec.log_shift({self.gamma!r}, {self.delta!r})"
         return "FunctionSpec.abstract()"
 
-    # image of the k-th u-derivative of f
     def f_image(self, k: int) -> JetExpr:
+        """Image of the k-th u-derivative of f; k = -1 and k = -2 are the
+        antiderivatives r and rhat, with zero integration constants."""
         if self.mode == "polynomial":
             uu = u()
             total = ZERO_EXPR
             for i, c in enumerate(self.coeffs):
-                if i < k:
-                    continue
-                fall = 1
-                for j in range(k):
-                    fall *= i - j
-                total = total + c * Fraction(fall) * uu ** (i - k)
+                if i >= k:
+                    total = total + c * Fraction(factorial(i), factorial(i - k)) * uu ** (i - k)
             return total
         if self.mode == "logshift":
             uc = u() + par(self.shift_name)
+            if k == -2:
+                return (self.gamma * uc ** 2 / 2 * ln_shift()
+                        - 3 * self.gamma * uc ** 2 / 4 + self.delta * u() ** 2 / 2)
+            if k == -1:
+                return self.gamma * (uc * ln_shift() - uc) + self.delta * u()
             if k == 0:
                 return self.gamma * ln_shift() + self.delta
             sign = Fraction(1) if k % 2 == 1 else Fraction(-1)
-            fact = 1
-            for j in range(1, k):
-                fact *= j
-            return self.gamma * (sign * fact) / uc ** k
-        return fn("f", k)
-
-    def r_image(self) -> JetExpr:
-        if self.mode == "polynomial":
-            uu = u()
-            total = ZERO_EXPR
-            for i, c in enumerate(self.coeffs):
-                total = total + c * uu ** (i + 1) / (i + 1)
-            return total
-        if self.mode == "logshift":
-            uc = u() + par(self.shift_name)
-            return self.gamma * (uc * ln_shift() - uc) + self.delta * u()
-        return fn("r")
-
-    def rhat_image(self) -> JetExpr:
-        if self.mode == "polynomial":
-            uu = u()
-            total = ZERO_EXPR
-            for i, c in enumerate(self.coeffs):
-                total = total + c * uu ** (i + 2) / ((i + 1) * (i + 2))
-            return total
-        if self.mode == "logshift":
-            uc = u() + par(self.shift_name)
-            return (self.gamma * uc ** 2 / 2 * ln_shift()
-                    - 3 * self.gamma * uc ** 2 / 4 + self.delta * u() ** 2 / 2)
-        return fn("rhat")
+            return self.gamma * (sign * factorial(k - 1)) / uc ** k
+        return JetExpr.from_gen(symbol_at_depth(k))
 
     def image_of(self, g: Generator) -> JetExpr | None:
         if g.kind != KIND_FN or self.mode == "abstract":
             return None
-        if g.name == "f":
-            return self.f_image(g.index)
-        if g.name == "r":
-            return self.r_image()
-        if g.name == "rhat":
-            return self.rhat_image()
-        return None  # lnuc and unknown families stay opaque
+        d = symbol_depth(g)
+        return None if d is None else self.f_image(d)  # lnuc and unknown families stay opaque
 
 
 def specialize_f(e: JetExpr, spec: FunctionSpec) -> JetExpr:

@@ -34,11 +34,12 @@ from .expr import (
     par,
     specialize_f,
     substitute,
+    substitute_map,
     t,
     u,
     x,
 )
-from .poly import jet
+from .poly import jet, param
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,24 @@ class GKESpec:
         return par(self.b)
 
 
-def _f_is_constant(spec: FunctionSpec) -> bool:
-    if spec.mode == "polynomial":
-        return all(c.is_zero for c in spec.coeffs[1:])
-    return False  # abstract and logshift f are nonconstant by assumption
+def _branch(f: FunctionSpec) -> str:
+    """"constant", "linear" (no u^2 or higher term), "logshift" or "abstract".
+
+    Polynomial f of degree >= 2 have no catalog entries of their own and take
+    the abstract branch.
+    """
+    if f.mode != "polynomial":
+        return f.mode
+    if all(c.is_zero for c in f.coeffs[1:]):
+        return "constant"
+    if all(c.is_zero for c in f.coeffs[2:]):
+        return "linear"
+    return "abstract"
 
 
 def gke(spec: GKESpec) -> EvolutionEquation:
     """Build u_t = u_5x + b u_xxx + f(u) u_x with f specialized per spec."""
-    if _f_is_constant(spec.f):
+    if _branch(spec.f) == "constant":
         raise ConstantF("f must be nonconstant (df/du != 0)")
     rhs = u(5) + spec.b_expr * u(3) + specialize_f(fn("f"), spec.f) * u(1)
     return EvolutionEquation(rhs, spec.f)
@@ -143,9 +153,6 @@ class SymmetryCharacteristic:
     domain: str  # "abstract" | "linear" | "logshift"
     verified: bool = False
 
-    def residual(self, eq: EvolutionEquation) -> JetExpr:
-        return symmetry_residual(eq, self.Q)
-
 
 @dataclass
 class DensityFluxPair:
@@ -160,13 +167,6 @@ class DensityFluxPair:
     flux_reconstructed: bool = False
     flux_diff_vs_printed: JetExpr | None = None
     density_diff_vs_printed: JetExpr | None = None
-
-
-def _catalog_specs(b: str = "b"):
-    abstract = GKESpec(FunctionSpec.abstract(), b)
-    linear = GKESpec(FunctionSpec.linear(), b)
-    log = GKESpec(FunctionSpec.log_shift(), b)
-    return abstract, linear, log
 
 
 def catalog(b: str = "b") -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair]]:
@@ -216,35 +216,62 @@ def catalog(b: str = "b") -> tuple[list[SymmetryCharacteristic], list[DensityFlu
     return [q1, q2, q3, q4], [d1, d2, d3, d4]
 
 
-def _domain_spec(domain: str, b: str = "b") -> GKESpec:
-    abstract, linear, log = _catalog_specs(b)
-    return {"abstract": abstract, "linear": linear, "logshift": log}[domain]
+def _catalog_binding(f: FunctionSpec) -> dict:
+    """The catalog's coefficient names bound to f's own coefficients: alpha
+    and beta for linear f, gamma for log f.  Identity bindings are left out."""
+    branch = _branch(f)
+    if branch == "linear":
+        values = {"alpha": f.coeffs[1], "beta": f.coeffs[0]}
+    elif branch == "logshift":
+        values = {"gamma": f.gamma}
+    else:
+        values = {}
+    return {param(name): v for name, v in values.items() if v != par(name)}
+
+
+def verify_entry(entry, eq: EvolutionEquation) -> bool:
+    """Bind a catalog entry to eq's f and verify it in place.
+
+    A symmetry gets its residual checked; a density gets the conservation
+    test, the reconstructed flux (itself checked), the diffs against the
+    printed forms and its characteristic.
+    """
+    binding = _catalog_binding(eq.fspec)
+
+    def bind(e: JetExpr) -> JetExpr:
+        # rename before specializing, so f's own parameters are left alone
+        return specialize_f(substitute_map(e, binding) if binding else e, eq.fspec)
+
+    if isinstance(entry, SymmetryCharacteristic):
+        entry.Q = bind(entry.Q)
+        entry.verified = symmetry_residual(eq, entry.Q).is_zero
+        return entry.verified
+    d = entry
+    d.rho = bind(d.rho)
+    if d.printed_flux is not None:
+        d.printed_flux = bind(d.printed_flux)
+    if d.printed_density is not None:
+        d.printed_density = bind(d.printed_density)
+        d.density_diff_vs_printed = d.rho - d.printed_density
+    d.verified = is_conserved_density(eq, d.rho)
+    if d.verified:
+        d.flux = reconstruct_flux(eq, d.rho)
+        d.flux_reconstructed = True
+        d.verified = conservation_residual(eq, d.rho, d.flux).is_zero
+        if d.printed_flux is not None:
+            d.flux_diff_vs_printed = d.printed_flux - d.flux
+    d.characteristic = euler(d.rho)
+    return d.verified
 
 
 def verify_catalog(b: str = "b") -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair]]:
     """Verify every catalog entry in its own domain; fill fluxes and diffs."""
     syms, dens = catalog(b)
-    for s in syms:
-        eq = gke(_domain_spec(s.domain, b))
-        Q = specialize_f(s.Q, eq.fspec)
-        s.Q = Q
-        s.verified = symmetry_residual(eq, Q).is_zero
-    for d in dens:
-        eq = gke(_domain_spec(d.domain, b))
-        rho = specialize_f(d.rho, eq.fspec)
-        d.rho = rho
-        if d.printed_flux is not None:
-            d.printed_flux = specialize_f(d.printed_flux, eq.fspec)
-        if d.printed_density is not None:
-            d.printed_density = specialize_f(d.printed_density, eq.fspec)
-            d.density_diff_vs_printed = d.rho - d.printed_density
-        d.verified = is_conserved_density(eq, rho)
-        if d.verified:
-            d.flux = reconstruct_flux(eq, rho)
-            d.flux_reconstructed = True
-            if d.printed_flux is not None:
-                d.flux_diff_vs_printed = d.printed_flux - d.flux
-        d.characteristic = euler(rho)
+    eqs = {"abstract": gke(GKESpec(FunctionSpec.abstract(), b)),
+           "linear": gke(GKESpec(FunctionSpec.linear(), b)),
+           "logshift": gke(GKESpec(FunctionSpec.log_shift(), b))}
+    for entry in syms + dens:
+        verify_entry(entry, eqs[entry.domain])
     return syms, dens
 
 
@@ -266,9 +293,6 @@ def linear_dependence_gate(spec: GKESpec) -> bool:
 # -- theorem verifiers -----------------------------------------------------------
 
 
-POINT_BASIS_LABELS = ("u_x", "t*u_x", "1", "u", "t*u")
-
-
 def point_symmetry_basis() -> list[JetExpr]:
     return [u(1), t() * u(1), as_expr(1), u(0), t() * u(0)]
 
@@ -288,32 +312,24 @@ class TheoremReport:
 def verify_theorem_1(spec: GKESpec) -> TheoremReport:
     """Residual checks for the applicable Q's plus the point-symmetry ansatz."""
     eq = gke(spec)
+    branch = _branch(spec.f)
     syms, _ = catalog(spec.b)
-    mode = {"abstract": "abstract", "polynomial": None, "logshift": "logshift"}[spec.f.mode]
-    if mode is None:
-        mode = "linear" if (len(spec.f.coeffs) <= 2 or spec.f.coeffs[2].is_zero) else "abstract"
     report = TheoremReport(theorem=1, spec=spec, verified=True)
     dependent = linear_dependence_gate(spec)
     report.details.append(
         "u*f', f', 1 linearly dependent" if dependent else
         "u*f', f', 1 independent (generic): case 1")
-    applicable = {"abstract": ("Q1", "Q2"),
-                  "linear": ("Q1", "Q2", "Q3"),
-                  "logshift": ("Q1", "Q2", "Q4")}[mode]
     for s in syms:
-        if s.label not in applicable:
+        if s.domain not in ("abstract", branch):
             continue
-        Q = specialize_f(s.Q, spec.f)
-        ok = symmetry_residual(eq, Q).is_zero
-        s.Q = Q
-        s.verified = ok
+        ok = verify_entry(s, eq)
         report.symmetries.append(s)
         report.details.append(f"{s.label}: residual {'zero' if ok else 'NONZERO'}")
         report.verified = report.verified and ok
     # generalized symmetries among point characteristics, beyond Q1
     span = solve_linear_ansatz(eq, point_symmetry_basis(), mode="symmetry")
     report.extra_symmetries = span
-    expected = {"abstract": 1, "linear": 2, "logshift": 2}[mode]
+    expected = 1 if branch == "abstract" else 2
     ok = len(span) == expected
     report.details.append(
         f"point ansatz solutions: {len(span)} (expected {expected})")
@@ -324,33 +340,13 @@ def verify_theorem_1(spec: GKESpec) -> TheoremReport:
 def verify_theorem_2(spec: GKESpec) -> TheoremReport:
     """Density checks, flux reconstruction, characteristic order bounds."""
     eq = gke(spec)
+    branch = _branch(spec.f)
     _, dens = catalog(spec.b)
-    mode = spec.f.mode
-    is_linear = (mode == "polynomial"
-                 and (len(spec.f.coeffs) <= 2
-                      or (len(spec.f.coeffs) >= 3 and spec.f.coeffs[2].is_zero)))
-    applicable = ["rho1", "rho2", "rho3"] + (["rho4"] if is_linear else [])
     report = TheoremReport(theorem=2, spec=spec, verified=True)
     for d in dens:
-        if d.label not in applicable:
+        if d.domain not in ("abstract", branch):
             continue
-        rho = specialize_f(d.rho, spec.f)
-        d.rho = rho
-        if d.printed_flux is not None:
-            d.printed_flux = specialize_f(d.printed_flux, spec.f)
-        if d.printed_density is not None:
-            d.printed_density = specialize_f(d.printed_density, spec.f)
-            d.density_diff_vs_printed = rho - d.printed_density
-        ok = is_conserved_density(eq, rho)
-        d.verified = ok
-        if ok:
-            d.flux = reconstruct_flux(eq, rho)
-            d.flux_reconstructed = True
-            resid = conservation_residual(eq, rho, d.flux)
-            ok = ok and resid.is_zero
-            if d.printed_flux is not None:
-                d.flux_diff_vs_printed = d.printed_flux - d.flux
-        d.characteristic = euler(rho)
+        ok = verify_entry(d, eq)
         char_order = order(d.characteristic)
         order_ok = char_order <= 4
         report.densities.append(d)

@@ -279,20 +279,19 @@ class Poly:
                     d = e
         return d
 
-    def coeff_of_power(self, g: Generator, k: int) -> "Poly":
-        """Coefficient of g**k, as a polynomial free of g."""
-        res: dict = {}
+    def split(self, gens) -> dict:
+        """{outer monomial over gens: inner Poly free of gens}.
+
+        self == sum(outer * inner); each inner part is nonzero.
+        """
+        buckets: dict = {}
         for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for gen, ee in m:
-                if gen is g:
-                    e = ee
-                else:
-                    rest.append((gen, ee))
-            if e == k:
-                res[tuple(rest)] = res.get(tuple(rest), Fraction(0)) + c
-        return Poly(res)
+            outer = []
+            inner = []
+            for g, e in m:
+                (outer if g in gens else inner).append((g, e))
+            buckets.setdefault(tuple(outer), {})[tuple(inner)] = c
+        return {m: Poly(terms, prune=False) for m, terms in buckets.items()}
 
     def derivative(self, g: Generator) -> "Poly":
         res: dict = {}
@@ -382,22 +381,10 @@ def _main_var(p: Poly) -> Generator | None:
 
 def _to_univariate(p: Poly, v: Generator) -> list[Poly]:
     """Dense coefficient list in v, ascending powers."""
-    d = p.degree_in(v)
-    coeffs = [ZERO] * (d + 1)
-    buckets: list[dict] = [dict() for _ in range(d + 1)]
-    for m, c in p.terms.items():
-        e = 0
-        rest = []
-        for gen, ee in m:
-            if gen is v:
-                e = ee
-            else:
-                rest.append((gen, ee))
-        key = tuple(rest)
-        b = buckets[e]
-        b[key] = b.get(key, Fraction(0)) + c
-    for i, b in enumerate(buckets):
-        coeffs[i] = Poly(b)
+    parts = p.split((v,))
+    coeffs = [ZERO] * (max((m[0][1] for m in parts if m), default=0) + 1)
+    for m, inner in parts.items():
+        coeffs[m[0][1] if m else 0] = inner
     return coeffs
 
 
@@ -529,16 +516,9 @@ def _var_degrees(p: Poly) -> dict:
 
 def _content_wrt(p: Poly, vars_out: set) -> Poly:
     """Gcd of the coefficients of p split by monomials in vars_out."""
-    buckets: dict = {}
-    for m, c in p.terms.items():
-        outer = []
-        inner = []
-        for g, e in m:
-            (outer if g in vars_out else inner).append((g, e))
-        buckets.setdefault(tuple(outer), {})[tuple(inner)] = c
     cont = ZERO
-    for terms in buckets.values():
-        cont = poly_gcd(cont, Poly(terms, prune=False))
+    for inner in p.split(vars_out).values():
+        cont = poly_gcd(cont, inner)
         if cont == ONE:
             return ONE
     return cont

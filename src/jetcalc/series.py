@@ -101,9 +101,6 @@ class PsdSeries:
         """Lowest guaranteed index (meaningless when exact and empty)."""
         return self.top - len(self.coeffs) + 1
 
-    def known_down_to(self):
-        return NEG_INF if self.exact else self.bottom
-
     def coeff(self, i: int) -> JetExpr:
         """Coefficient at xi^i; exact zero above the window, error below."""
         if i > self.top:
@@ -215,12 +212,6 @@ class PsdSeries:
     def __sub__(self, other: "PsdSeries") -> "PsdSeries":
         return self + (-other)
 
-    def scale(self, c) -> "PsdSeries":
-        c = as_expr(c)
-        if c.is_zero:
-            return PsdSeries.zero() if self.exact else PsdSeries(self.top, tuple(ZERO_EXPR for _ in self.coeffs), False)
-        return PsdSeries(self.top, tuple(c * a for a in self.coeffs), self.exact)
-
     def map_coeffs(self, fun) -> "PsdSeries":
         return PsdSeries(self.top, tuple(fun(c) for c in self.coeffs), self.exact)
 
@@ -251,29 +242,29 @@ def compose(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
         if a.is_zero:
             continue
         for j, b in B.items():
-            if b.is_zero:
-                continue
-            dxb = b
-            k = 0
-            while True:
-                idx = i + j - k
-                if idx < floor:
-                    if not dxb.is_zero:
-                        truncated = True
-                    break
-                if i >= 0 and k > i:
-                    break
-                if dxb.is_zero:
-                    break
-                c = binom_falling(i, k)
-                if c != 0:
-                    term = a * c * dxb
-                    if not term.is_zero:
-                        acc[idx] = acc.get(idx, ZERO_EXPR) + term
-                k += 1
-                dxb = total_x(dxb)
+            if not b.is_zero and _leibniz(acc, a, i, b, j, floor):
+                truncated = True
     return PsdSeries.from_coeffs(acc, exact=not truncated,
                                  bottom=None if not truncated else floor)
+
+
+def _leibniz(acc: dict, left, i: int, b: JetExpr, j: int, floor: int) -> bool:
+    """Add left * C(i,k) * D_x^k(b) at xi^(i+j-k) into acc for k = 0, 1, ...
+    down to xi^floor; True when a nonzero term fell below the floor."""
+    k = 0
+    while True:
+        idx = i + j - k
+        if idx < floor:
+            return not b.is_zero
+        if (i >= 0 and k > i) or b.is_zero:
+            return False
+        c = binom_falling(i, k)
+        if c != 0:
+            term = left * c * b
+            if not term.is_zero:
+                acc[idx] = acc.get(idx, ZERO_EXPR) + term
+        k += 1
+        b = total_x(b)
 
 
 def commutator(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
@@ -290,34 +281,11 @@ def adjoint(A: PsdSeries, slots: int | None = None) -> PsdSeries:
         floor = max(floor, A.bottom)
     truncated = not A.exact
     for i, a in A.items():
-        if a.is_zero:
-            continue
         sign = Fraction(1) if i % 2 == 0 else Fraction(-1)
-        dxa = a
-        k = 0
-        while True:
-            idx = i - k
-            if idx < floor:
-                if not dxa.is_zero:
-                    truncated = True
-                break
-            if i >= 0 and k > i:
-                break
-            if dxa.is_zero:
-                break
-            c = binom_falling(i, k)
-            if c != 0:
-                term = sign * c * dxa
-                if not term.is_zero:
-                    acc[idx] = acc.get(idx, ZERO_EXPR) + term
-            k += 1
-            dxa = total_x(dxa)
+        if not a.is_zero and _leibniz(acc, sign, i, a, 0, floor):
+            truncated = True
     return PsdSeries.from_coeffs(acc, exact=not truncated,
                                  bottom=None if not truncated else floor)
-
-
-def degree(A: PsdSeries):
-    return A.degree()
 
 
 def series_power(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:

@@ -87,18 +87,18 @@ def test_characteristic_of_density():
     assert characteristic_of_density(rho4_printed) == x() + alpha * t() * u(0)
 
 
-def test_is_trivial_density(eq_abstract):
-    assert is_trivial_density(eq_abstract, u(1))
-    assert not is_trivial_density(eq_abstract, u(0))
-    assert is_trivial_density(eq_abstract, u(0) * u(2) + u(1) ** 2)
+def test_is_trivial_density():
+    assert is_trivial_density(u(1))
+    assert not is_trivial_density(u(0))
+    assert is_trivial_density(u(0) * u(2) + u(1) ** 2)
 
 
-def test_triviality_preserves_characteristic(eq_abstract):
+def test_triviality_preserves_characteristic():
     rng = random.Random(47)
     for _ in range(40):
         rho = random_expr(rng)
         shift = total_x(random_expr(rng))
-        assert is_trivial_density(eq_abstract, shift)
+        assert is_trivial_density(shift)
         assert euler(rho + shift) == euler(rho)
 
 
@@ -304,3 +304,11 @@ def test_ansatz_density_abstract(eq_abstract):
 def test_ansatz_symmetry_linear_branch(eq_linear):
     got = solve_linear_ansatz(eq_linear, [t() * u(1), as_expr(1), u(1)], "symmetry")
     assert got == [t() * u(1) + 1 / alpha, u(1)] or got == [u(1), t() * u(1) + 1 / alpha]
+
+
+def test_scan_is_prefix_monotone_in_the_target_rank(eq_linear):
+    # a deeper target repeats the shallower scan's steps before going on
+    rep13 = formal_symmetry_scan(eq_linear, 13)
+    rep15 = formal_symmetry_scan(eq_linear, 15)
+    assert len(rep13.steps) == 13
+    assert rep15.steps[:13] == rep13.steps

@@ -156,3 +156,12 @@ def test_parse_f_spec():
     assert parse_f_spec("poly:0,0,0,1") == FunctionSpec.polynomial([0, 0, 0, 1])
     with pytest.raises(Exception):
         parse_f_spec("log:gamma,delta,d")
+
+
+@pytest.mark.parametrize("f", ["poly:0,0,0,1", "linear:2,3", "log:2,3,c"])
+@pytest.mark.parametrize("theorem", ["1", "2"])
+def test_kawahara_verify_specialized_f(capsys, f, theorem):
+    code, out, _ = run(capsys, "kawahara", "verify", "--theorem", theorem, "--f", f)
+    assert code == 0
+    assert f"verdict: theorem {theorem} verified" in out
+    assert "FAILED" not in out

@@ -221,3 +221,38 @@ def test_lemma2_rank_bound(eq_abstract):
 
 def test_point_basis_labels():
     assert len(point_symmetry_basis()) == 5
+
+
+def test_higher_degree_polynomial_f_takes_the_abstract_branch():
+    # f = u^3 has no u^2 term but is not linear: no Q3, no rho4
+    spec = GKESpec(FunctionSpec.polynomial([0, 0, 0, 1]))
+    rep = verify_theorem(1, spec)
+    assert rep.verified
+    assert [s.label for s in rep.symmetries] == ["Q1", "Q2"]
+    assert rep.extra_symmetries == [u(1)]
+    rep = verify_theorem(2, spec)
+    assert rep.verified
+    assert [d.label for d in rep.densities] == ["rho1", "rho2", "rho3"]
+
+
+def test_catalog_entries_bind_the_spec_coefficients():
+    # Q3, Q4 and rho4 are written in alpha, beta, gamma; they must take the
+    # coefficients of the f actually given, swapped names included
+    for alpha_value, beta_value in ((2, 3), (par("a"), par("b2")), (beta, alpha)):
+        spec = GKESpec(FunctionSpec.polynomial([beta_value, alpha_value]))
+        rep = verify_theorem(1, spec)
+        assert rep.verified
+        q3 = rep.symmetries[-1]
+        assert q3.label == "Q3" and q3.Q == t() * u(1) + 1 / as_expr(alpha_value)
+        rep = verify_theorem(2, spec)
+        assert rep.verified
+        rho4 = rep.densities[-1]
+        assert rho4.label == "rho4"
+        assert rho4.rho == (x() * u(0) + alpha_value * t() * u(0) ** 2 / 2
+                            + beta_value * t() * u(0))
+        assert rho4.density_diff_vs_printed == beta_value * t() * u(0)
+    for gamma_value, delta_value in ((2, 3), (par("delta"), gamma)):
+        rep = verify_theorem(1, GKESpec(FunctionSpec.log_shift(gamma_value, delta_value)))
+        assert rep.verified
+        q4 = rep.symmetries[-1]
+        assert q4.label == "Q4" and q4.Q == t() * u(1) + (u(0) + c) / gamma_value
