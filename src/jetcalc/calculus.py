@@ -8,6 +8,7 @@ reports an irreducible residual instead of failing.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import JetCalcError
@@ -44,41 +45,15 @@ from .poly import (
 )
 
 
-class NegativeInfinity:
-    """Order/degree bottom element: the deg 0 = -oo convention."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __neg__(self):
-        raise ArithmeticError("cannot negate -oo")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "-oo"
+# order/degree of a jet- and u-free function: the deg 0 = -oo convention.
+# ``order`` and ``PsdSeries.degree`` return this very object, so callers test
+# ``is NEG_INF``.
+NEG_INF = -math.inf
 
 
-NEG_INF = NegativeInfinity()
+def order_text(n) -> str:
+    """An order or degree as reports print it: -oo for NEG_INF."""
+    return "-oo" if n == NEG_INF else str(n)
 
 
 class EvolutionEquation:

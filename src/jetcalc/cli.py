@@ -3,8 +3,8 @@
 Every subcommand wraps one library operation and prints a deterministic
 report (text by default, JSON with --json).  Exit codes: 0 for a verified /
 zero-residual outcome, 1 for a nonzero residual or obstruction (still a
-successful run), 2 for usage or parse errors.  ``kawahara verify`` maps an
-obstruction onto "theorem verified", exit 0.
+successful run), 2 for usage, parse and input errors.  ``kawahara verify``
+maps an obstruction onto "theorem verified", exit 0.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from .analysis import (
     symmetry_from_density,
     symmetry_residual,
 )
-from .calculus import NEG_INF, EvolutionEquation, euler, order, total_t, total_x, frechet
+from .calculus import EvolutionEquation, euler, order, order_text, total_t, total_x, frechet
 from .dsl import parse, parse_series, print_expr, print_series
 from .errors import DslSyntaxError, JetCalcError
 from .expr import FunctionSpec, specialize_f
 from .kawahara import GKESpec, verify_theorem
-from .series import adjoint, commutator, compose, nth_root
+from .series import adjoint, commutator, compose, nth_root, positive_int
 
 
 class Report:
@@ -119,203 +119,113 @@ def load_equation(path: str, report: Report) -> EvolutionEquation:
     data = Path(path).read_bytes()
     report.add_input(f"eq-file {path}", f"sha256:{_digest(data)}")
     doc = json.loads(data)
-    fspec = parse_f_spec(doc.get("f", "abstract"))
-    rhs = specialize_f(parse(doc["rhs"]), fspec)
-    return EvolutionEquation(rhs, fspec)
+    if not isinstance(doc, dict) or not isinstance(doc.get("rhs"), str):
+        raise JetCalcError(f"{path}: an equation file is a JSON object "
+                           "with a string \"rhs\"")
+    f = doc.get("f", "abstract")
+    if not isinstance(f, str):
+        raise JetCalcError(f"{path}: \"f\" must be a string")
+    fspec = parse_f_spec(f)
+    return EvolutionEquation(specialize_f(parse(doc["rhs"]), fspec), fspec)
 
 
-def _emit(report: Report, args) -> int:
-    text = report.render_json() if args.json else report.render_text()
-    sys.stdout.write(text)
-    return report.exit_code
+# -- subcommands ----------------------------------------------------------------
+# A handler takes (args, report, eq); eq is the loaded --eq file, or None for a
+# command without one.  Library functions are called by name inside the
+# handlers, never stored in the tables, so that rebinding a module attribute
+# (as a profiler or tracer does) reaches every call.
 
 
-# -- subcommand handlers --------------------------------------------------------
+def _operand(args, report: Report, name: str, eq=None):
+    """Parse operand ``name``, record it as an input, specialize f to eq's."""
+    text = getattr(args, name)
+    e = parse(text)
+    report.add_input(name, text)
+    return e if eq is None else specialize_f(e, eq.fspec)
 
 
-def cmd_dx(args, report):
-    e = parse(args.expr)
-    report.add_input("expr", args.expr)
-    result = total_x(e)
-    report.add(f"result: {print_expr(result)}")
-    report.set("result", print_expr(result))
+def _series(args, report: Report, name: str):
+    """Parse the xi-series operand ``name`` and record it as an input."""
+    text = getattr(args, name)
+    A = parse_series(text)
+    report.add_input(name, text)
+    return A
 
 
-def cmd_dt(args, report):
-    eq = load_equation(args.eq, report)
-    e = specialize_f(parse(args.expr), eq.fspec)
-    report.add_input("expr", args.expr)
-    result = total_t(e, eq)
-    report.add(f"result: {print_expr(result)}")
-    report.set("result", print_expr(result))
+def _result(report: Report, text: str, label: str = "result", key: str = "result"):
+    report.add(f"{label}: {text}")
+    report.set(key, text)
 
 
-def cmd_euler(args, report):
-    e = parse(args.expr)
-    report.add_input("expr", args.expr)
-    result = euler(e)
-    report.add(f"result: {print_expr(result)}")
-    report.set("result", print_expr(result))
+def _verdict(report: Report, ok: bool, yes: str, no: str):
+    report.verdict = yes if ok else no
+    report.exit_code = 0 if ok else 1
 
 
-def cmd_frechet(args, report):
-    F = parse(args.F)
-    Q = parse(args.Q)
-    report.add_input("F", args.F)
-    report.add_input("Q", args.Q)
-    result = frechet(F, Q)
-    report.add(f"result: {print_expr(result)}")
-    report.set("result", print_expr(result))
+def _symmetry(args, report, eq):
+    residual = symmetry_residual(eq, _operand(args, report, "Q", eq))
+    _result(report, print_expr(residual), "residual", "residual")
+    _verdict(report, residual.is_zero, "generalized symmetry (residual = 0)",
+             "not a symmetry (residual != 0)")
 
 
-def cmd_order(args, report):
-    e = parse(args.expr)
-    report.add_input("expr", args.expr)
-    o = order(e)
-    text = "-oo" if o is NEG_INF else str(o)
-    report.add(f"order: {text}")
-    report.set("result", text)
-
-
-def cmd_compose(args, report):
-    A = parse_series(args.A)
-    B = parse_series(args.B)
-    report.add_input("A", args.A)
-    report.add_input("B", args.B)
-    result = compose(A, B, slots=args.prec)
-    report.add(f"result: {print_series(result)}")
-    report.set("result", print_series(result))
-
-
-def cmd_adjoint(args, report):
-    A = parse_series(args.A)
-    report.add_input("A", args.A)
-    result = adjoint(A, slots=args.prec)
-    report.add(f"result: {print_series(result)}")
-    report.set("result", print_series(result))
-
-
-def cmd_commutator(args, report):
-    A = parse_series(args.A)
-    B = parse_series(args.B)
-    report.add_input("A", args.A)
-    report.add_input("B", args.B)
-    result = commutator(A, B, slots=args.prec)
-    report.add(f"result: {print_series(result)}")
-    report.set("result", print_series(result))
-
-
-def cmd_root(args, report):
-    A = parse_series(args.A)
-    report.add_input("A", args.A)
-    result = nth_root(A, args.n, slots=args.prec)
-    report.add(f"result: {print_series(result)}")
-    report.set("result", print_series(result))
-
-
-def cmd_symmetry(args, report):
-    eq = load_equation(args.eq, report)
-    Q = specialize_f(parse(args.Q), eq.fspec)
-    report.add_input("Q", args.Q)
-    residual = symmetry_residual(eq, Q)
-    report.add(f"residual: {print_expr(residual)}")
-    report.set("residual", print_expr(residual))
-    if residual.is_zero:
-        report.verdict = "generalized symmetry (residual = 0)"
-    else:
-        report.verdict = "not a symmetry (residual != 0)"
-        report.exit_code = 1
-
-
-def cmd_density(args, report):
-    eq = load_equation(args.eq, report)
-    rho = specialize_f(parse(args.rho), eq.fspec)
-    report.add_input("rho", args.rho)
+def _density(args, report, eq):
+    rho = _operand(args, report, "rho", eq)
     conserved = is_conserved_density(eq, rho)
-    if conserved:
-        report.verdict = "conserved density"
-        if args.flux:
-            sigma = reconstruct_flux(eq, rho)
-            check = conservation_residual(eq, rho, sigma)
-            report.add(f"flux: {print_expr(sigma)}")
-            report.add(f"conservation residual: {print_expr(check)}")
-            report.set("flux", print_expr(sigma))
-            report.set("residual", print_expr(check))
-    else:
-        report.verdict = "not a conserved density"
-        report.exit_code = 1
+    if conserved and args.flux:
+        sigma = reconstruct_flux(eq, rho)
+        _result(report, print_expr(sigma), "flux", "flux")
+        _result(report, print_expr(conservation_residual(eq, rho, sigma)),
+                "conservation residual", "residual")
+    _verdict(report, conserved, "conserved density", "not a conserved density")
 
 
-def cmd_trivial(args, report):
-    rho = parse(args.rho)
-    report.add_input("rho", args.rho)
-    trivial = is_trivial_density(rho)
-    report.verdict = "trivial density (a total x-derivative)" if trivial \
-        else "nontrivial density"
-    report.exit_code = 0 if trivial else 1
-
-
-def cmd_lemma1(args, report):
-    eq = load_equation(args.eq, report)
-    rho = specialize_f(parse(args.rho), eq.fspec)
-    report.add_input("rho", args.rho)
-    Q = symmetry_from_density(eq, rho)
+def _lemma1(args, report, eq):
+    Q = symmetry_from_density(eq, _operand(args, report, "rho", eq))
     residual = symmetry_residual(eq, Q)
-    report.add(f"characteristic: {print_expr(Q)}")
-    report.add(f"residual: {print_expr(residual)}")
-    report.set("result", print_expr(Q))
-    report.set("residual", print_expr(residual))
-    if residual.is_zero:
-        report.verdict = "D_x(delta rho/delta u) is a symmetry characteristic"
-    else:
-        report.verdict = "map did not produce a symmetry"
-        report.exit_code = 1
+    _result(report, print_expr(Q), "characteristic")
+    _result(report, print_expr(residual), "residual", "residual")
+    _verdict(report, residual.is_zero,
+             "D_x(delta rho/delta u) is a symmetry characteristic",
+             "map did not produce a symmetry")
 
 
-def _scan_steps_payload(scan):
+def _render_scan(scan, report):
     steps = []
     for s in scan.steps:
+        constraints = [print_expr(c) for c in s.reduced_constraints]
+        line = f"xi^{s.xi_index}: coefficient {s.coefficient_name}"
+        if constraints:
+            line += " | constraints: " + "; ".join(f"{c} = 0" for c in constraints)
+        if s.forced:
+            line += " | " + ", ".join(s.forced)
+        if s.notes:
+            line += " | " + "; ".join(s.notes)
+        report.add(line)
         steps.append({
             "xi_index": s.xi_index,
             "coefficient": s.coefficient_name,
-            "constraints": [print_expr(c) for c in s.reduced_constraints],
+            "constraints": constraints,
             "forced": list(s.forced),
             "solved": (print_expr(s.solved_coefficient)
                        if s.solved_coefficient is not None
                        else s.solved_description),
             "notes": list(s.notes),
         })
-    return steps
+    report.set("steps", steps)
 
 
-def _render_scan(scan, report):
-    for s in scan.steps:
-        line = f"xi^{s.xi_index}: coefficient {s.coefficient_name}"
-        if s.reduced_constraints:
-            line += " | constraints: " + "; ".join(
-                f"{print_expr(c)} = 0" for c in s.reduced_constraints)
-        if s.forced:
-            line += " | " + ", ".join(s.forced)
-        if s.notes:
-            line += " | " + "; ".join(s.notes)
-        report.add(line)
-    report.set("steps", _scan_steps_payload(scan))
-
-
-def cmd_scan(args, report):
-    eq = load_equation(args.eq, report)
+def _scan(args, report, eq):
     scan = formal_symmetry_scan(eq, args.rank)
     _render_scan(scan, report)
-    report.verdict = scan.verdict
-    report.exit_code = 0 if scan.survived else 1
+    _verdict(report, scan.survived, scan.verdict, scan.verdict)
 
 
-def cmd_kawahara_verify(args, report):
+def _kawahara_verify(args, report, eq):
     fspec = parse_f_spec(args.f)
-    spec = GKESpec(f=fspec)
     report.add_input("theorem", str(args.theorem))
     report.add_input("f", args.f)
-    rep = verify_theorem(args.theorem, spec)
+    rep = verify_theorem(args.theorem, GKESpec(f=fspec))
     for line in rep.details:
         report.add(line)
     for s in rep.symmetries:
@@ -341,11 +251,53 @@ def cmd_kawahara_verify(args, report):
         report.add(rep.scan.verdict)
     if diffs:
         report.set("diff_vs_printed", diffs)
-    if rep.verified:
-        report.verdict = f"theorem {args.theorem} verified"
-    else:
-        report.verdict = f"theorem {args.theorem} NOT verified"
-        report.exit_code = 1
+    _verdict(report, rep.verified, f"theorem {args.theorem} verified",
+             f"theorem {args.theorem} NOT verified")
+
+
+# (name, help, "operand --option ...", handler); options are spelled in OPTIONS
+COMMANDS = (
+    ("dx", "total x-derivative of an expression", "expr",
+     lambda a, r, eq: _result(r, print_expr(total_x(_operand(a, r, "expr"))))),
+    ("dt", "total t-derivative on an equation", "expr --eq",
+     lambda a, r, eq: _result(r, print_expr(total_t(_operand(a, r, "expr", eq), eq)))),
+    ("euler", "variational derivative", "expr",
+     lambda a, r, eq: _result(r, print_expr(euler(_operand(a, r, "expr"))))),
+    ("frechet", "Frechet derivative of F applied to Q", "F Q",
+     lambda a, r, eq: _result(r, print_expr(frechet(_operand(a, r, "F"),
+                                                    _operand(a, r, "Q"))))),
+    ("order", "order of a differential function", "expr",
+     lambda a, r, eq: _result(r, order_text(order(_operand(a, r, "expr"))), "order")),
+    ("compose", "compose two xi-series", "A B --prec",
+     lambda a, r, eq: _result(r, print_series(compose(
+         _series(a, r, "A"), _series(a, r, "B"), slots=a.prec)))),
+    ("adjoint", "formal adjoint of a xi-series", "A --prec",
+     lambda a, r, eq: _result(r, print_series(adjoint(_series(a, r, "A"), slots=a.prec)))),
+    ("commutator", "commutator of two xi-series", "A B --prec",
+     lambda a, r, eq: _result(r, print_series(commutator(
+         _series(a, r, "A"), _series(a, r, "B"), slots=a.prec)))),
+    ("root", "n-th root of a monic xi-series", "A --n --prec",
+     lambda a, r, eq: _result(r, print_series(nth_root(
+         _series(a, r, "A"), a.n, slots=a.prec)))),
+    ("symmetry", "generalized-symmetry residual", "Q --eq", _symmetry),
+    ("density", "conserved-density test", "rho --eq --flux", _density),
+    ("trivial", "triviality test for a density", "rho",
+     lambda a, r, eq: _verdict(r, is_trivial_density(_operand(a, r, "rho")),
+                               "trivial density (a total x-derivative)",
+                               "nontrivial density")),
+    ("lemma1", "density-to-symmetry Hamiltonian map", "rho --eq", _lemma1),
+    ("scan", "formal-symmetry obstruction scan", "--eq --rank", _scan),
+)
+
+OPTIONS = {
+    "--eq": dict(required=True),
+    "--prec": dict(type=positive_int),
+    "--n": dict(type=positive_int, required=True),
+    "--flux": dict(action="store_true"),
+    "--rank": dict(type=int, default=13),
+    "--theorem": dict(type=int, required=True, choices=(1, 2, 3)),
+    "--f": dict(default="abstract"),
+}
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -360,66 +312,23 @@ class _UsageError(Exception):
     pass
 
 
+def _add_command(sub, name, help_text, signature, handler):
+    sp = sub.add_parser(name, help=help_text)
+    sp.set_defaults(handler=handler)
+    for arg in signature.split():
+        sp.add_argument(arg, **OPTIONS.get(arg, {}))
+
+
 def build_parser() -> _ArgumentParser:
     p = _ArgumentParser(prog="jetcalc",
                         description="exact jet calculus for scalar evolution equations")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def add(name, handler, **kw):
-        sp = sub.add_parser(name, **kw)
-        sp.set_defaults(handler=handler)
-        return sp
-
-    sp = add("dx", cmd_dx, help="total x-derivative of an expression")
-    sp.add_argument("expr")
-    sp = add("dt", cmd_dt, help="total t-derivative on an equation")
-    sp.add_argument("expr")
-    sp.add_argument("--eq", required=True)
-    sp = add("euler", cmd_euler, help="variational derivative")
-    sp.add_argument("expr")
-    sp = add("frechet", cmd_frechet, help="Frechet derivative of F applied to Q")
-    sp.add_argument("F")
-    sp.add_argument("Q")
-    sp = add("order", cmd_order, help="order of a differential function")
-    sp.add_argument("expr")
-    sp = add("compose", cmd_compose, help="compose two xi-series")
-    sp.add_argument("A")
-    sp.add_argument("B")
-    sp.add_argument("--prec", type=int, default=None)
-    sp = add("adjoint", cmd_adjoint, help="formal adjoint of a xi-series")
-    sp.add_argument("A")
-    sp.add_argument("--prec", type=int, default=None)
-    sp = add("commutator", cmd_commutator, help="commutator of two xi-series")
-    sp.add_argument("A")
-    sp.add_argument("B")
-    sp.add_argument("--prec", type=int, default=None)
-    sp = add("root", cmd_root, help="n-th root of a monic xi-series")
-    sp.add_argument("A")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--prec", type=int, default=None)
-    sp = add("symmetry", cmd_symmetry, help="generalized-symmetry residual")
-    sp.add_argument("Q")
-    sp.add_argument("--eq", required=True)
-    sp = add("density", cmd_density, help="conserved-density test")
-    sp.add_argument("rho")
-    sp.add_argument("--eq", required=True)
-    sp.add_argument("--flux", action="store_true")
-    sp = add("trivial", cmd_trivial, help="triviality test for a density")
-    sp.add_argument("rho")
-    sp = add("lemma1", cmd_lemma1, help="density-to-symmetry Hamiltonian map")
-    sp.add_argument("rho")
-    sp.add_argument("--eq", required=True)
-    sp = add("scan", cmd_scan, help="formal-symmetry obstruction scan")
-    sp.add_argument("--eq", required=True)
-    sp.add_argument("--rank", type=int, default=13)
-
+    for command in COMMANDS:
+        _add_command(sub, *command)
     kw = sub.add_parser("kawahara", help="case-study verifiers")
-    kw_sub = kw.add_subparsers(dest="kcmd", required=True)
-    sp = kw_sub.add_parser("verify", help="verify one of the three theorems")
-    sp.set_defaults(handler=cmd_kawahara_verify)
-    sp.add_argument("--theorem", type=int, required=True, choices=(1, 2, 3))
-    sp.add_argument("--f", default="abstract")
+    _add_command(kw.add_subparsers(dest="kcmd", required=True), "verify",
+                 "verify one of the three theorems", "--theorem --f", _kawahara_verify)
     return p
 
 
@@ -433,14 +342,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     report = Report(["jetcalc"] + argv)
     try:
-        args.handler(args, report)
+        eq = load_equation(args.eq, report) if "eq" in args else None
+        args.handler(args, report, eq)
     except DslSyntaxError as exc:
         sys.stderr.write(f"syntax error: {exc}\n")
         return 2
-    except (JetCalcError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (JetCalcError, OSError, json.JSONDecodeError, UnicodeDecodeError,
+            KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return _emit(report, args)
+    text = report.render_json() if args.json else report.render_text()
+    sys.stdout.write(text)
+    return report.exit_code
 
 
 if __name__ == "__main__":

@@ -39,6 +39,13 @@ _TOKEN_RE = re.compile(r"""
     | (?P<op>\*\*|[-+*/^()])
 """, re.VERBOSE)
 
+# Deepest nesting of parentheses and unary signs the parser accepts.  A level
+# costs up to eight Python frames (``f(`` ... ``)``), so 64 levels stay well
+# below the default recursion limit of 1000: over-deep input is a syntax
+# error, not a crash.
+MAX_DEPTH = 64
+
+
 class _Token:
     __slots__ = ("kind", "value", "line", "column")
 
@@ -92,6 +99,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -103,6 +111,15 @@ class _Parser:
 
     def error(self, message: str, tok: _Token, expected=()):
         raise DslSyntaxError(message, tok.line, tok.column, expected)
+
+    def nested(self, tok: _Token, inner):
+        """inner() one nesting level below tok, which opens that level."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"nesting deeper than {MAX_DEPTH} levels", tok)
+        v = inner()
+        self.depth -= 1
+        return v
 
     def expect_op(self, op: str):
         tok = self.peek()
@@ -147,7 +164,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.value in "+-":
             self.advance()
-            v = self.factor()
+            v = self.nested(tok, self.factor)
             if tok.value == "-":
                 return {k: -e for k, e in v.items()}
             return v
@@ -167,7 +184,7 @@ class _Parser:
         sign = 1
         if tok.kind == "op" and tok.value == "(":
             self.advance()
-            inner = self.integer_exponent()
+            inner = self.nested(tok, self.integer_exponent)
             self.expect_op(")")
             return inner
         if tok.kind == "op" and tok.value in "+-":
@@ -189,7 +206,7 @@ class _Parser:
             self.maybe_call_u(required=False)
             return {0: fn("f", tok.value)}
         if tok.kind == "op" and tok.value == "(":
-            v = self.expr()
+            v = self.nested(tok, self.expr)
             self.expect_op(")")
             return v
         if tok.kind == "name":
@@ -201,7 +218,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "(":
             self.advance()
-            inner = self.expr()
+            inner = self.nested(tok, self.expr)
             self.expect_op(")")
             if set(inner) != {0} or inner[0] != u(0):
                 self.error("function symbols take the argument (u)", tok)
@@ -227,7 +244,7 @@ class _Parser:
             if nxt.kind != "op" or nxt.value != "(":
                 self.error("ln requires the argument (u+c)", nxt, expected=("(",))
             self.advance()
-            inner = self.expr()
+            inner = self.nested(nxt, self.expr)
             self.expect_op(")")
             if set(inner) != {0} or inner[0] != u(0) + par("c"):
                 self.error("ln argument must be u+c", tok)

@@ -24,7 +24,7 @@ from .analysis import (
     solve_linear_ansatz,
     symmetry_residual,
 )
-from .calculus import EvolutionEquation, euler, order
+from .calculus import EvolutionEquation, euler, order, order_text
 from .errors import ConstantF, NotQuadratic
 from .expr import (
     FunctionSpec,
@@ -352,7 +352,7 @@ def verify_theorem_2(spec: GKESpec) -> TheoremReport:
         report.densities.append(d)
         report.details.append(
             f"{d.label}: conserved={d.verified}, characteristic order "
-            f"{char_order} (<= 4: {order_ok})")
+            f"{order_text(char_order)} (<= 4: {order_ok})")
         report.verified = report.verified and ok and order_ok
     return report
 

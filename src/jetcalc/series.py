@@ -15,21 +15,30 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .calculus import NEG_INF, total_t, total_x
-from .errors import RootNotInClass
+from .calculus import NEG_INF, order_text, total_t, total_x
+from .errors import JetCalcError, RootNotInClass
 from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr
 
 DEFAULT_SLOTS = 20
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not a positive integer")
+    return value
+
+
 def default_slots() -> int:
+    """The series window: JETCALC_PRECISION when set, else DEFAULT_SLOTS."""
     env = os.environ.get("JETCALC_PRECISION")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            pass
-    return DEFAULT_SLOTS
+    if not env:
+        return DEFAULT_SLOTS
+    try:
+        return positive_int(env)
+    except ValueError:
+        raise JetCalcError("JETCALC_PRECISION must be a positive integer, "
+                           f"got {env!r}") from None
 
 
 def binom_falling(i: int, k: int) -> Fraction:
@@ -300,7 +309,7 @@ def nth_root(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
     if n <= 0:
         raise ValueError("root index must be positive")
     if A.degree() != n:
-        raise RootNotInClass(f"series degree {A.degree()} != root index {n}")
+        raise RootNotInClass(f"series degree {order_text(A.degree())} != root index {n}")
     lead = A.coeff(n)
     if not lead.is_rational_const:
         raise RootNotInClass("leading coefficient must be a rational constant")

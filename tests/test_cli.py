@@ -148,6 +148,56 @@ def test_precision_env(capsys, monkeypatch):
     assert "O(xi^-4)" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["root", "xi^5", "--n", "0"],
+    ["root", "xi^5", "--n", "-2"],
+    ["compose", "xi", "u", "--prec", "0"],
+    ["compose", "xi", "u", "--prec", "-3"],
+    ["adjoint", "u*xi", "--prec", "0"],
+])
+def test_nonpositive_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: argument --") and "positive" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", 'a JSON object with a string "rhs"'),
+    ('{"rhs": 5}', 'a JSON object with a string "rhs"'),
+    ('{"f": "abstract"}', 'a JSON object with a string "rhs"'),
+    ('{"rhs": "u_5x + f(u)*u_x", "f": ["abstract"]}', '"f" must be a string'),
+    (b"\xc3\x28", "can't decode"),
+], ids=["list", "rhs-not-a-string", "no-rhs", "f-not-a-string", "not-utf8"])
+def test_malformed_equation_file_is_an_input_error(capsys, tmp_path, content, message):
+    path = tmp_path / "eq.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, out, err = run(capsys, "dt", "u", "--eq", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_deep_nesting_is_a_syntax_error(capsys):
+    code, out, err = run(capsys, "dx", "(" * 3000 + "u" + ")" * 3000)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("syntax error: nesting deeper than")
+    assert "(line 1, column " in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5"])
+def test_invalid_precision_env_is_an_input_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("JETCALC_PRECISION", value)
+    code, out, err = run(capsys, "compose", "xi^(-1)", "u")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: JETCALC_PRECISION must be a positive integer, got {value!r}\n"
+
+
 def test_parse_f_spec():
     assert parse_f_spec("abstract").mode == "abstract"
     assert parse_f_spec("quadratic") == FunctionSpec.quadratic()
@@ -165,3 +215,47 @@ def test_kawahara_verify_specialized_f(capsys, f, theorem):
     assert code == 0
     assert f"verdict: theorem {theorem} verified" in out
     assert "FAILED" not in out
+
+
+# -- pinned reports ---------------------------------------------------------------
+# One case per subcommand and outcome.  The expected stdout, stderr and exit
+# code of each case, in text and in --json, are stored in
+# tests/golden/cli_reports.json.  Equation files are passed relative to tests/
+# so that the reports do not depend on where the checkout lives.
+
+PIN_CASES = {
+    "dx": ["dx", "x*u"],
+    "dt": ["dt", "u", "--eq", "data/gke_abstract.json"],
+    "euler": ["euler", "u_x^2/2"],
+    "frechet": ["frechet", "u_5x + b*u_xxx + f(u)*u_x", "u_x"],
+    "order": ["order", "f(u)"],
+    "order_neg_inf": ["order", "x*t"],
+    "compose": ["compose", "xi^(-1)", "u", "--prec", "6"],
+    "adjoint": ["adjoint", "u*xi", "--prec", "6"],
+    "commutator": ["commutator", "xi^5", "u*xi", "--prec", "6"],
+    "root": ["root", "xi^5 + b*xi^3 + f(u)*xi + f'(u)*u_x", "--n", "5", "--prec", "6"],
+    "symmetry": ["symmetry", "t*u_x + 1/alpha", "--eq", "data/gke_linear.json"],
+    "symmetry_residual": ["symmetry", "u", "--eq", "data/gke_abstract.json"],
+    "density_flux": ["density", "u^2", "--eq", "data/gke_abstract.json", "--flux"],
+    "density_not_conserved": ["density", "u^3", "--eq", "data/gke_abstract.json"],
+    "trivial": ["trivial", "u*u_xx + u_x^2"],
+    "nontrivial": ["trivial", "u"],
+    "lemma1": ["lemma1", "(u_xx^2 - b*u_x^2)/2 + rhat(u)", "--eq", "data/gke_abstract.json"],
+    "scan": ["scan", "--eq", "data/gke_quadratic.json", "--rank", "13"],
+    "kawahara_verify": ["kawahara", "verify", "--theorem", "3", "--f", "quadratic"],
+    "kawahara_not_verified": ["kawahara", "verify", "--theorem", "3", "--f", "linear:alpha,beta"],
+    "usage_error": ["dt", "u"],
+    "syntax_error": ["euler", "u_x + "],
+    "missing_eq_file": ["dt", "u", "--eq", "data/no_such_file.json"],
+    "zero_root": ["root", "0", "--n", "5", "--prec", "4"],
+}
+PINNED = json.loads((Path(__file__).parent / "golden" / "cli_reports.json").read_text())
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_pinned_report(capsys, monkeypatch, case, mode):
+    monkeypatch.chdir(Path(__file__).parent)
+    argv = (["--json"] if mode == "json" else []) + PIN_CASES[case]
+    code, out, err = run(capsys, *argv)
+    assert {"exit": code, "stdout": out, "stderr": err} == PINNED[f"{case}/{mode}"]

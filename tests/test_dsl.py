@@ -111,3 +111,21 @@ def test_whitespace_normalization():
     a = parse("u_5x   +  b *u_xxx+f(u)* u_x")
     bb = parse("u_5x + b*u_xxx + f(u)*u_x")
     assert a == bb
+
+
+def test_nesting_depth_limit():
+    from jetcalc.dsl import MAX_DEPTH
+
+    d = MAX_DEPTH
+    assert parse("(" * d + "u" + ")" * d) == u(0)
+    assert parse("-" * d + "u") == u(0)
+    assert parse("f(" + "(" * (d - 1) + "u" + ")" * d) == fn("f")
+    assert parse_series("xi^" + "(" * d + "2" + ")" * d) == parse_series("xi^2")
+    # the error points at the opening token one level too deep
+    for text, column in (("(" * (d + 1) + "u" + ")" * (d + 1), d + 1),
+                         ("-" * (d + 1) + "u", d + 1),
+                         ("u^" + "(" * (d + 1) + "2" + ")" * (d + 1), d + 3)):
+        with pytest.raises(DslSyntaxError) as err:
+            parse(text)
+        assert "nesting deeper than" in str(err.value)
+        assert (err.value.line, err.value.column) == (1, column)
