@@ -54,12 +54,9 @@ def conservation_residual(eq: EvolutionEquation, rho: JetExpr, sigma: JetExpr) -
 
 
 def is_conserved_density(eq: EvolutionEquation, rho: JetExpr) -> bool:
-    """Euler exactness test plus actual flux existence via integration."""
-    dt_rho = total_t(as_expr(rho), eq)
-    if not euler(dt_rho).is_zero:
-        return False
-    _, residual = formal_x_integrate(dt_rho)
-    return residual.is_zero
+    """Euler exactness test: D_t(rho) is a total x-derivative iff its
+    variational derivative vanishes (Olver, Thm 4.7)."""
+    return euler(total_t(as_expr(rho), eq)).is_zero
 
 
 def reconstruct_flux(eq: EvolutionEquation, rho: JetExpr) -> JetExpr:
@@ -67,7 +64,7 @@ def reconstruct_flux(eq: EvolutionEquation, rho: JetExpr) -> JetExpr:
     dt_rho = total_t(as_expr(rho), eq)
     zeta, residual = formal_x_integrate(dt_rho)
     if not residual.is_zero:
-        raise NotConserved("density does not admit a flux in the class")
+        raise NotConserved("not conserved, or its flux lies outside the integrator's class")
     return zeta
 
 
@@ -77,9 +74,9 @@ def characteristic_of_density(rho: JetExpr) -> JetExpr:
 
 
 def is_trivial_density(rho: JetExpr) -> bool:
-    """True when rho itself is a total x-derivative (equivalent to zero)."""
-    _, residual = formal_x_integrate(as_expr(rho))
-    return residual.is_zero
+    """True when rho itself is a total x-derivative (equivalent to zero),
+    i.e. when its variational derivative vanishes."""
+    return euler(as_expr(rho)).is_zero
 
 
 def symmetry_from_density(eq: EvolutionEquation, rho: JetExpr) -> JetExpr:
@@ -465,13 +462,7 @@ def solve_linear_ansatz(eq: EvolutionEquation, basis: list[JetExpr],
     null = _nullspace(matrix, len(basis))
     out = []
     for vec in null:
-        lead = None
-        for v in vec:
-            if not v.is_zero:
-                lead = v
-                break
-        if lead is None:
-            continue
+        lead = next(v for v in vec if not v.is_zero)  # vec is 1 at its free column
         Q = ZERO_EXPR
         for c, b in zip(vec, basis):
             Q = Q + (c / lead) * b

@@ -27,7 +27,6 @@ from .expr import (
     symbol_at_depth,
     symbol_depth,
     u,
-    u_derivative_of_symbol,
     u_image,
 )
 from .poly import (
@@ -66,8 +65,6 @@ class EvolutionEquation:
         n = rhs.top_jet()
         if n is None or n < 2:
             raise JetCalcError("evolution equation must have order >= 2")
-        if partial(rhs, jet(n)).is_zero:
-            raise JetCalcError("leading jet coefficient vanishes")
         for g in rhs.generators():
             if g.kind == KIND_UNKNOWN:
                 raise JetCalcError("equation right-hand side cannot contain scan unknowns")
@@ -103,7 +100,7 @@ def _dx_image(g: Generator) -> JetExpr | None:
     if g.kind == KIND_JET:
         return JetExpr.from_gen(jet(g.index + 1))
     if g.kind == KIND_FN:
-        return u_derivative_of_symbol(g) * u(1)
+        return u_image(g) * u(1)
     return None
 
 
@@ -121,7 +118,7 @@ def total_t(e: JetExpr, eq: EvolutionEquation) -> JetExpr:
         if g.kind == KIND_JET:
             return eq.dx_rhs(g.index)
         if g.kind == KIND_FN:
-            return u_derivative_of_symbol(g) * eq.rhs
+            return u_image(g) * eq.rhs
         if g.kind == KIND_UNKNOWN:
             return JetExpr.from_gen(unknown_t(g.name, g.index + 1))
         return None
@@ -144,10 +141,8 @@ def order(F: JetExpr):
     """deg of the linearization symbol; NEG_INF for jet- and u-free input."""
     F = as_expr(F)
     top = F.top_jet()
-    if top is not None:
-        for j in range(top, 0, -1):
-            if not partial(F, jet(j)).is_zero:
-                return j
+    if top:
+        return top  # a reduced fraction depends on every generator it holds
     if not du_coefficient(F, 0).is_zero:
         return 0
     return NEG_INF
@@ -235,10 +230,7 @@ def _shifted_poly_in_u(e: JetExpr, c: JetExpr) -> list[JetExpr] | None:
     shifted = [ZERO_EXPR] * len(coeffs)
     for k, a in enumerate(coeffs):
         for j in range(0, k + 1):
-            b = Fraction(1)
-            for m in range(j):
-                b = b * (k - m) / (m + 1)
-            shifted[j] = shifted[j] + a * b * (-c) ** (k - j)
+            shifted[j] = shifted[j] + a * math.comb(k, j) * (-c) ** (k - j)
     return shifted
 
 

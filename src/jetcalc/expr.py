@@ -254,17 +254,6 @@ def ln_shift() -> JetExpr:
     return JetExpr.from_gen(fnsym(LOG_FAMILY, 0))
 
 
-def u_derivative_of_symbol(g: Generator) -> JetExpr:
-    """d/du of a function-symbol generator, per the fixed chain."""
-    if g.kind != KIND_FN:
-        raise ValueError("not a function symbol")
-    if g.name == LOG_FAMILY:
-        return ONE_EXPR / (u() + par("c"))
-    if g.index == 0 and g.name in ANTIDERIVATIVE_CHAIN:
-        return JetExpr.from_gen(fnsym(ANTIDERIVATIVE_CHAIN[g.name], 0))
-    return JetExpr.from_gen(fnsym(g.name, g.index + 1))
-
-
 def symbol_depth(g: Generator) -> int | None:
     """Depth of a symbol in the chain rhat -> r -> f -> f' -> ... (f at 0)."""
     if g.name == "f":
@@ -288,47 +277,64 @@ def symbol_at_depth(d: int) -> Generator:
 
 def partial(e: JetExpr, g: Generator) -> JetExpr:
     """Coordinate-wise partial derivative (function symbols held fixed)."""
-    e = as_expr(e)
-    if e.den == ONE:
-        return JetExpr._reduce(e.num.derivative(g), ONE)
-    dn = e.num.derivative(g)
-    dd = e.den.derivative(g)
-    if dd.is_zero():
-        return JetExpr._reduce(dn, e.den)
-    # (n/d)' = n'/d - (n/d) * (d'/d); reducing d'/d first keeps gcds small
-    dlog = JetExpr._reduce(dd, e.den)
-    return JetExpr._reduce(dn, e.den) - e * dlog
+    return derive(e, lambda h: ONE_EXPR if h is g else None)
+
+
+def _image_sum(parts: dict, images: dict) -> JetExpr:
+    """sum(parts[g] * images[g]); polynomial images stay in Poly arithmetic."""
+    poly = ZERO
+    total = ZERO_EXPR
+    for g, p in parts.items():
+        img = images[g]
+        if img.den == ONE:
+            poly = poly + p * img.num
+        else:
+            total = total + JetExpr._reduce(p * img.num, img.den)
+    return total + JetExpr._reduce(poly, ONE)
 
 
 def derive(e: JetExpr, image) -> JetExpr:
-    """The derivation sum of partial(e, g) * image(g) over the generators of e.
+    """The derivation that maps each generator g of e to image(g).
 
-    image(g) is None for generators the derivation annihilates; ONE_EXPR
-    adds the partial derivative itself.
+    image(g) is None for generators the derivation annihilates.  D(num) and
+    D(den) are sums of partials times images, each found in one pass over the
+    monomials; the quotient rule (n/d)' = D(n)/d - (n/d) * D(d)/d is applied
+    once.
     """
     e = as_expr(e)
-    total = ZERO_EXPR
+    images = {}
     for g in e.generators():
         img = image(g)
         if img is not None:
-            d = partial(e, g)
-            total = total + (d if img is ONE_EXPR else d * img)
-    return total
+            images[g] = img
+    if not images:
+        return ZERO_EXPR
+    dn = _image_sum(e.num.partials(images), images)
+    if e.den == ONE:
+        return dn
+    den = JetExpr(e.den, ONE)
+    dd = _image_sum(e.den.partials(images), images)
+    # reducing D(d)/d first keeps gcds small
+    return dn / den - e * (dd / den)
 
 
 def u_image(g: Generator) -> JetExpr | None:
-    """Image of g under d/du: 1 on u, the fixed chain on function symbols."""
+    """Image of g under d/du: 1 on u, and on function symbols the fixed chain
+    (ln(u+c) -> 1/(u+c), rhat -> r -> f, f^(k) -> f^(k+1))."""
     if g.kind == KIND_FN:
-        return u_derivative_of_symbol(g)
+        if g.name == LOG_FAMILY:
+            return ONE_EXPR / (u() + par("c"))
+        if g.index == 0 and g.name in ANTIDERIVATIVE_CHAIN:
+            return JetExpr.from_gen(fnsym(ANTIDERIVATIVE_CHAIN[g.name], 0))
+        return JetExpr.from_gen(fnsym(g.name, g.index + 1))
     return ONE_EXPR if g is jet(0) else None
 
 
 def partial_u_total(e: JetExpr) -> JetExpr:
     """d/du with the function-symbol chain rule; input must be a point function."""
     e = as_expr(e)
-    for g in e.generators():
-        if g.kind == KIND_JET and g.index >= 1:
-            raise NotAPointFunction(f"expression depends on {g!r}")
+    if e.top_jet():
+        raise NotAPointFunction(f"expression depends on {jet(e.top_jet())!r}")
     return derive(e, u_image)
 
 
@@ -378,14 +384,13 @@ class FunctionSpec:
     mode "logshift"    : f = gamma*ln(u+c) + delta via the opaque lnuc symbol.
     """
 
-    __slots__ = ("mode", "coeffs", "gamma", "delta", "shift_name")
+    __slots__ = ("mode", "coeffs", "gamma", "delta")
 
     def __init__(self, mode: str, coeffs=None, gamma=None, delta=None):
         self.mode = mode
         self.coeffs = tuple(as_expr(c) for c in coeffs) if coeffs is not None else None
         self.gamma = as_expr(gamma) if gamma is not None else None
         self.delta = as_expr(delta) if delta is not None else None
-        self.shift_name = "c"
 
     @classmethod
     def abstract(cls) -> "FunctionSpec":
@@ -437,7 +442,7 @@ class FunctionSpec:
                     total = total + c * Fraction(factorial(i), factorial(i - k)) * uu ** (i - k)
             return total
         if self.mode == "logshift":
-            uc = u() + par(self.shift_name)
+            uc = u() + par("c")
             if k == -2:
                 return (self.gamma * uc ** 2 / 2 * ln_shift()
                         - 3 * self.gamma * uc ** 2 / 4 + self.delta * u() ** 2 / 2)

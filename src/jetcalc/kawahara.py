@@ -25,7 +25,7 @@ from .analysis import (
     symmetry_residual,
 )
 from .calculus import EvolutionEquation, euler, order, order_text
-from .errors import ConstantF, NotQuadratic
+from .errors import ConstantF, NotConserved, NotQuadratic
 from .expr import (
     FunctionSpec,
     JetExpr,
@@ -232,9 +232,10 @@ def _catalog_binding(f: FunctionSpec) -> dict:
 def verify_entry(entry, eq: EvolutionEquation) -> bool:
     """Bind a catalog entry to eq's f and verify it in place.
 
-    A symmetry gets its residual checked; a density gets the conservation
-    test, the reconstructed flux (itself checked), the diffs against the
-    printed forms and its characteristic.
+    A symmetry gets its residual checked; a density gets the Euler
+    conservation test, the reconstructed flux (itself checked; when it lies
+    outside the integrator's class ``flux_reconstructed`` stays False), the
+    diffs against the printed forms and its characteristic.
     """
     binding = _catalog_binding(eq.fspec)
 
@@ -255,11 +256,15 @@ def verify_entry(entry, eq: EvolutionEquation) -> bool:
         d.density_diff_vs_printed = d.rho - d.printed_density
     d.verified = is_conserved_density(eq, d.rho)
     if d.verified:
-        d.flux = reconstruct_flux(eq, d.rho)
-        d.flux_reconstructed = True
-        d.verified = conservation_residual(eq, d.rho, d.flux).is_zero
-        if d.printed_flux is not None:
-            d.flux_diff_vs_printed = d.printed_flux - d.flux
+        try:
+            d.flux = reconstruct_flux(eq, d.rho)
+        except NotConserved:
+            pass  # conserved, but the flux lies outside the integrator's class
+        else:
+            d.flux_reconstructed = True
+            d.verified = conservation_residual(eq, d.rho, d.flux).is_zero
+            if d.printed_flux is not None:
+                d.flux_diff_vs_printed = d.printed_flux - d.flux
     d.characteristic = euler(d.rho)
     return d.verified
 

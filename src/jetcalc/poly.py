@@ -293,18 +293,17 @@ class Poly:
             buckets.setdefault(tuple(outer), {})[tuple(inner)] = c
         return {m: Poly(terms, prune=False) for m, terms in buckets.items()}
 
-    def derivative(self, g: Generator) -> "Poly":
+    def partials(self, gens) -> dict:
+        """{g: d self/d g} for the generators g in gens that occur, in one
+        pass over the monomials; each partial is nonzero."""
         res: dict = {}
         for m, c in self.terms.items():
-            for idx, (gen, e) in enumerate(m):
-                if gen is g:
-                    if e == 1:
-                        nm = m[:idx] + m[idx + 1:]
-                    else:
-                        nm = m[:idx] + ((gen, e - 1),) + m[idx + 1:]
-                    res[nm] = res.get(nm, Fraction(0)) + c * e
-                    break
-        return Poly(res)
+            for idx, (g, e) in enumerate(m):
+                if g in gens:
+                    nm = m[:idx] + (((g, e - 1),) if e > 1 else ()) + m[idx + 1:]
+                    # distinct monomials give distinct nm for one g: no collisions
+                    res.setdefault(g, {})[nm] = c * e
+        return {g: Poly(terms, prune=False) for g, terms in res.items()}
 
     def leading(self):
         """(monomial, coeff) maximal in the canonical monomial order."""
@@ -462,9 +461,7 @@ def _primitive_in(coeffs: list[Poly]) -> tuple[Poly, list[Poly]]:
         if cont.is_const() and not cont.is_zero():
             cont = ONE
             break
-    if cont.is_zero():
-        return ONE, coeffs
-    if cont == ONE:
+    if cont.is_zero() or cont == ONE:
         return ONE, coeffs
     return cont, [div_exact(c, cont) for c in coeffs]
 
@@ -539,13 +536,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if mono:
         a = _mono_divide(a, mono)
         b = _mono_divide(b, mono)
+    lead = Poly({mono: Fraction(1)}, prune=False) if mono else ONE
     if len(a.terms) == 1 or len(b.terms) == 1:
-        res = Poly({mono: Fraction(1)}, prune=False) if mono else ONE
-        return res
+        return lead
     da = _var_degrees(a)
     db = _var_degrees(b)
     common = set(da) & set(db)
-    lead = Poly({mono: Fraction(1)}, prune=False) if mono else ONE
     if not common:
         return lead
     # the gcd of the rest only involves shared variables

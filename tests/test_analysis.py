@@ -93,6 +93,23 @@ def test_is_trivial_density():
     assert is_trivial_density(u(0) * u(2) + u(1) ** 2)
 
 
+def test_trivial_density_outside_the_integrators_class():
+    # D_x of int f^2 du and of arctan u: no antiderivative in the
+    # integrator's class, but the Euler operator vanishes on both
+    assert is_trivial_density(fn("f") ** 2 * u(1))
+    assert is_trivial_density(u(1) / (u(0) ** 2 + 1))
+    assert not is_trivial_density(u(1) ** 2 / (u(0) ** 2 + 1))
+
+
+def test_conserved_density_with_flux_outside_the_class():
+    # u_t = u_xxx + u_x/(1+u^2): D_t u = D_x(u_xx + arctan u)
+    eq = EvolutionEquation(u(3) + u(1) / (1 + u(0) ** 2))
+    assert is_conserved_density(eq, u(0))
+    assert not is_conserved_density(eq, u(0) ** 3)
+    with pytest.raises(NotConserved, match="outside the integrator's class"):
+        reconstruct_flux(eq, u(0))
+
+
 def test_triviality_preserves_characteristic():
     rng = random.Random(47)
     for _ in range(40):

@@ -83,6 +83,27 @@ def test_trivial_command(capsys):
     assert run(capsys, "trivial", "u")[0] == 1
 
 
+@pytest.mark.parametrize("rho", ["f(u)^2*u_x", "u_x/(u^2+1)"])
+def test_trivial_density_outside_the_integrators_class(capsys, rho):
+    code, out, _ = run(capsys, "trivial", rho)
+    assert code == 0
+    assert "verdict: trivial density (a total x-derivative)" in out
+
+
+def test_density_with_flux_outside_the_integrators_class(capsys, tmp_path):
+    path = tmp_path / "eq.json"
+    path.write_text('{"rhs": "u_xxx + u_x/(1+u^2)"}')
+    code, out, err = run(capsys, "density", "u", "--eq", str(path), "--flux")
+    assert (code, err) == (0, "")
+    assert "flux: not reconstructed (outside the integrator's class)\n" in out
+    assert "verdict: conserved density" in out
+    code, out, _ = run(capsys, "--json", "density", "u", "--eq", str(path), "--flux")
+    doc = json.loads(out)
+    assert (code, doc["verdict"], doc["flux_reconstructed"]) == (0, "conserved density", False)
+    code, out, _ = run(capsys, "density", "u^3", "--eq", str(path))
+    assert code == 1
+
+
 def test_lemma1_command(capsys):
     code, out, _ = run(capsys, "lemma1", "(u_xx^2 - b*u_x^2)/2 + rhat(u)",
                        "--eq", ABSTRACT)

@@ -12,12 +12,14 @@ from jetcalc.calculus import EvolutionEquation, euler, frechet_hat, order, total
 from jetcalc.expr import FunctionSpec, as_expr, fn, par, specialize_f, substitute, t, u, x
 from jetcalc.kawahara import (
     GKESpec,
+    DensityFluxPair,
     catalog,
     gke,
     linear_dependence_gate,
     normalize_quadratic_f,
     point_symmetry_basis,
     verify_catalog,
+    verify_entry,
     verify_theorem,
 )
 from jetcalc.poly import jet
@@ -256,3 +258,12 @@ def test_catalog_entries_bind_the_spec_coefficients():
         assert rep.verified
         q4 = rep.symmetries[-1]
         assert q4.label == "Q4" and q4.Q == t() * u(1) + (u(0) + c) / gamma_value
+
+
+def test_verify_entry_flux_outside_the_integrators_class():
+    # conserved by the Euler test; the flux u_xx + arctan u is not rational
+    eq = EvolutionEquation(u(3) + u(1) / (1 + u(0) ** 2))
+    d = DensityFluxPair("rho", u(0), "abstract")
+    assert verify_entry(d, eq)
+    assert (d.verified, d.flux_reconstructed, d.flux) == (True, False, None)
+    assert d.characteristic == as_expr(1)
