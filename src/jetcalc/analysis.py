@@ -24,7 +24,7 @@ from .calculus import (
     total_x,
 )
 from .errors import InsufficientPrecision, NotConserved, UnsupportedEquationShape
-from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr, substitute_map, u, unk, x
+from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr, substitute_map, u, unk
 from .poly import (
     KIND_FN,
     KIND_JET,
@@ -36,7 +36,7 @@ from .poly import (
     jet,
     mono_sort_key,
 )
-from .series import PsdSeries, commutator, dt_series
+from .series import PsdSeries, commutator, dt_series, dx_towers, product_coeff
 
 
 # -- basic verifiers ---------------------------------------------------------
@@ -291,25 +291,29 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
     only through -5 D_x(a_(m-4)), so each index yields one equation
     -5 D_x(coeff) = F solved by formal integration, preceded by the Euler
     exactness test on F whose failure emits constraints on the scan unknowns.
-    The scan covers xi-indices from 5 down to 6 - target_rank, matching the
-    proof's step count for rank 13 (indices 5 .. -7).
+    F is read at each step as the xi^m coefficient of D_t(L) - [hat D_K, L]
+    for the solved part of L, so a step does not depend on the target rank:
+    that only sets where the scan stops, at xi-index 6 - target_rank (one
+    step per rank; indices 5 .. -7 for rank 13, the proof's step count).
     """
     _gke_shape_data(eq)
     if target_rank < 13:
         raise UnsupportedEquationShape("scan supports target ranks >= 13")
     dk = frechet_hat(eq.rhs)
+    dx = dx_towers()
     floor = 6 - target_rank  # lowest xi-index whose coefficient is equated to zero
     report = ScanReport(target_rank=target_rank)
     forcing = Forcing()
     report.forcing = forcing
 
-    residual = PsdSeries.zero()  # residual of the partial series, exact prefix
     solved: dict[int, JetExpr] = {}
 
     for m in range(5, floor - 1, -1):
         new_idx = m - 4
         name = "g" if new_idx == 1 else f"l{-new_idx}"
-        F = forcing.apply(residual.coeff(m))
+        F = forcing.apply(total_t(solved.get(m, ZERO_EXPR), eq)
+                          - product_coeff(dk, solved, m, dx)
+                          + product_coeff(solved, dk, m, dx))
         step = ScanStep(xi_index=m, coefficient_name=name,
                         equation=f"-5*D_x({name}) = {(-F)!r}")
         report.steps.append(step)
@@ -346,27 +350,23 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
             if not forced_any:
                 raise _UnresolvableConstraint(
                     "exactness constraints did not determine any unknown")
-            # apply the new forcings everywhere and retry
-            residual = residual.map_coeffs(forcing.apply)
+            # apply the new forcings and retry
             solved = {i: forcing.apply(c) for i, c in solved.items()}
-            F = forcing.apply(residual.coeff(m))
+            F = forcing.apply(F)
 
         # normalization: a constant l0 is a trivial formal symmetry
         if (forcing.zero_from.get("l0") == 1 and 0 in solved
                 and solved[0] == unk("l0")):
             forcing.require("l0", 0)
-            residual = residual.map_coeffs(forcing.apply)
             solved = {i: forcing.apply(c) for i, c in solved.items()}
+            F = forcing.apply(F)
             step.notes.append("l0 set to 0 (constants are trivial formal symmetries)")
 
         # solve -5 D_x(a) = -F  i.e.  5 D_x(a) = F
         zeta, res = formal_x_integrate(F)
         if not res.is_zero:
-            if res.depends_only_on_t():
-                zeta = zeta + x() * res
-            else:
-                raise _UnresolvableConstraint(
-                    f"irreducible residual {res!r} in the coefficient equation")
+            raise _UnresolvableConstraint(
+                f"irreducible residual {res!r} in the coefficient equation")
         a_new = zeta / 5 + unk(name)
         a_new = forcing.apply(a_new)
         solved[new_idx] = a_new
@@ -376,12 +376,6 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
         else:
             step.solved_description = f"{name} solved"
         step.solved_coefficient = a_new
-
-        # update the residual series with the new coefficient's contribution
-        mono = PsdSeries.monomial(a_new, new_idx)
-        slots_needed = (new_idx + 5) - floor + 1
-        delta = dt_series(mono, eq) - commutator(dk, mono, slots=max(slots_needed, 1))
-        residual = residual + delta
 
     report.survived = True
     report.coefficients = dict(solved)

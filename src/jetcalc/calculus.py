@@ -371,9 +371,9 @@ def _integrate_lnuc_power(R: JetExpr, p: int) -> JetExpr | None:
 def formal_x_integrate(F: JetExpr) -> tuple[JetExpr, JetExpr]:
     """Split F = D_x(zeta) + residual by repeated top-order stripping.
 
-    The residual is irreducible for the stripping algorithm; elements of
-    ker D_x (pure functions of t and parameters) are returned unchanged as
-    residual so callers can treat them as integration-constant material.
+    The residual is irreducible for the stripping algorithm.  A remainder
+    free of jets and function symbols is integrated in x outright, so an
+    element h of ker D_x (a function of t and parameters) gives x*h.
     """
     F = as_expr(F)
     zeta = ZERO_EXPR
@@ -396,8 +396,7 @@ def formal_x_integrate(F: JetExpr) -> tuple[JetExpr, JetExpr]:
     gens = rem.generators()
     if any(g.kind in (KIND_JET, KIND_FN) for g in gens):
         return zeta, rem
-    coeffs = _poly_in_gen(rem, X)
-    if coeffs is None:
+    tail = _integrate_in(rem, X)
+    if tail is None:
         return zeta, rem
-    residual = coeffs[0]
-    return zeta + _integrate_in(rem - residual, X), residual
+    return zeta + tail, ZERO_EXPR

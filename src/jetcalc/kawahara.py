@@ -12,7 +12,7 @@ expressions instead of asserting them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .analysis import (
@@ -40,6 +40,7 @@ from .expr import (
     x,
 )
 from .poly import jet, param
+from .series import _fraction_nth_root
 
 
 @dataclass(frozen=True)
@@ -100,26 +101,6 @@ class QuadraticNormalization:
         return shifted
 
 
-def _rational_sqrt(e: JetExpr) -> JetExpr | None:
-    if not e.is_rational_const:
-        return None
-    v = e.const_value()
-    if v <= 0:
-        return None
-
-    def isqrt_exact(n: int) -> int | None:
-        r = int(n ** 0.5)
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand * cand == n:
-                return cand
-        return None
-    rn = isqrt_exact(v.numerator)
-    rd = isqrt_exact(v.denominator)
-    if rn is None or rd is None:
-        return None
-    return as_expr(Fraction(rn, rd))
-
-
 def normalize_quadratic_f(spec: GKESpec) -> tuple[GKESpec, QuadraticNormalization]:
     """Reduce a degree-2 polynomial nonlinearity to f = u^2."""
     f = spec.f
@@ -130,9 +111,9 @@ def normalize_quadratic_f(spec: GKESpec) -> tuple[GKESpec, QuadraticNormalizatio
     p0, p1, p2 = f.coeffs
     shift = -p1 / (2 * p2)
     p0_tilde = p0 - p1 ** 2 / (4 * p2)
-    root = _rational_sqrt(p2)
+    root = _fraction_nth_root(p2.const_value(), 2) if p2.is_rational_const else None
     if root is not None:
-        scale = root
+        scale = as_expr(root)
         relation = None
     else:
         scale = par("s")
@@ -366,27 +347,31 @@ def verify_theorem_3(spec: GKESpec, target_rank: int = 13,
                      escalate_to: int = 17) -> TheoremReport:
     """Obstruction scan: no nontrivial formal symmetry of rank >= 13.
 
-    When the scan survives the requested rank (it does for linear f, a
-    branch the published normalization to f = u^2 cannot reach because it
-    divides by the quadratic coefficient), deeper scans locate the actual
+    One scan runs to escalate_to; the target-rank verdict is read from its
+    prefix.  When that prefix survives (it does for linear f, a branch the
+    published normalization to f = u^2 cannot reach because it divides by
+    the quadratic coefficient), the deeper steps locate the actual
     obstruction; the report then records the rank window on which formal
     symmetries do exist and leaves the literal rank-13 claim unverified.
     """
     eq = gke(spec)
-    scan = formal_symmetry_scan(eq, target_rank)
+    deep = formal_symmetry_scan(eq, max(target_rank, escalate_to))
+    # a scan takes one step per rank and no step depends on the target: the
+    # target scan is the first target_rank steps (when it survives, the deeper
+    # forcings do not hold for it, so it carries no coefficients), and an
+    # obstruction's step number is the least rank whose scan reaches it
+    scan = (replace(deep, target_rank=target_rank) if len(deep.steps) <= target_rank
+            else ScanReport(target_rank, deep.steps[:target_rank], survived=True))
     report = TheoremReport(theorem=3, spec=spec,
                            verified=scan.obstruction_index is not None, scan=scan)
     report.details.append(scan.verdict)
     if scan.obstruction_index is None:
         report.details.append(
             f"formal symmetries of rank {target_rank} exist on this branch")
-        for deeper in range(target_rank + 1, escalate_to + 1):
-            deeper_scan = formal_symmetry_scan(eq, deeper)
-            if deeper_scan.obstruction_index is not None:
-                report.details.append(
-                    f"deeper scan: {deeper_scan.verdict}; no formal symmetry "
-                    f"of rank {deeper} or greater")
-                break
+        if deep.obstruction_index is not None:
+            report.details.append(
+                f"deeper scan: {deep.verdict}; no formal symmetry "
+                f"of rank {len(deep.steps)} or greater")
         else:
             report.details.append(
                 f"no obstruction found down to rank {escalate_to}")

@@ -221,8 +221,48 @@ class PsdSeries:
     def __sub__(self, other: "PsdSeries") -> "PsdSeries":
         return self + (-other)
 
-    def map_coeffs(self, fun) -> "PsdSeries":
-        return PsdSeries(self.top, tuple(fun(c) for c in self.coeffs), self.exact)
+
+def dx_towers():
+    """A D_x-tower cache for one call: dx(b, k) returns D_x^k(b), computing
+    each level of each tower once."""
+    towers: dict[JetExpr, list[JetExpr]] = {}
+
+    def dx(b: JetExpr, k: int) -> JetExpr:
+        tower = towers.setdefault(b, [b])
+        while len(tower) <= k:
+            tower.append(total_x(tower[-1]))
+        return tower[k]
+
+    return dx
+
+
+def product_coeff(A, B, m: int, dx) -> JetExpr:
+    """The xi^m coefficient of A o B, the sum of a_i C(i,k) D_x^k(b_j) over
+    i + j - k = m, k >= 0, with dx from ``dx_towers()``.  A and B map
+    xi-indices to coefficients (a PsdSeries or a dict); m must lie in the
+    window that their listed coefficients fix."""
+    total = ZERO_EXPR
+    for i, a in A.items():
+        inner = ZERO_EXPR  # one product with a_i
+        for j, b in B.items():
+            k = i + j - m
+            # C(i,k) = 0 for 0 <= i < k
+            if k >= 0 and (i < 0 or k <= i) and not (d := dx(b, k)).is_zero:
+                inner = inner + binom_falling(i, k) * d
+        total = total + a * inner
+    return total
+
+
+def _tail_below(A, B, floor: int, dx) -> bool:
+    """True when a nonzero term of A o B sits below xi^floor.  Only terms with
+    C(i,k) != 0 count, and D_x^k(b) = 0 ends b's tower, so for each pair the
+    first k below the floor decides."""
+    for i, a in A.items():
+        for j, b in B.items():
+            k = max(0, i + j - floor + 1)
+            if (i < 0 or k <= i) and not a.is_zero and not dx(b, k).is_zero:
+                return True
+    return False
 
 
 def compose(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
@@ -245,35 +285,12 @@ def compose(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
     cap = top - slots + 1
     floor = cap if floor_exact is None else max(cap, floor_exact)
 
-    acc: dict[int, JetExpr] = {}
-    truncated = floor_exact is not None
-    for i, a in A.items():
-        if a.is_zero:
-            continue
-        for j, b in B.items():
-            if not b.is_zero and _leibniz(acc, a, i, b, j, floor):
-                truncated = True
+    dx = dx_towers()
+    acc = {m: c for m in range(top, floor - 1, -1)
+           if not (c := product_coeff(A, B, m, dx)).is_zero}
+    truncated = floor_exact is not None or _tail_below(A, B, floor, dx)
     return PsdSeries.from_coeffs(acc, exact=not truncated,
                                  bottom=None if not truncated else floor)
-
-
-def _leibniz(acc: dict, left, i: int, b: JetExpr, j: int, floor: int) -> bool:
-    """Add left * C(i,k) * D_x^k(b) at xi^(i+j-k) into acc for k = 0, 1, ...
-    down to xi^floor; True when a nonzero term fell below the floor."""
-    k = 0
-    while True:
-        idx = i + j - k
-        if idx < floor:
-            return not b.is_zero
-        if (i >= 0 and k > i) or b.is_zero:
-            return False
-        c = binom_falling(i, k)
-        if c != 0:
-            term = left * c * b
-            if not term.is_zero:
-                acc[idx] = acc.get(idx, ZERO_EXPR) + term
-        k += 1
-        b = total_x(b)
 
 
 def commutator(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
@@ -284,15 +301,16 @@ def adjoint(A: PsdSeries, slots: int | None = None) -> PsdSeries:
     """Formal adjoint: sum (-xi)^i o a_i."""
     if slots is None:
         slots = default_slots()
-    acc: dict[int, JetExpr] = {}
     floor = A.top - slots + 1
     if not A.exact:
         floor = max(floor, A.bottom)
-    truncated = not A.exact
-    for i, a in A.items():
-        sign = Fraction(1) if i % 2 == 0 else Fraction(-1)
-        if not a.is_zero and _leibniz(acc, sign, i, a, 0, floor):
-            truncated = True
+    dx = dx_towers()
+    # one product (+-xi^i) o a_i per coefficient
+    terms = [({i: as_expr(-1 if i % 2 else 1)}, {0: a}) for i, a in A.items()]
+    acc = {m: c for m in range(A.top, floor - 1, -1)
+           if not (c := sum((product_coeff(sign, a, m, dx) for sign, a in terms),
+                            ZERO_EXPR)).is_zero}
+    truncated = not A.exact or any(_tail_below(sign, a, floor, dx) for sign, a in terms)
     return PsdSeries.from_coeffs(acc, exact=not truncated,
                                  bottom=None if not truncated else floor)
 
@@ -305,7 +323,8 @@ def series_power(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
 
 
 def nth_root(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
-    """Monic-leading n-th root R with R^n = A up to the guaranteed window."""
+    """The n-th root R, led by the rational root of A's lead, with R^n = A up
+    to the guaranteed window."""
     if n <= 0:
         raise ValueError("root index must be positive")
     if A.degree() != n:
@@ -321,19 +340,21 @@ def nth_root(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
         slots = default_slots()
     if not A.exact:
         slots = min(slots, A.top - A.bottom + 1)
-    # R = root*xi + r_0 xi^0 + r_{-1} xi^-1 + ...; determine successively.
-    coeffs: dict[int, JetExpr] = {1: JetExpr.from_const(root)}
-    for step in range(1, slots):
-        target_idx = n - step          # coefficient of xi^(n-step) must match
-        new_idx = 1 - step             # the unknown slot fixed by that match
-        partial_series = PsdSeries.from_coeffs(coeffs, exact=True)
-        power = series_power(partial_series, n, slots=step + 1)
-        have = power.coeff(target_idx)
-        want = A.coeff(target_idx)
-        # the unknown enters linearly with factor n*root^(n-1)
-        factor = n * root ** (n - 1)
-        coeffs[new_idx] = (want - have) / factor
-    return PsdSeries.from_coeffs(coeffs, exact=False, bottom=1 - slots + 1)
+    # R = root*xi + r_0 + r_{-1} xi^-1 + ...; step s fixes r_(1-s) from the
+    # xi^(n-s) coefficient of R^n.  Every power R^k, k <= n, keeps its known
+    # coefficients: the xi^(k-s) one is R^(k-1) o R taken with r_(1-s) = 0,
+    # and r_(1-s) enters it linearly as k*root^(k-1)*r_(1-s).
+    R = {1: JetExpr.from_const(root)}
+    powers = [None, R] + [{k: JetExpr.from_const(root ** k)} for k in range(2, n + 1)]
+    dx = dx_towers()
+    for s in range(1, slots):
+        for k in range(2, n + 1):
+            powers[k][k - s] = product_coeff(powers[k - 1], R, k - s, dx)
+        r = (A.coeff(n - s) - powers[n].get(n - s, ZERO_EXPR)) / (n * root ** (n - 1))
+        R[1 - s] = r
+        for k in range(2, n + 1):
+            powers[k][k - s] = powers[k][k - s] + k * root ** (k - 1) * r
+    return PsdSeries.from_coeffs(R, exact=False, bottom=1 - slots + 1)
 
 
 def _fraction_nth_root(v: Fraction, n: int) -> Fraction | None:
@@ -368,4 +389,4 @@ def _fraction_nth_root(v: Fraction, n: int) -> Fraction | None:
 
 def dt_series(A: PsdSeries, eq) -> PsdSeries:
     """Coefficient-wise D_t."""
-    return A.map_coeffs(lambda c: total_t(c, eq))
+    return PsdSeries(A.top, tuple(total_t(c, eq) for c in A.coeffs), A.exact)

@@ -104,6 +104,16 @@ def test_density_with_flux_outside_the_integrators_class(capsys, tmp_path):
     assert code == 1
 
 
+def test_density_flux_of_a_t_only_remainder(capsys, tmp_path):
+    # D_t(u) = D_x(u_xx) + t: the t-only part integrates to x*t
+    path = tmp_path / "eq.json"
+    path.write_text('{"rhs": "u_xxx + t"}')
+    code, out, err = run(capsys, "density", "u", "--eq", str(path), "--flux")
+    assert (code, err) == (0, "")
+    assert "flux: u_xx + x*t\n" in out
+    assert "conservation residual: 0\n" in out
+
+
 def test_lemma1_command(capsys):
     code, out, _ = run(capsys, "lemma1", "(u_xx^2 - b*u_x^2)/2 + rhat(u)",
                        "--eq", ABSTRACT)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from jetcalc import ConstantF, NotQuadratic
@@ -78,6 +80,16 @@ def test_normalize_quadratic_identity():
     assert rec.u_shift.is_zero
     assert rec.x_shift_rate.is_zero
     assert rec.scale == as_expr(1)
+
+
+def test_normalize_quadratic_exact_scale_of_a_large_square():
+    big = 10 ** 17 + 3
+    for p2, scale in ((big ** 2, big), (Fraction(big ** 2, 9), Fraction(big, 3))):
+        _, rec = normalize_quadratic_f(GKESpec(FunctionSpec.polynomial([0, 0, p2])))
+        assert rec.scale == as_expr(scale) and rec.scale_relation is None
+    # no rational square root of a negative p2: the scale stays s with s^2 = p2
+    _, rec = normalize_quadratic_f(GKESpec(FunctionSpec.polynomial([0, 0, -4])))
+    assert rec.scale_relation == (par("s") ** 2, as_expr(-4))
 
 
 def test_normalize_quadratic_rejects_lower_degree():

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from jetcalc import NEG_INF, RootNotInClass
-from jetcalc.calculus import frechet_hat
-from jetcalc.expr import as_expr, fn, par, u
+from jetcalc.calculus import frechet_hat, total_x
+from jetcalc.expr import as_expr, fn, par, partial, u
+from jetcalc.poly import jet
 from jetcalc.series import (
     PsdSeries,
     adjoint,
@@ -61,6 +62,45 @@ def test_compose_negative_power_tail():
     assert got.coeff(-3) == u(2)
     assert got.coeff(-4) == -u(3)
     assert not got.exact
+
+
+def test_exact_product_ending_on_the_window_floor_stays_exact():
+    # the last Leibniz term sits on the floor; C(i,k) = 0 below it
+    got = compose(PsdSeries.const(u(0)), PsdSeries.const(u(0)), slots=1)
+    assert got == PsdSeries.const(u(0) ** 2) and got.exact
+    got = adjoint(xi(1) + PsdSeries.const(u(0)), slots=2)
+    assert got == PsdSeries.const(u(0)) - xi(1) and got.exact
+    got = commutator(xi(5), PsdSeries.monomial(u(0), 1), slots=6)
+    assert got.exact and got.degree() == 5 and got.coeff(1) == u(5)
+
+
+def test_compose_matches_operator_application_randomized():
+    # A o B as differential operators: xi^k acts as D_x^k, so A(B(u_12)) holds
+    # the xi^k coefficient of A o B on u_(12+k); built with total_x alone
+    rng = random.Random(47)
+    pool = [u(i) for i in range(4)] + [par("b")]
+
+    def rand_operator():
+        return {k: random_expr(rng, pool=pool, max_terms=2)
+                for k in range(4) if rng.random() < 0.7}
+
+    def apply(op, phi):
+        total, d = as_expr(0), phi
+        for k in range(4):
+            if k in op:
+                total = total + op[k] * d
+            d = total_x(d)
+        return total
+
+    for _ in range(25):
+        a, b = rand_operator(), rand_operator()
+        got = compose(PsdSeries.from_coeffs(a), PsdSeries.from_coeffs(b))
+        applied = apply(a, apply(b, u(12)))
+        assert got.exact
+        for k in range(7):
+            assert got.coeff(k) == partial(applied, jet(12 + k)), k
+        assert (applied - sum((got.coeff(k) * u(12 + k) for k in range(7)),
+                              as_expr(0))).is_zero
 
 
 def test_compose_inverse_powers():
@@ -176,15 +216,24 @@ def test_nth_root_requires_rational_root():
 def test_nth_root_roundtrip_randomized_degrees():
     rng = random.Random(41)
     pool = [as_expr(1), u(0), u(1), par("b")]
-    for n in (2, 3, 5):
+    # (n, leading coefficient): n = 1, monic leads, and leads whose root is
+    # not 1, which the solve divides by
+    for n, lead in ((1, 1), (2, 1), (3, 1), (5, 1), (2, 4), (3, -8), (5, 32)):
         for _ in range(30):
-            coeffs = {n: as_expr(1)}
+            coeffs = {n: as_expr(lead)}
             for i in range(n - 1, n - 4, -1):
                 if rng.random() < 0.8:
                     coeffs[i] = rng.choice(pool)
             A = PsdSeries.from_coeffs(coeffs, exact=True)
             R = nth_root(A, n, slots=5)
             assert series_power(R, n, slots=5).agrees_with(A)
+    # an inexact input: a truncated product
+    B = xi(1) + PsdSeries.monomial(u(0), -1)
+    A = compose(B, B, slots=6)
+    assert not A.exact
+    R = nth_root(A, 2)
+    assert R.bottom == A.bottom - 1
+    assert series_power(R, 2, slots=6).agrees_with(A)
 
 
 def test_jacobi_identity_randomized():
