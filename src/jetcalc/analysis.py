@@ -24,7 +24,7 @@ from .calculus import (
     total_x,
 )
 from .errors import InsufficientPrecision, NotConserved, UnsupportedEquationShape
-from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr, substitute_map, u, unk
+from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr, partial, substitute_map, u, unk
 from .poly import (
     KIND_FN,
     KIND_JET,
@@ -257,13 +257,11 @@ def _force_from_constraint(coeff: JetExpr, forcing: Forcing) -> list[tuple[str, 
     raise _UnresolvableConstraint(f"constraint {coeff!r} couples several unknowns")
 
 
-def _gke_shape_data(eq: EvolutionEquation) -> tuple[JetExpr, JetExpr]:
-    """Validate u_t = u_5x + b u_3x + phi(u) u_x and return (b, phi)."""
+def _check_gke_shape(eq: EvolutionEquation) -> None:
+    """Raise UnsupportedEquationShape unless u_t = u_5x + b u_3x + phi(u) u_x."""
     K = eq.rhs
     if eq.order != 5:
         raise UnsupportedEquationShape("scan requires a fifth-order equation")
-    from .expr import partial
-
     a5 = partial(K, jet(5))
     if a5 != ONE_EXPR:
         raise UnsupportedEquationShape("leading coefficient must be 1")
@@ -279,7 +277,6 @@ def _gke_shape_data(eq: EvolutionEquation) -> tuple[JetExpr, JetExpr]:
     rebuilt = u(5) + b * u(3) + phi * u(1)
     if rebuilt != K:
         raise UnsupportedEquationShape("right-hand side is not of Kawahara shape")
-    return b, phi
 
 
 def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanReport:
@@ -296,7 +293,7 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
     that only sets where the scan stops, at xi-index 6 - target_rank (one
     step per rank; indices 5 .. -7 for rank 13, the proof's step count).
     """
-    _gke_shape_data(eq)
+    _check_gke_shape(eq)
     if target_rank < 13:
         raise UnsupportedEquationShape("scan supports target ranks >= 13")
     dk = frechet_hat(eq.rhs)

@@ -9,7 +9,6 @@ reports an irreducible residual instead of failing.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import JetCalcError
 from .expr import (
@@ -58,7 +57,7 @@ def order_text(n) -> str:
 class EvolutionEquation:
     """u_t = K(x, u, ..., u_nx) together with its order and f-specialization."""
 
-    __slots__ = ("rhs", "order", "fspec", "_dx_cache", "_hash")
+    __slots__ = ("rhs", "order", "fspec", "_dx_cache")
 
     def __init__(self, rhs: JetExpr, fspec: FunctionSpec | None = None):
         rhs = as_expr(rhs)
@@ -72,7 +71,6 @@ class EvolutionEquation:
         self.order = n
         self.fspec = fspec if fspec is not None else FunctionSpec.abstract()
         self._dx_cache = [rhs]
-        self._hash = None
 
     def dx_rhs(self, i: int) -> JetExpr:
         """Cached D_x^i(K)."""
@@ -80,15 +78,6 @@ class EvolutionEquation:
         while len(cache) <= i:
             cache.append(total_x(cache[-1]))
         return cache[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, EvolutionEquation)
-                and self.rhs == other.rhs and self.fspec == other.fspec)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.rhs, self.fspec))
-        return self._hash
 
     def __repr__(self):
         return f"EvolutionEquation(u_t = {self.rhs!r})"
@@ -124,12 +113,6 @@ def total_t(e: JetExpr, eq: EvolutionEquation) -> JetExpr:
         return None
 
     return derive(e, image)
-
-
-def dx_power(e: JetExpr, k: int) -> JetExpr:
-    for _ in range(k):
-        e = total_x(e)
-    return e
 
 
 def du_coefficient(F: JetExpr, j: int) -> JetExpr:
@@ -182,19 +165,14 @@ def euler(F: JetExpr) -> JetExpr:
     """Variational derivative sum_{i>=0} (-D_x)^i dF/du_{ix}.
 
     The i = 0 term is included: it is required for the catalog identities
-    (e.g. the variational derivative of u^2 must be 2u).
+    (e.g. the variational derivative of u^2 must be 2u).  Horner form
+    c_0 - D_x(c_1 - D_x(c_2 - ...)) with c_i = dF/du_{ix}: one D_x per order.
     """
     F = as_expr(F)
-    n = F.top_jet()
-    if n is None:
-        n = 0
-    total = ZERO_EXPR
-    sign = 1
-    for i in range(0, n + 1):
-        c = du_coefficient(F, i)
-        if not c.is_zero:
-            total = total + Fraction(sign) * dx_power(c, i)
-        sign = -sign
+    n = F.top_jet() or 0
+    total = du_coefficient(F, n)
+    for i in range(n - 1, -1, -1):
+        total = du_coefficient(F, i) - total_x(total)
     return total
 
 

@@ -154,7 +154,7 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 if tok.value == "*":
-                    v = _series_mul(v, rhs, self)
+                    v = _series_mul(v, rhs)
                 else:
                     v = _series_div(v, rhs, self, tok)
             else:
@@ -278,7 +278,7 @@ def _series_add(a: dict, b: dict, sign: int) -> dict:
     return out
 
 
-def _series_mul(a: dict, b: dict, parser: _Parser) -> dict:
+def _series_mul(a: dict, b: dict) -> dict:
     # plain coefficient multiplication: valid because the only xi-bearing
     # factors admitted by the grammar have constant coefficients
     out: dict = {}
@@ -308,7 +308,7 @@ def _series_pow(a: dict, n: int, parser: _Parser, tok: _Token) -> dict:
         parser.error("negative powers of xi-sums are not supported", tok)
     out = {0: as_expr(1)}
     for _ in range(n):
-        out = _series_mul(out, a, parser)
+        out = _series_mul(out, a)
     return out
 
 

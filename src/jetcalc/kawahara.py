@@ -17,6 +17,8 @@ from fractions import Fraction
 
 from .analysis import (
     ScanReport,
+    _nullspace,
+    _param_field_matrix,
     conservation_residual,
     formal_symmetry_scan,
     is_conserved_density,
@@ -269,8 +271,6 @@ def linear_dependence_gate(spec: GKESpec) -> bool:
     df = specialize_f(fn("f", 1), spec.f)
     cand = [u(0) * df, df, as_expr(1)]
     # dependence <=> the coefficient matrix over u-monomials has a nullspace
-    from .analysis import _nullspace, _param_field_matrix
-
     matrix = _param_field_matrix(cand)
     null = _nullspace(matrix, len(cand))
     return bool(null)

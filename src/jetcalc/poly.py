@@ -6,6 +6,10 @@ function symbols, undetermined functions of t and named parameters.  A
 monomial is a sorted tuple of (generator, exponent) pairs and a polynomial a
 dict mapping monomials to Fraction coefficients, so equality of canonical
 forms is plain structural equality.
+
+Two invariants carry this: generators are interned, so object identity is
+their equality and their hash; and a polynomial's dict holds no zero
+coefficient, so the zero polynomial is the empty dict.
 """
 
 from __future__ import annotations
@@ -25,9 +29,13 @@ KIND_PARAM = 5
 
 
 class Generator:
-    """One coordinate of the differential-polynomial ring (interned)."""
+    """One coordinate of the differential-polynomial ring.
 
-    __slots__ = ("kind", "name", "index", "key", "_hash")
+    Interned: one instance per (kind, name, index) key, so the inherited
+    identity equality and hash are exact.  Ordering goes through ``key``.
+    """
+
+    __slots__ = ("kind", "name", "index", "key")
 
     _cache: dict[tuple, "Generator"] = {}
 
@@ -40,18 +48,8 @@ class Generator:
             gen.name = name
             gen.index = index
             gen.key = key
-            gen._hash = hash(key)
             cls._cache[key] = gen
         return gen
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
-
-    def __lt__(self, other):
-        return self.key < other.key
 
     def __repr__(self):
         if self.kind == KIND_X:
@@ -134,13 +132,10 @@ class Poly:
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict | None = None, prune: bool = True):
-        if terms is None:
-            self.terms = {}
-        elif prune:
-            self.terms = {m: c for m, c in terms.items() if c != 0}
-        else:
-            self.terms = terms
+    def __init__(self, terms: dict | None = None):
+        # terms is taken as given and must hold no zero coefficient: is_zero
+        # and == compare the dicts directly
+        self.terms = {} if terms is None else terms
         self._hash = None
 
     # -- constructors ---------------------------------------------------
@@ -150,11 +145,11 @@ class Poly:
         c = Fraction(c)
         if c == 0:
             return ZERO
-        return cls({EMPTY_MONO: c}, prune=False)
+        return cls({EMPTY_MONO: c})
 
     @classmethod
     def gen(cls, g: Generator) -> "Poly":
-        return cls({((g, 1),): Fraction(1)}, prune=False)
+        return cls({((g, 1),): Fraction(1)})
 
     # -- predicates -----------------------------------------------------
 
@@ -205,7 +200,7 @@ class Poly:
                     del res[m]
                 else:
                     res[m] = s
-        return Poly(res, prune=False)
+        return Poly(res)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not other.terms:
@@ -221,10 +216,10 @@ class Poly:
                     del res[m]
                 else:
                     res[m] = s
-        return Poly(res, prune=False)
+        return Poly(res)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()}, prune=False)
+        return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
@@ -248,14 +243,14 @@ class Poly:
                         del res[m]
                     else:
                         res[m] = s
-        return Poly(res, prune=False)
+        return Poly(res)
 
     def scale(self, c: Fraction) -> "Poly":
         if c == 0:
             return ZERO
         if c == 1:
             return self
-        return Poly({m: v * c for m, v in self.terms.items()}, prune=False)
+        return Poly({m: v * c for m, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -291,7 +286,7 @@ class Poly:
             for g, e in m:
                 (outer if g in gens else inner).append((g, e))
             buckets.setdefault(tuple(outer), {})[tuple(inner)] = c
-        return {m: Poly(terms, prune=False) for m, terms in buckets.items()}
+        return {m: Poly(terms) for m, terms in buckets.items()}
 
     def partials(self, gens) -> dict:
         """{g: d self/d g} for the generators g in gens that occur, in one
@@ -303,7 +298,7 @@ class Poly:
                     nm = m[:idx] + (((g, e - 1),) if e > 1 else ()) + m[idx + 1:]
                     # distinct monomials give distinct nm for one g: no collisions
                     res.setdefault(g, {})[nm] = c * e
-        return {g: Poly(terms, prune=False) for g, terms in res.items()}
+        return {g: Poly(terms) for g, terms in res.items()}
 
     def leading(self):
         """(monomial, coeff) maximal in the canonical monomial order."""
@@ -311,9 +306,6 @@ class Poly:
             return EMPTY_MONO, Fraction(0)
         m = max(self.terms, key=mono_sort_key)
         return m, self.terms[m]
-
-    def sorted_terms(self, reverse: bool = True):
-        return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]), reverse=reverse)
 
     def content(self) -> Fraction:
         """Positive rational c with self/c a primitive integer polynomial."""
@@ -330,7 +322,7 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]), reverse=True):
             factors = [str(c)] if (c != 1 or not m) else []
             for g, e in m:
                 factors.append(f"{g!r}^{e}" if e > 1 else repr(g))
@@ -338,8 +330,8 @@ class Poly:
         return " + ".join(parts)
 
 
-ZERO = Poly({}, prune=False)
-ONE = Poly({EMPTY_MONO: Fraction(1)}, prune=False)
+ZERO = Poly({})
+ONE = Poly({EMPTY_MONO: Fraction(1)})
 
 
 # -- substitution -------------------------------------------------------
@@ -395,7 +387,7 @@ def _from_univariate(coeffs: list[Poly], v: Generator) -> Poly:
         if e == 0:
             total = total + c
         else:
-            total = total + c * Poly({((v, e),): Fraction(1)}, prune=False)
+            total = total + c * Poly({((v, e),): Fraction(1)})
     return total
 
 
@@ -499,7 +491,7 @@ def _mono_divide(p: Poly, mono: tuple) -> Poly:
             if e > d:
                 out.append((g, e - d))
         res[tuple(out)] = c
-    return Poly(res, prune=False)
+    return Poly(res)
 
 
 def _var_degrees(p: Poly) -> dict:
@@ -536,7 +528,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if mono:
         a = _mono_divide(a, mono)
         b = _mono_divide(b, mono)
-    lead = Poly({mono: Fraction(1)}, prune=False) if mono else ONE
+    lead = Poly({mono: Fraction(1)}) if mono else ONE
     if len(a.terms) == 1 or len(b.terms) == 1:
         return lead
     da = _var_degrees(a)

@@ -5,7 +5,6 @@ import pytest
 from jetcalc import EvolutionEquation, JetCalcError, NEG_INF
 from jetcalc.calculus import (
     du_coefficient,
-    dx_power,
     euler,
     formal_x_integrate,
     frechet,
@@ -209,4 +208,3 @@ def test_equation_validation():
 def test_dx_power_cache(eq_abstract):
     assert eq_abstract.dx_rhs(0) == eq_abstract.rhs
     assert eq_abstract.dx_rhs(2) == total_x(total_x(eq_abstract.rhs))
-    assert dx_power(u(0), 3) == u(3)

@@ -52,7 +52,7 @@ def test_split_recombines():
         for outer, inner in p.split(gens).items():
             assert all(g in gens for g, _ in outer)
             assert not inner.is_zero()
-            total = total + Poly({outer: Fraction(1)}, prune=False) * inner
+            total = total + Poly({outer: Fraction(1)}) * inner
         assert total == p
 
 
