@@ -10,7 +10,6 @@ over the parameter field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .calculus import (
     NEG_INF,
@@ -150,7 +149,7 @@ def split_by_free_monomials(e: JetExpr,
     out = []
     for free_mono in sorted(parts, key=mono_sort_key, reverse=True):
         coeff = JetExpr._reduce(parts[free_mono], e.den)
-        mono_expr = JetExpr._reduce(Poly({free_mono: Fraction(1)}), POLY_ONE)
+        mono_expr = JetExpr._reduce(Poly({free_mono: 1}), POLY_ONE)
         out.append((mono_expr, coeff))
     return out
 

@@ -388,7 +388,7 @@ _FACTOR_RANK = {KIND_PARAM: 0, KIND_X: 1, KIND_T: 2, KIND_UNKNOWN: 3,
 def _print_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    terms = sorted(p.terms.items(), key=lambda kv: _dominance_key(kv[0]))
+    terms = sorted(p.items(), key=lambda kv: _dominance_key(kv[0]))
     parts = []
     for idx, (mono, coeff) in enumerate(terms):
         factors = sorted(mono, key=lambda ge: (_FACTOR_RANK[ge[0].kind],

@@ -3,13 +3,16 @@
 This is the arithmetic substrate for the whole package: generators are the
 coordinates of the jet space (x, t, u and its x-derivatives), abstract
 function symbols, undetermined functions of t and named parameters.  A
-monomial is a sorted tuple of (generator, exponent) pairs and a polynomial a
-dict mapping monomials to Fraction coefficients, so equality of canonical
-forms is plain structural equality.
+monomial is a sorted tuple of (generator, exponent) pairs.  A polynomial is
+a dict mapping monomials to int coefficients over one positive int
+denominator, as in FLINT's fmpq_poly, so the arithmetic runs on ints and
+Fractions appear only where a single coefficient leaves the layer.
 
 Two invariants carry this: generators are interned, so object identity is
-their equality and their hash; and a polynomial's dict holds no zero
-coefficient, so the zero polynomial is the empty dict.
+their equality and their hash; and a polynomial is canonical (no zero
+coefficient, and the denominator is coprime with the coefficients), so
+equality of values is plain structural equality and the zero polynomial is
+the empty dict over 1.
 """
 
 from __future__ import annotations
@@ -128,14 +131,18 @@ def mono_sort_key(m: tuple):
 
 
 class Poly:
-    """Sparse polynomial with Fraction coefficients, immutable once built."""
+    """Sparse polynomial sum(c * m for m, c in terms.items()) / den.
 
-    __slots__ = ("terms", "_hash")
+    Immutable once built.  Every coefficient is a nonzero int, den is an
+    int >= 1 and gcd(den, *coefficients) == 1; the constructor takes its
+    arguments as given, and ``_normalized`` restores the gcd condition.
+    """
 
-    def __init__(self, terms: dict | None = None):
-        # terms is taken as given and must hold no zero coefficient: is_zero
-        # and == compare the dicts directly
+    __slots__ = ("terms", "den", "_hash")
+
+    def __init__(self, terms: dict | None = None, den: int = 1):
         self.terms = {} if terms is None else terms
+        self.den = den
         self._hash = None
 
     # -- constructors ---------------------------------------------------
@@ -145,11 +152,11 @@ class Poly:
         c = Fraction(c)
         if c == 0:
             return ZERO
-        return cls({EMPTY_MONO: c})
+        return cls({EMPTY_MONO: c.numerator}, c.denominator)
 
     @classmethod
     def gen(cls, g: Generator) -> "Poly":
-        return cls({((g, 1),): Fraction(1)})
+        return cls({((g, 1),): 1})
 
     # -- predicates -----------------------------------------------------
 
@@ -162,7 +169,12 @@ class Poly:
     def const_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
-        return self.terms[EMPTY_MONO]
+        return Fraction(self.terms[EMPTY_MONO], self.den)
+
+    def items(self):
+        """(monomial, Fraction coefficient) pairs."""
+        den = self.den
+        return ((m, Fraction(c, den)) for m, c in self.terms.items())
 
     def generators(self) -> set:
         gens = set()
@@ -175,82 +187,87 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
+        return isinstance(other, Poly) and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((frozenset(self.terms.items()), self.den))
         return self._hash
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = c
-            else:
-                s = s + c
-                if s == 0:
-                    del res[m]
-                else:
-                    res[m] = s
-        return Poly(res)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the lcm of the two denominators."""
         if not other.terms:
             return self
-        res = dict(self.terms)
+        if not self.terms:
+            return other if sign == 1 else -other
+        da, db = self.den, other.den
+        if da == db:
+            res = dict(self.terms)
+            fb = sign
+        else:
+            g = _int_gcd(da, db)
+            fa = db // g
+            fb = sign * (da // g)
+            res = {m: c * fa for m, c in self.terms.items()} if fa != 1 else dict(self.terms)
+            da *= fa
+        get = res.get
         for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = -c
+            s = get(m, 0) + c * fb
+            if s:
+                res[m] = s
             else:
-                s = s - c
-                if s == 0:
-                    del res[m]
-                else:
-                    res[m] = s
-        return Poly(res)
+                del res[m]
+        return _normalized(res, da)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly({m: -c for m, c in self.terms.items()}, self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return ZERO
         if other.is_const():
-            return self.scale(other.const_value())
+            return self._times(other.terms[EMPTY_MONO], other.den)
         if self.is_const():
-            return other.scale(self.const_value())
+            return other._times(self.terms[EMPTY_MONO], self.den)
         res: dict = {}
+        get = res.get
         oterms = other.terms.items()
         for m1, c1 in self.terms.items():
             for m2, c2 in oterms:
                 m = mono_mul(m1, m2)
-                c = c1 * c2
-                s = res.get(m)
-                if s is None:
-                    res[m] = c
-                else:
-                    s = s + c
-                    if s == 0:
-                        del res[m]
-                    else:
-                        res[m] = s
-        return Poly(res)
+                res[m] = get(m, 0) + c1 * c2
+        if 0 in res.values():
+            res = {m: c for m, c in res.items() if c}
+        return _normalized(res, self.den * other.den)
 
-    def scale(self, c: Fraction) -> "Poly":
-        if c == 0:
+    def scale(self, c) -> "Poly":
+        """self * c for an int or Fraction c."""
+        if not c:
             return ZERO
-        if c == 1:
-            return self
-        return Poly({m: v * c for m, v in self.terms.items()})
+        return self._times(c.numerator, c.denominator)
+
+    def _times(self, p: int, q: int) -> "Poly":
+        """self * p/q for coprime ints p != 0 and q > 0."""
+        den = self.den
+        if den > 1 and p != 1:
+            g = _int_gcd(p, den)
+            p //= g
+            den //= g
+        if p == 1:
+            if q == 1:
+                return self if den == self.den else Poly(self.terms, den)
+            return _normalized(self.terms, den * q)
+        terms = {m: v * p for m, v in self.terms.items()}
+        # p is coprime with den, so only a factor of q can divide out
+        return Poly(terms, den) if q == 1 else _normalized(terms, den * q)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -286,7 +303,7 @@ class Poly:
             for g, e in m:
                 (outer if g in gens else inner).append((g, e))
             buckets.setdefault(tuple(outer), {})[tuple(inner)] = c
-        return {m: Poly(terms) for m, terms in buckets.items()}
+        return {m: _normalized(terms, self.den) for m, terms in buckets.items()}
 
     def partials(self, gens) -> dict:
         """{g: d self/d g} for the generators g in gens that occur, in one
@@ -298,31 +315,26 @@ class Poly:
                     nm = m[:idx] + (((g, e - 1),) if e > 1 else ()) + m[idx + 1:]
                     # distinct monomials give distinct nm for one g: no collisions
                     res.setdefault(g, {})[nm] = c * e
-        return {g: Poly(terms) for g, terms in res.items()}
+        return {g: _normalized(terms, self.den) for g, terms in res.items()}
 
     def leading(self):
         """(monomial, coeff) maximal in the canonical monomial order."""
         if not self.terms:
             return EMPTY_MONO, Fraction(0)
         m = max(self.terms, key=mono_sort_key)
-        return m, self.terms[m]
+        return m, Fraction(self.terms[m], self.den)
 
     def content(self) -> Fraction:
         """Positive rational c with self/c a primitive integer polynomial."""
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _int_gcd(num, abs(c.numerator))
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        if num == 0:
+        if not self.terms:
             return Fraction(1)
-        return Fraction(num, den)
+        return Fraction(_int_gcd(*self.terms.values()), self.den)
 
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]), reverse=True):
+        for m, c in sorted(self.items(), key=lambda kv: mono_sort_key(kv[0]), reverse=True):
             factors = [str(c)] if (c != 1 or not m) else []
             for g, e in m:
                 factors.append(f"{g!r}^{e}" if e > 1 else repr(g))
@@ -331,7 +343,17 @@ class Poly:
 
 
 ZERO = Poly({})
-ONE = Poly({EMPTY_MONO: Fraction(1)})
+ONE = Poly({EMPTY_MONO: 1})
+
+
+def _normalized(terms: dict, den: int) -> Poly:
+    """The canonical Poly of terms/den: one gcd pass, only when den > 1."""
+    if den > 1:
+        g = _int_gcd(den, *terms.values())
+        if g > 1:
+            terms = {m: c // g for m, c in terms.items()}
+            den //= g
+    return Poly(terms, den)
 
 
 # -- substitution -------------------------------------------------------
@@ -345,7 +367,7 @@ def subst_poly(p: Poly, mapping: dict, lift_const, lift_gen):
     """
     total = None
     pow_cache: dict = {}
-    for m, c in p.terms.items():
+    for m, c in p.items():
         term = lift_const(c)
         for g, e in m:
             key = (g, e)
@@ -387,7 +409,7 @@ def _from_univariate(coeffs: list[Poly], v: Generator) -> Poly:
         if e == 0:
             total = total + c
         else:
-            total = total + c * Poly({((v, e),): Fraction(1)})
+            total = total + c * Poly({((v, e),): 1})
     return total
 
 
@@ -491,7 +513,7 @@ def _mono_divide(p: Poly, mono: tuple) -> Poly:
             if e > d:
                 out.append((g, e - d))
         res[tuple(out)] = c
-    return Poly(res)
+    return Poly(res, p.den)
 
 
 def _var_degrees(p: Poly) -> dict:
@@ -528,7 +550,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if mono:
         a = _mono_divide(a, mono)
         b = _mono_divide(b, mono)
-    lead = Poly({mono: Fraction(1)}) if mono else ONE
+    lead = Poly({mono: 1}) if mono else ONE
     if len(a.terms) == 1 or len(b.terms) == 1:
         return lead
     da = _var_degrees(a)
@@ -580,8 +602,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def _make_primitive(p: Poly) -> Poly:
     if p.is_zero() or p.is_const():
         return ONE if not p.is_zero() else ZERO
-    c = p.content()
+    g = _int_gcd(*p.terms.values())
     _, lead = p.leading()
     if lead < 0:
-        c = -c
-    return p.scale(Fraction(1) / c)
+        g = -g
+    if g == 1 and p.den == 1:
+        return p
+    return Poly({m: c // g for m, c in p.terms.items()})

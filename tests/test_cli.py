@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -290,3 +291,22 @@ def test_pinned_report(capsys, monkeypatch, case, mode):
     argv = (["--json"] if mode == "json" else []) + PIN_CASES[case]
     code, out, err = run(capsys, *argv)
     assert {"exit": code, "stdout": out, "stderr": err} == PINNED[f"{case}/{mode}"]
+
+
+# Reports too long to store are pinned by the sha256 of stdout: the README root
+# example at the default 20 slots (89 KB) and a root with rational multipliers.
+DIGEST_PIN_CASES = {
+    "root_readme": ["root", "xi^5 + b*xi^3 + f(u)*xi + f'(u)*u_x", "--n", "5"],
+    "root_rational": ["root", "xi^5 - 2/3*b*xi^3 + 3/2*f(u)*xi - 1/3*f'(u)*u_x",
+                      "--n", "5", "--prec", "16"],
+}
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(DIGEST_PIN_CASES))
+def test_pinned_report_digest(capsys, monkeypatch, case, mode):
+    monkeypatch.delenv("JETCALC_PRECISION", raising=False)
+    argv = (["--json"] if mode == "json" else []) + DIGEST_PIN_CASES[case]
+    code, out, err = run(capsys, *argv)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert {"exit": code, "stderr": err, "stdout_sha256": digest} == PINNED[f"{case}/{mode}"]

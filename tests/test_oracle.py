@@ -2,7 +2,7 @@
 
 Seeded random rational JetExprs over x, u..u_xxx, b, c, ln(u+c) and f(u)
 are converted to elements of sympy's sparse rational-function field by
-walking ``Poly.terms`` (never through the DSL).  D_x, the partial
+walking ``Poly.items`` (never through the DSL).  D_x, the partial
 derivatives in the jets, d/du and the Euler operator are recomputed there
 with sympy's own differentiation and compared exactly, by
 cross-multiplication.
@@ -35,7 +35,7 @@ INDEX = {X: 0, param("b"): 1, param("c"): 2, LN: 3,
 
 def _to_ring(p: Poly):
     terms = {}
-    for m, c in p.terms.items():
+    for m, c in p.items():
         exps = [0] * K.ring.ngens
         for g, e in m:
             exps[INDEX[g]] = e

@@ -1,0 +1,173 @@
+"""Differential test of the polynomial layer against sympy.
+
+Seeded random polynomials over Q in x, u..u_xxx, b, c, ln(u+c) and f(u) are
+converted to sympy's sparse polynomial ring over QQ through ``Poly.items``
+(never through the DSL).  The ring operations, ``content``, ``partials``,
+``split``, ``div_exact`` and ``poly_gcd`` are recomputed there.  Values are
+compared through the conversion, and the canonical form by structural
+equality with a Poly rebuilt one term at a time from sympy's answer.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from jetcalc.poly import ONE, X, ZERO, Poly, div_exact, fnsym, jet, param, poly_gcd  # noqa: E402
+
+GENS = (X, jet(0), jet(1), jet(2), jet(3), param("b"), param("c"), fnsym("lnuc", 0),
+        fnsym("f", 0))
+INDEX = {g: i for i, g in enumerate(GENS)}
+R, *SYMS = sympy.ring("x,u0:4,b,c,L,f", sympy.QQ)
+RZ = R.clone(domain=sympy.ZZ)
+
+
+def _exps(mono) -> tuple:
+    exps = [0] * len(GENS)
+    for g, e in mono:
+        exps[INDEX[g]] = e
+    return tuple(exps)
+
+
+def _to_ring(p: Poly):
+    return R.from_dict({_exps(m): sympy.QQ(c.numerator, c.denominator) for m, c in p.items()})
+
+
+def _from_ring(s) -> Poly:
+    total = ZERO
+    for exps, c in s.items():
+        term = Poly.const(Fraction(int(c.numerator), int(c.denominator)))
+        for g, e in zip(GENS, exps):
+            if e:
+                term = term * Poly.gen(g) ** e
+        total = total + term
+    return total
+
+
+def _check(p: Poly, s, *context):
+    assert _to_ring(p) == s, context
+    ref = _from_ring(s)
+    assert p == ref and hash(p) == hash(ref), context
+
+
+def _random_poly(rng: random.Random, max_terms=4, max_factors=2, max_exp=2) -> Poly:
+    total = ZERO
+    for _ in range(rng.randint(1, max_terms)):
+        term = Poly.const(Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 6)),
+                                   rng.choice((1, 1, 2, 3, 4))))
+        for _ in range(rng.randint(0, max_factors)):
+            term = term * Poly.gen(rng.choice(GENS)) ** rng.randint(1, max_exp)
+        total = total + term
+    return total
+
+
+def _random_nonzero(rng: random.Random, **kw) -> Poly:
+    p = _random_poly(rng, **kw)
+    while p.is_zero():
+        p = _random_poly(rng, **kw)
+    return p
+
+
+def _random_scalar(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice((-6, -2, -1, 0, 1, 2, 3)), rng.choice((1, 1, 2, 3, 4)))
+
+
+def test_ring_operations_match_sympy():
+    rng = random.Random(701)
+    for case in range(300):
+        a, b = _random_poly(rng), _random_poly(rng)
+        sa, sb = _to_ring(a), _to_ring(b)
+        _check(a + b, sa + sb, case, a, b)
+        _check(a - b, sa - sb, case, a, b)
+        _check(-a, -sa, case, a)
+        _check(a * b, sa * sb, case, a, b)
+        n = rng.randint(0, 3)
+        _check(a ** n, sa ** n, case, a, n)
+        c = _random_scalar(rng)
+        _check(a.scale(c), sa * sympy.QQ(c.numerator, c.denominator), case, a, c)
+        k = rng.choice((-2, -1, 0, 1, 3))
+        _check(a.scale(k), sa * k, case, a, k)
+
+
+def test_content_matches_sympy():
+    rng = random.Random(702)
+    for case in range(300):
+        p = _random_nonzero(rng)
+        den, cleared = _to_ring(p).clear_denoms()
+        expected = Fraction(int(cleared.set_ring(RZ).content()), int(den))
+        assert p.content() == expected, (case, p)
+        primitive = p.scale(1 / expected)
+        coeffs = [c for _, c in primitive.items()]
+        assert all(c.denominator == 1 for c in coeffs), (case, p)
+        assert _to_ring(primitive).set_ring(RZ).content() == 1, (case, p)
+
+
+def test_partials_match_sympy():
+    rng = random.Random(703)
+    for case in range(300):
+        p = _random_poly(rng, max_exp=3)
+        gens = set(rng.sample(GENS, rng.randint(1, 4)))
+        parts = p.partials(gens)
+        assert set(parts) <= gens
+        s = _to_ring(p)
+        for g in gens:
+            expected = s.diff(SYMS[INDEX[g]])
+            assert (g in parts) == bool(expected), (case, p, g)
+            _check(parts.get(g, ZERO), expected, case, p, g)
+
+
+def test_split_matches_sympy():
+    rng = random.Random(704)
+    for case in range(300):
+        p = _random_poly(rng, max_factors=3)
+        gens = set(rng.sample(GENS, rng.randint(0, 4)))
+        idx = {INDEX[g] for g in gens}
+        grouped: dict = {}
+        for exps, c in _to_ring(p).items():
+            outer = tuple(e if i in idx else 0 for i, e in enumerate(exps))
+            inner = tuple(0 if i in idx else e for i, e in enumerate(exps))
+            grouped.setdefault(outer, {})[inner] = c
+        parts = p.split(gens)
+        assert sorted(_exps(m) for m in parts) == sorted(grouped), (case, p, gens)
+        for outer, inner in parts.items():
+            _check(inner, R.from_dict(grouped[_exps(outer)]), case, p, gens)
+
+
+def test_div_exact_matches_sympy():
+    rng = random.Random(705)
+    exact = 0
+    for case in range(400):
+        b = _random_nonzero(rng, max_terms=3)
+        if rng.random() < 0.5:
+            a = b * _random_poly(rng, max_terms=3)
+        else:
+            a = _random_poly(rng)
+        q_s, r_s = _to_ring(a).div(_to_ring(b))
+        q = div_exact(a, b)
+        if r_s:
+            assert q is None, (case, a, b)
+        else:
+            exact += 1
+            assert q is not None, (case, a, b)
+            _check(q, q_s, case, a, b)
+    assert 150 < exact < 400
+
+
+def test_poly_gcd_matches_sympy():
+    # planted common factors; sympy's gcd over QQ is monic, the engine's is
+    # primitive, so the two agree up to a rational unit
+    rng = random.Random(706)
+    nontrivial = 0
+    for case in range(1500):
+        g = _random_nonzero(rng, max_terms=3)
+        a = g * _random_nonzero(rng, max_terms=3)
+        b = g * _random_nonzero(rng, max_terms=3) if rng.random() < 0.9 else ZERO
+        h = poly_gcd(a, b)
+        expected = _to_ring(a).gcd(_to_ring(b))
+        assert _to_ring(h).monic() == expected.monic(), (case, a, b, h)
+        assert h.content() == 1, (case, a, b, h)
+        assert div_exact(a, h) is not None, (case, a, b, h)
+        nontrivial += h != ONE
+    assert nontrivial > 1000
