@@ -195,11 +195,9 @@ class ScanStep:
     xi_index: int
     coefficient_name: str
     equation: str
-    exactness_constraints: list[JetExpr] = field(default_factory=list)
     reduced_constraints: list[JetExpr] = field(default_factory=list)
     forced: list[str] = field(default_factory=list)
     solved_coefficient: JetExpr | None = None
-    solved_description: str = ""
     notes: list[str] = field(default_factory=list)
 
 
@@ -326,9 +324,7 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
                 if coeff not in step.reduced_constraints:
                     step.reduced_constraints.append(coeff)
             forced_any = False
-            for mono_expr, coeff in groups:
-                constraint = mono_expr * coeff
-                step.exactness_constraints.append(constraint)
+            for _, coeff in groups:
                 for uname, uorder in _force_from_constraint(coeff, forcing):
                     changed = forcing.require(uname, uorder)
                     if changed:
@@ -367,10 +363,7 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
         a_new = forcing.apply(a_new)
         solved[new_idx] = a_new
         if a_new == unk(name):
-            step.solved_description = f"{name} is a function of t"
             step.notes.append(f"{name} is a function of t only")
-        else:
-            step.solved_description = f"{name} solved"
         step.solved_coefficient = a_new
 
     report.survived = True

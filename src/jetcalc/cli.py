@@ -217,8 +217,7 @@ def _render_scan(scan, report):
             "constraints": constraints,
             "forced": list(s.forced),
             "solved": (print_expr(s.solved_coefficient)
-                       if s.solved_coefficient is not None
-                       else s.solved_description),
+                       if s.solved_coefficient is not None else ""),
             "notes": list(s.notes),
         })
     report.set("steps", steps)

@@ -314,10 +314,7 @@ def _series_pow(a: dict, n: int, parser: _Parser, tok: _Token) -> dict:
 
 def parse(text: str) -> JetExpr:
     """Parse an expression; xi is rejected here."""
-    v = _Parser(text).parse()
-    if set(v) not in ({0}, set()):
-        raise DslSyntaxError("xi is only allowed in series contexts", 1, 1)
-    return v.get(0, as_expr(0))
+    return _Parser(text).parse()[0]
 
 
 def parse_series(text: str) -> PsdSeries:
@@ -421,8 +418,6 @@ def print_expr(e: JetExpr) -> str:
 def print_series(s: PsdSeries) -> str:
     parts = []
     for i, c in s.items():
-        if c.is_zero:
-            continue
         if i == 0:
             parts.append(print_expr(c) if c.den == POLY_ONE and len(c.num.terms) == 1
                          else f"({print_expr(c)})")

@@ -5,9 +5,10 @@ Composition follows the generalized Leibniz rule
     a xi^i o b xi^j = a * sum_k  C(i,k) D_x^k(b) xi^(i+j-k)
 
 with C(i,k) = i(i-1)...(i-k+1)/k! computed exactly for any integer i.
-Precision is explicit window bookkeeping: a series knows the lowest xi-power
-whose coefficient is guaranteed; below that, coefficients are dropped, never
-silently wrong.  Series whose tail is exactly zero carry ``exact=True``.
+Precision is explicit window bookkeeping: a series stores its nonzero
+coefficients and its floor, the lowest xi-power whose coefficient is
+guaranteed; below that, coefficients are dropped, never silently wrong.  A
+series whose tail is exactly zero has no floor (``exact`` is True).
 """
 
 from __future__ import annotations
@@ -53,47 +54,42 @@ def binom_falling(i: int, k: int) -> Fraction:
 
 
 class PsdSeries:
-    """Truncated Laurent series; immutable."""
+    """Truncated Laurent series; immutable.
 
-    __slots__ = ("top", "coeffs", "exact", "_hash")
+    ``terms`` maps xi-indices to the nonzero coefficients; ``floor`` is the
+    lowest guaranteed index, or None when the tail is exactly zero.  Every
+    term sits at or above the floor, so the pair is canonical.
+    """
 
-    def __init__(self, top: int, coeffs: tuple, exact: bool):
+    __slots__ = ("terms", "floor", "_hash")
+
+    def __init__(self, terms: dict[int, JetExpr], floor: int | None):
         # internal: use the factories below
-        self.top = top
-        self.coeffs = coeffs
-        self.exact = exact
+        self.terms = terms
+        self.floor = floor
         self._hash = None
 
     # -- factories --------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "PsdSeries":
-        return cls(0, (), True)
+        return cls({}, None)
 
     @classmethod
     def from_coeffs(cls, mapping: dict[int, JetExpr], exact: bool = True,
                     bottom: int | None = None) -> "PsdSeries":
-        mapping = {i: as_expr(c) for i, c in mapping.items()}
-        nonzero = [i for i, c in mapping.items() if not c.is_zero]
-        if not nonzero:
-            if exact and bottom is None:
-                return cls.zero()
-            top = max(mapping) if mapping else (bottom if bottom is not None else 0)
-            bot = bottom if bottom is not None else (min(mapping) if mapping else 0)
-            return cls(top, tuple(ZERO_EXPR for _ in range(top - bot + 1)), exact)
-        top = max(nonzero)
-        bot = bottom if bottom is not None else min(mapping)
-        if bot > min(nonzero):
-            bot = min(nonzero)
-        coeffs = tuple(mapping.get(i, ZERO_EXPR) for i in range(top, bot - 1, -1))
-        return cls(top, coeffs, exact)
+        """Zero entries are dropped; an inexact series is guaranteed from
+        ``bottom`` (default: the lowest listed index) or from its lowest
+        nonzero entry, whichever is lower."""
+        terms = {i: e for i, c in mapping.items() if not (e := as_expr(c)).is_zero}
+        if exact:
+            return cls(terms, None)
+        floor = min(mapping, default=0) if bottom is None else bottom
+        return cls(terms, min([floor, *terms]))
 
     @classmethod
     def monomial(cls, coeff, power: int = 0) -> "PsdSeries":
-        coeff = as_expr(coeff)
-        if coeff.is_zero:
-            return cls.zero()
-        return cls(power, (coeff,), True)
+        return cls.from_coeffs({power: coeff})
 
     @classmethod
     def xi(cls, power: int = 1) -> "PsdSeries":
@@ -101,95 +97,57 @@ class PsdSeries:
 
     @classmethod
     def const(cls, c) -> "PsdSeries":
-        return cls.monomial(as_expr(c), 0)
+        return cls.monomial(c, 0)
 
     # -- window accessors ---------------------------------------------------
 
     @property
-    def bottom(self) -> int:
-        """Lowest guaranteed index (meaningless when exact and empty)."""
-        return self.top - len(self.coeffs) + 1
+    def exact(self) -> bool:
+        return self.floor is None
+
+    @property
+    def bottom(self) -> int | None:
+        """Lowest guaranteed index; None when the tail is exactly zero."""
+        return self.floor
 
     def coeff(self, i: int) -> JetExpr:
-        """Coefficient at xi^i; exact zero above the window, error below."""
-        if i > self.top:
-            return ZERO_EXPR
-        if i >= self.bottom:
-            return self.coeffs[self.top - i]
-        if self.exact:
-            return ZERO_EXPR
-        raise IndexError(f"coefficient at xi^{i} below the guaranteed window")
+        """Coefficient at xi^i; exact zero off the terms, error below the floor."""
+        if self.floor is not None and i < self.floor:
+            raise IndexError(f"coefficient at xi^{i} below the guaranteed window")
+        return self.terms.get(i, ZERO_EXPR)
 
     def degree(self):
-        """Greatest index with nonzero coefficient.
-
-        NEG_INF when the series is exactly zero; when a truncated series has
-        no nonzero known coefficient the degree is also reported as NEG_INF
-        relative to the window (callers needing the distinction check
-        ``exact``).
-        """
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return self.top - k
-        return NEG_INF
+        """Greatest index with nonzero coefficient; NEG_INF when there is
+        none, whether the series is exactly zero or zero on its window
+        (callers needing the distinction check ``exact``)."""
+        return max(self.terms, default=NEG_INF)
 
     def is_zero_on_window(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not self.terms
 
-    def items(self):
-        for k, c in enumerate(self.coeffs):
-            yield self.top - k, c
-
-    def trimmed(self) -> "PsdSeries":
-        """Drop exactly-zero leading slots (and trailing ones when the tail
-        is exact); the normal form used for display and equality."""
-        k = 0
-        while k < len(self.coeffs) and self.coeffs[k].is_zero:
-            k += 1
-        coeffs = self.coeffs[k:]
-        if self.exact:
-            j = len(coeffs)
-            while j > 0 and coeffs[j - 1].is_zero:
-                j -= 1
-            coeffs = coeffs[:j]
-        if not coeffs and self.exact:
-            return PsdSeries.zero()
-        if k == 0 and coeffs == self.coeffs:
-            return self
-        return PsdSeries(self.top - k, coeffs, self.exact)
+    def items(self) -> list[tuple[int, JetExpr]]:
+        """The nonzero terms, highest index first."""
+        return sorted(self.terms.items(), reverse=True)
 
     def __eq__(self, other):
         if not isinstance(other, PsdSeries):
             return NotImplemented
-        a, b = self.trimmed(), other.trimmed()
-        return a.top == b.top and a.coeffs == b.coeffs and a.exact == b.exact
-
-    def agrees_with(self, other: "PsdSeries") -> bool:
-        """Equality of coefficients on the common guaranteed window."""
-        top = max((s.degree() for s in (self, other)
-                   if s.degree() is not NEG_INF), default=None)
-        if top is None:
-            return True
-        bots = [s.bottom for s in (self, other) if not s.exact]
-        bot = max(bots) if bots else min(s.bottom for s in (self, other) if s.coeffs)
-        for i in range(top, bot - 1, -1):
-            if self.coeff(i) != other.coeff(i):
-                return False
-        return True
+        return self.floor == other.floor and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            a = self.trimmed()
-            self._hash = hash((a.top, a.coeffs, a.exact))
+            self._hash = hash((frozenset(self.terms.items()), self.floor))
         return self._hash
 
+    def agrees_with(self, other: "PsdSeries") -> bool:
+        """Equality of coefficients on the common guaranteed window."""
+        return (self - other).is_zero_on_window()
+
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms and self.exact:
             return "PsdSeries(0)"
-        parts = [f"({c!r})*xi^{i}" for i, c in self.items() if not c.is_zero]
-        if not parts:
-            parts = ["0"]
-        tail = "" if self.exact else f" + O(xi^{self.bottom - 1})"
+        parts = [f"({c!r})*xi^{i}" for i, c in self.items()] or ["0"]
+        tail = "" if self.exact else f" + O(xi^{self.floor - 1})"
         return " + ".join(parts) + tail
 
     # -- linear structure ----------------------------------------------------
@@ -197,29 +155,26 @@ class PsdSeries:
     def __add__(self, other: "PsdSeries") -> "PsdSeries":
         if not isinstance(other, PsdSeries):
             return NotImplemented
-        exact = self.exact and other.exact
-        tops = [s.top for s in (self, other) if s.coeffs]
-        if not tops:
-            return PsdSeries.zero() if exact else PsdSeries(0, (), False)
-        top = max(tops)
-        bots = []
-        for s in (self, other):
-            if not s.exact:
-                bots.append(s.bottom)
-        if exact:
-            bot = min(s.bottom for s in (self, other) if s.coeffs)
-        else:
-            bot = max(bots)
-            if bot > top:
-                top = bot
-        coeffs = tuple(self.coeff(i) + other.coeff(i) for i in range(top, bot - 1, -1))
-        return PsdSeries(top, coeffs, exact)
+        # guaranteed from the higher floor
+        floor = max((s.floor for s in (self, other) if s.floor is not None), default=None)
+        return PsdSeries.from_coeffs(
+            {i: self.terms.get(i, ZERO_EXPR) + other.terms.get(i, ZERO_EXPR)
+             for i in self.terms.keys() | other.terms.keys()
+             if floor is None or i >= floor}, floor is None, floor)
 
     def __neg__(self) -> "PsdSeries":
-        return PsdSeries(self.top, tuple(-c for c in self.coeffs), self.exact)
+        return PsdSeries({i: -c for i, c in self.terms.items()}, self.floor)
 
     def __sub__(self, other: "PsdSeries") -> "PsdSeries":
         return self + (-other)
+
+
+def _lead(A: PsdSeries) -> int:
+    """A's degree, or its floor when A is zero on its window (0 when A is
+    exactly zero): where a product's window is measured from."""
+    if A.terms:
+        return max(A.terms)
+    return 0 if A.floor is None else A.floor
 
 
 def dx_towers():
@@ -254,43 +209,35 @@ def product_coeff(A, B, m: int, dx) -> JetExpr:
 
 
 def _tail_below(A, B, floor: int, dx) -> bool:
-    """True when a nonzero term of A o B sits below xi^floor.  Only terms with
-    C(i,k) != 0 count, and D_x^k(b) = 0 ends b's tower, so for each pair the
-    first k below the floor decides."""
-    for i, a in A.items():
+    """True when a nonzero term of A o B sits below xi^floor, for A with
+    nonzero listed coefficients.  Only terms with C(i,k) != 0 count, and
+    D_x^k(b) = 0 ends b's tower, so for each pair the first k below the
+    floor decides."""
+    for i, _ in A.items():
         for j, b in B.items():
             k = max(0, i + j - floor + 1)
-            if (i < 0 or k <= i) and not a.is_zero and not dx(b, k).is_zero:
+            if (i < 0 or k <= i) and not dx(b, k).is_zero:
                 return True
     return False
 
 
 def compose(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
     """Product in the pseudodifferential algebra."""
-    if A.is_zero_on_window() or B.is_zero_on_window():
+    if not A.terms or not B.terms:
         if A.exact and B.exact:
             return PsdSeries.zero()
-        tops = (A.top if A.coeffs else 0) + (B.top if B.coeffs else 0)
-        return PsdSeries(tops, (ZERO_EXPR,), False)
+        return PsdSeries({}, _lead(A) + _lead(B))
     if slots is None:
         slots = default_slots()
-    top = A.top + B.top
+    top = A.degree() + B.degree()
     # window guaranteed by the operands
-    floor_exact = None
-    if not A.exact:
-        floor_exact = A.bottom + B.top
-    if not B.exact:
-        fb = B.bottom + A.top
-        floor_exact = fb if floor_exact is None else max(floor_exact, fb)
-    cap = top - slots + 1
-    floor = cap if floor_exact is None else max(cap, floor_exact)
-
+    bounds = [s.floor + t.degree() for s, t in ((A, B), (B, A)) if not s.exact]
+    floor = max([top - slots + 1, *bounds])
     dx = dx_towers()
     acc = {m: c for m in range(top, floor - 1, -1)
            if not (c := product_coeff(A, B, m, dx)).is_zero}
-    truncated = floor_exact is not None or _tail_below(A, B, floor, dx)
-    return PsdSeries.from_coeffs(acc, exact=not truncated,
-                                 bottom=None if not truncated else floor)
+    truncated = bool(bounds) or _tail_below(A, B, floor, dx)
+    return PsdSeries(acc, floor if truncated else None)
 
 
 def commutator(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
@@ -301,18 +248,18 @@ def adjoint(A: PsdSeries, slots: int | None = None) -> PsdSeries:
     """Formal adjoint: sum (-xi)^i o a_i."""
     if slots is None:
         slots = default_slots()
-    floor = A.top - slots + 1
+    top = _lead(A)
+    floor = top - slots + 1
     if not A.exact:
-        floor = max(floor, A.bottom)
+        floor = max(floor, A.floor)
     dx = dx_towers()
     # one product (+-xi^i) o a_i per coefficient
     terms = [({i: as_expr(-1 if i % 2 else 1)}, {0: a}) for i, a in A.items()]
-    acc = {m: c for m in range(A.top, floor - 1, -1)
+    acc = {m: c for m in range(top, floor - 1, -1)
            if not (c := sum((product_coeff(sign, a, m, dx) for sign, a in terms),
                             ZERO_EXPR)).is_zero}
     truncated = not A.exact or any(_tail_below(sign, a, floor, dx) for sign, a in terms)
-    return PsdSeries.from_coeffs(acc, exact=not truncated,
-                                 bottom=None if not truncated else floor)
+    return PsdSeries(acc, floor if truncated else None)
 
 
 def series_power(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
@@ -339,7 +286,7 @@ def nth_root(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
     if slots is None:
         slots = default_slots()
     if not A.exact:
-        slots = min(slots, A.top - A.bottom + 1)
+        slots = min(slots, n - A.floor + 1)
     # R = root*xi + r_0 + r_{-1} xi^-1 + ...; step s fixes r_(1-s) from the
     # xi^(n-s) coefficient of R^n.  Every power R^k, k <= n, keeps its known
     # coefficients: the xi^(k-s) one is R^(k-1) o R taken with r_(1-s) = 0,
@@ -389,4 +336,5 @@ def _fraction_nth_root(v: Fraction, n: int) -> Fraction | None:
 
 def dt_series(A: PsdSeries, eq) -> PsdSeries:
     """Coefficient-wise D_t."""
-    return PsdSeries(A.top, tuple(total_t(c, eq) for c in A.coeffs), A.exact)
+    return PsdSeries({i: d for i, c in A.terms.items()
+                      if not (d := total_t(c, eq)).is_zero}, A.floor)

@@ -201,7 +201,7 @@ def test_scan_abstract_f(eq_abstract):
     for step, name in zip(rep.steps, ("g", "l0", "l1", "l2")):
         assert step.coefficient_name == name
         assert step.equation == f"-5*D_x({name}) = 0"
-        assert not step.exactness_constraints
+        assert not step.reduced_constraints
     # the known obstruction system at xi^-3, with its exact constants:
     last = rep.steps[-1]
     assert last.xi_index == -3

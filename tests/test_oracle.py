@@ -5,7 +5,8 @@ are converted to elements of sympy's sparse rational-function field by
 walking ``Poly.items`` (never through the DSL).  D_x, the partial
 derivatives in the jets, d/du and the Euler operator are recomputed there
 with sympy's own differentiation and compared exactly, by
-cross-multiplication.
+cross-multiplication; formal x-integration is checked by recomputing
+D_x(zeta) + residual there.
 """
 
 import random
@@ -15,8 +16,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from jetcalc.calculus import euler, total_x  # noqa: E402
-from jetcalc.expr import JetExpr, partial, partial_u_total  # noqa: E402
+from jetcalc.calculus import euler, formal_x_integrate, total_x  # noqa: E402
+from jetcalc.expr import JetExpr, fn, partial, partial_u_total, u  # noqa: E402
 from jetcalc.poly import ONE, X, Poly, fnsym, jet, param  # noqa: E402
 
 CASES = 200
@@ -25,12 +26,14 @@ POINT_GENS = (X, jet(0), param("b"), param("c"), LN, fnsym("f", 0))
 JET_GENS = POINT_GENS + (jet(1), jet(2), jet(3))
 EULER_GENS = POINT_GENS + (jet(1), jet(2))
 
-# Q(x, b, c, L, u0..u4, f0..f3) with L = ln(u+c), u4 = D_x(u3), fk = f^(k)
-K, XS, B, C, L, *rest = sympy.field("x,b,c,L,u0:5,f0:4", sympy.QQ)
-U, F = rest[:5], rest[5:]
+# Q(x, b, c, L, u0..u4, f0..f3, r, rhat) with L = ln(u+c), u4 = D_x(u3),
+# fk = f^(k), and r, rhat the antiderivatives of f in u
+K, XS, B, C, L, *rest = sympy.field("x,b,c,L,u0:5,f0:4,r,rhat", sympy.QQ)
+U, F, (R, RHAT) = rest[:5], rest[5:9], rest[9:]
 INDEX = {X: 0, param("b"): 1, param("c"): 2, LN: 3,
          **{jet(i): 4 + i for i in range(5)},
-         **{fnsym("f", k): 9 + k for k in range(4)}}
+         **{fnsym("f", k): 9 + k for k in range(4)},
+         fnsym("r", 0): 13, fnsym("rhat", 0): 14}
 
 
 def _to_ring(p: Poly):
@@ -88,8 +91,9 @@ def _derive(s, images):
     return K.raw_new(total, common)
 
 
-# d/du with the chain rule ln(u+c) -> 1/(u+c), f^(k) -> f^(k+1)
-DU = [(U[0], K.one), (L, 1 / UC)] + [(F[k], F[k + 1]) for k in range(len(F) - 1)]
+# d/du with the chain rule ln(u+c) -> 1/(u+c), rhat -> r -> f, f^(k) -> f^(k+1)
+DU = ([(U[0], K.one), (L, 1 / UC), (RHAT, R), (R, F[0])]
+      + [(F[k], F[k + 1]) for k in range(len(F) - 1)])
 DX = ([(XS, K.one)] + [(v, U[1] * img) for v, img in DU]
       + [(U[i], U[i + 1]) for i in range(1, len(U) - 1)])
 
@@ -122,3 +126,19 @@ def test_euler_matches_sympy():
         ref = (_derive(s, DU) - _derive(s.diff(U[1]), DX)
                + _derive(_derive(s.diff(U[2]), DX), DX))
         assert _same(_to_sympy(euler(e)), ref), (case, e)
+
+
+def test_formal_x_integrate_matches_sympy():
+    # F = D_x(zeta) + residual, with D_x(zeta) recomputed by sympy: first the
+    # f -> r -> rhat chain, then seeded cases, half of them total derivatives
+    # D_x(G) and half random
+    f_ux = fn("f") * u(1)
+    integrands = [f_ux, u(0) * f_ux, JetExpr.from_gen(X) * f_ux]
+    rng = random.Random(404)
+    for case in range(120):
+        e = _random_expr(rng, EULER_GENS, POINT_GENS)
+        integrands.append(total_x(e) if case % 2 else e)
+    for case, integrand in enumerate(integrands):
+        zeta, residual = formal_x_integrate(integrand)
+        got = _derive(_to_sympy(zeta), DX) + _to_sympy(residual)
+        assert _same(got, _to_sympy(integrand)), (case, integrand)

@@ -263,3 +263,48 @@ def test_window_bookkeeping_addition():
     assert not C.exact
     with pytest.raises(IndexError):
         C.coeff(-1)
+
+
+def test_explicit_zeros_leave_no_trace():
+    # a series is its nonzero terms plus one floor, so zero entries, a
+    # cancelled lead included, change neither equality nor the hash
+    for exact, bottom in ((True, None), (False, -3)):
+        plain = PsdSeries.from_coeffs({2: u(0), -1: par("b")}, exact, bottom)
+        padded = PsdSeries.from_coeffs({3: as_expr(0), 2: u(0), 0: u(1) - u(1),
+                                        -1: par("b"), -3: as_expr(0)}, exact, bottom)
+        assert padded == plain and hash(padded) == hash(plain)
+        assert padded.degree() == 2 and padded.exact == exact
+    cancelled = (xi(2) + xi(1)) - xi(2)
+    assert cancelled == xi(1) and hash(cancelled) == hash(xi(1))
+
+
+def test_sum_then_difference_is_canonical_randomized():
+    rng = random.Random(53)
+
+    def with_floor(floor):
+        top = rng.randint(floor, floor + 4)
+        return rand_series(rng, top_range=(top, top), slots=top - floor + 1)
+
+    for _ in range(100):
+        A, B = with_floor(-2), with_floor(-2)
+        assert A.bottom == B.bottom == -2
+        got = (A + B) - B
+        assert got == A and hash(got) == hash(A)
+
+
+def test_coeff_below_the_floor_raises():
+    A = PsdSeries.from_coeffs({2: u(0)}, exact=False, bottom=0)
+    assert A.coeff(0).is_zero and A.coeff(3).is_zero and A.coeff(2) == u(0)
+    with pytest.raises(IndexError):
+        A.coeff(-1)
+    assert PsdSeries.from_coeffs({2: u(0)}).coeff(-50).is_zero
+
+
+def test_windows_count_from_the_degree_after_a_cancelled_lead():
+    S = PsdSeries.from_coeffs({3: as_expr(1), 2: as_expr(1), 1: u(0), 0: u(1)},
+                              exact=False, bottom=-1) - xi(3)
+    assert S.degree() == 2
+    assert compose(S, S, slots=3).bottom == 2
+    R = nth_root(S, 2)
+    assert R.bottom == S.bottom - 1
+    assert series_power(R, 2, slots=4).agrees_with(S)
