@@ -39,6 +39,7 @@ from .poly import (
     _to_univariate,
     fnsym,
     jet,
+    squarefree_factors,
     unknown_t,
 )
 
@@ -232,17 +233,21 @@ def _integrate_rational_u(R: JetExpr) -> JetExpr | None:
 
 
 def _uc_decomposition(R: JetExpr) -> dict[int, JetExpr] | None:
-    """Write R as sum a_q (u+c)^q with u-free coefficients, or None."""
+    """Write R as sum a_q (u+c)^q with u-free coefficients, or None.
+
+    The power k of u+c in R's denominator is read off its squarefree
+    factorization: the only factor involving u must be u+c itself (both are
+    primitive with a positive leading coefficient), else there is no such sum.
+    """
     ugen = jet(0)
     uc = u() + par("c")
     k = 0
-    rest = R
-    while ugen in rest.den.generators():
-        k += 1
-        rest = rest * uc
-        if k > 64:
-            return None
-    shifted = _shifted_poly_in_u(rest, par("c"))
+    for q, e, _ in squarefree_factors(R.den):
+        if ugen in q.generators():
+            if q != uc.num:
+                return None
+            k = e
+    shifted = _shifted_poly_in_u(R * uc ** k, par("c"))
     if shifted is None:
         return None
     out: dict[int, JetExpr] = {}

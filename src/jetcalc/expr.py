@@ -6,6 +6,15 @@ and coprime with the numerator, so two expressions are mathematically equal
 on this class iff their canonical forms are structurally identical and
 ``is_zero`` is a plain emptiness check on the numerator.
 
+Reduction cancels against the denominator's memoized squarefree factors
+(poly.squarefree_factors), not a gcd of the whole pair: denominators are few
+and mostly powers of linear factors such as u+c.  A factor q of multiplicity
+e that carries the degree-one certificate (degree 1 in some generator, with
+coprime coefficients there) is irreducible, so the common part is q^k for
+the k <= e trial divisions of the numerator by q that succeed; any other
+factor costs one poly_gcd(num, q^e).  The factors are pairwise coprime, so
+the product of these common parts is gcd(num, den).
+
 The abstract function symbols form a fixed derivation chain in u:
 
     rhat --d/du--> r --d/du--> f --d/du--> f' --d/du--> f'' --> ...
@@ -37,6 +46,7 @@ from .poly import (
     jet,
     param,
     poly_gcd,
+    squarefree_factors,
     subst_poly,
     unknown_t,
 )
@@ -72,10 +82,23 @@ class JetExpr:
             if c == 1:
                 return JetExpr(num, ONE)
             return JetExpr(num.scale(Fraction(1) / c), ONE)
-        g = poly_gcd(num, den)
-        if not g.is_const():
-            num = div_exact(num, g)
-            den = div_exact(den, g)
+        cancelled = ONE
+        for q, e, certified in squarefree_factors(den):
+            if certified:
+                # q is irreducible: gcd(num, q^e) is q^k for the k trial divisions that succeed
+                for _ in range(e):
+                    quot = div_exact(num, q)
+                    if quot is None:
+                        break
+                    num = quot
+                    cancelled = cancelled * q
+            else:
+                g = poly_gcd(num, q ** e)
+                if not g.is_const():
+                    num = div_exact(num, g)
+                    cancelled = cancelled * g
+        if cancelled is not ONE:
+            den = div_exact(den, cancelled)
             if den.is_const():
                 c = den.const_value()
                 return JetExpr(num.scale(Fraction(1) / c), ONE)

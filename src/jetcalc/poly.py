@@ -18,6 +18,7 @@ the empty dict over 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 
 
@@ -469,6 +470,8 @@ def _prem(a: list[Poly], b: list[Poly]) -> list[Poly]:
 
 
 def _primitive_in(coeffs: list[Poly]) -> tuple[Poly, list[Poly]]:
+    if any(c.terms and c.is_const() for c in coeffs):
+        return ONE, coeffs
     cont = ZERO
     for c in coeffs:
         cont = poly_gcd(cont, c)
@@ -609,3 +612,65 @@ def _make_primitive(p: Poly) -> Poly:
     if g == 1 and p.den == 1:
         return p
     return Poly({m: c // g for m, c in p.terms.items()})
+
+
+# -- squarefree factorization ---------------------------------------------
+
+# Distinct denominators are few (21 over Theorems 1-3 on the log branch), so
+# a small memo holds all of them.
+_FACTOR_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_FACTOR_MEMO_SIZE)
+def squarefree_factors(p: Poly) -> tuple:
+    """Pairwise-coprime squarefree factors (q, e, certified) of p.
+
+    p is a nonzero rational constant times the product of the q**e; each q
+    is primitive with a positive leading coefficient, and each irreducible
+    factor of q involves every generator of q.  ``certified`` marks a q
+    known to be irreducible over Q: it has degree 1 in some generator w and
+    its two coefficients in w have a constant gcd.  The gcd condition holds
+    for every q by the construction, because a nonconstant gcd would be a
+    factor of q free of w.
+    """
+    return tuple((q, e, 1 in _var_degrees(q).values()) for q, e in _coprime_squarefree(p))
+
+
+def _coprime_squarefree(p: Poly) -> list:
+    """Content in each generator split off recursively, then Yun's algorithm.
+
+    Once p has constant content in every generator, each irreducible factor
+    involves every generator of p, so Yun's squarefree decomposition in any
+    one of them (Yun, SYMSAC 1976) needs no further splitting.
+    """
+    p = _make_primitive(p)
+    if p.is_const():
+        return []
+    degs = _var_degrees(p)
+    gens = sorted(degs, key=lambda g: g.key)
+    for w in gens:
+        cont, coeffs = _primitive_in(_to_univariate(p, w))
+        if not cont.is_const():
+            return _coprime_squarefree(cont) + _coprime_squarefree(_from_univariate(coeffs, w))
+    v = min(gens, key=lambda g: (degs[g], g.key))
+    dp = _d(p, v)
+    b = poly_gcd(p, dp)
+    if b.is_const():
+        return [(p, 1)]
+    c = div_exact(p, b)
+    d = div_exact(dp, b) - _d(c, v)
+    out = []
+    e = 1
+    while not c.is_const():
+        a = poly_gcd(c, d)
+        if not a.is_const():
+            out.append((_make_primitive(a), e))
+            c = div_exact(c, a)
+            d = div_exact(d, a)
+        d = d - _d(c, v)
+        e += 1
+    return out
+
+
+def _d(p: Poly, v: Generator) -> Poly:
+    return p.partials((v,)).get(v, ZERO)

@@ -172,6 +172,19 @@ def test_formal_x_integrate_explicit_x():
     assert total_x(z) == x() * u(1) + u(0)
 
 
+def test_formal_x_integrate_reads_the_power_of_u_plus_c_from_the_factorization():
+    c = par("c")
+    # a u-free factor beside (u+c)^2 leaves the power of u+c readable
+    F = u(1) / ((u(0) + c) ** 2 * (c + t()))
+    z, r = formal_x_integrate(F)
+    assert r.is_zero and z == -1 / ((u(0) + c) * (c + t()))
+    # a u-dependent factor other than u+c is outside the class at once; this
+    # used to multiply by u+c up to 64 times, with a gcd each time
+    F = (24 * c ** 4 * u(0) - 48 * c ** 2 * u(0)) * u(1) / (4 * c ** 2 * u(0) ** 2 - 1)
+    z, r = formal_x_integrate(F)
+    assert z.is_zero and r == F
+
+
 def test_formal_x_integrate_antiderivative_chain():
     # u-integration through the f -> r -> rhat chain
     z, r = formal_x_integrate(fn("f") * u(1))

@@ -105,6 +105,17 @@ def test_density_with_flux_outside_the_integrators_class(capsys, tmp_path):
     assert code == 1
 
 
+def test_density_flux_with_a_denominator_other_than_u_plus_c(capsys, tmp_path):
+    # the flux u_xx - 1/(c^2*u^2 + 1) has a denominator that is not a power
+    # of u+c, so it is outside the integrator's class; this used to run for
+    # more than a minute
+    path = tmp_path / "eq.json"
+    path.write_text('{"rhs": "u_xxx + 2*c^2*u*u_x/(c^2*u^2+1)^2", "params": ["c"]}')
+    code, out, err = run(capsys, "density", "u", "--eq", str(path), "--flux")
+    assert (code, err) == (0, "")
+    assert "flux: not reconstructed (outside the integrator's class)\n" in out
+
+
 def test_density_flux_of_a_t_only_remainder(capsys, tmp_path):
     # D_t(u) = D_x(u_xx) + t: the t-only part integrates to x*t
     path = tmp_path / "eq.json"
@@ -294,9 +305,13 @@ def test_pinned_report(capsys, monkeypatch, case, mode):
 
 
 # Reports too long to store are pinned by the sha256 of stdout: the README root
-# example at the default 20 slots (89 KB) and a root with rational multipliers.
+# example at the default 20 slots (89 KB), a root with rational multipliers, and
+# the root of the log branch's symbol, frechet_hat of K for f = gamma*ln(u+c) +
+# delta, whose coefficients carry (u+c)^k denominators.
 DIGEST_PIN_CASES = {
     "root_readme": ["root", "xi^5 + b*xi^3 + f(u)*xi + f'(u)*u_x", "--n", "5"],
+    "root_log": ["root", "xi^5 + (b)*xi^3 + (gamma*ln(u+c) + delta)*xi + ((gamma*u_x)/(u + c))",
+                 "--n", "5", "--prec", "12"],
     "root_rational": ["root", "xi^5 - 2/3*b*xi^3 + 3/2*f(u)*xi - 1/3*f'(u)*u_x",
                       "--n", "5", "--prec", "16"],
 }

@@ -6,8 +6,10 @@ import pytest
 from jetcalc import (
     DivisionByZero,
     FunctionSpec,
+    GKESpec,
     InconsistentJetSubstitution,
     NotAPointFunction,
+    gke,
 )
 from jetcalc.expr import (
     JetExpr,
@@ -22,8 +24,9 @@ from jetcalc.expr import (
     u,
     x,
 )
+from jetcalc.analysis import formal_symmetry_scan
 from jetcalc.calculus import total_x
-from jetcalc.poly import fnsym, jet, param
+from jetcalc.poly import ONE, fnsym, jet, param, poly_gcd
 
 from conftest import gen_pool, random_expr
 
@@ -173,6 +176,31 @@ def test_canonical_soundness_shuffled_rebuild():
         rng.shuffle(order2)
         b = build(order2)
         assert a == b
+
+
+def test_log_scan_builds_only_canonical_expressions(monkeypatch):
+    # Theorem 3's scan on f = gamma*ln(u+c) + delta meets (u+c)^k denominators
+    # throughout; a trial division that missed a factor of one would leave a
+    # common factor behind, and structural equality would no longer be equality.
+    # A fresh equation, so that no cache filled by another test hides the work
+    eq = gke(GKESpec(FunctionSpec.log_shift()))
+    pairs = set()
+    init = JetExpr.__init__
+
+    def recording_init(self, num, den):
+        init(self, num, den)
+        pairs.add((num, den))
+
+    monkeypatch.setattr(JetExpr, "__init__", recording_init)
+    formal_symmetry_scan(eq, 13)
+    monkeypatch.undo()
+    rational = [(num, den) for num, den in pairs if den != ONE]
+    assert len(rational) > 100
+    for num, den in pairs:
+        assert not den.is_const() or den == ONE, (num, den)
+        assert poly_gcd(num, den).is_const(), (num, den)
+        assert den.den == 1 and den.content() == 1, (num, den)
+        assert den.leading()[1] > 0, (num, den)
 
 
 def test_ring_axioms_randomized():
