@@ -34,6 +34,7 @@ from .errors import (
     ConstantF,
     DivisionByZero,
     DslSyntaxError,
+    ExponentOverflow,
     InconsistentJetSubstitution,
     InsufficientPrecision,
     JetCalcError,

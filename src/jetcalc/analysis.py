@@ -234,7 +234,7 @@ def _force_from_constraint(coeff: JetExpr, forcing: Forcing) -> list[tuple[str, 
     if num.is_zero():
         return []
     per_mono = []
-    for mono, _ in num.terms.items():
+    for mono, _ in num.items():
         unknowns = [g for g, _e in mono if g.kind == KIND_UNKNOWN]
         others = [g for g, _e in mono if g.kind not in (KIND_UNKNOWN, KIND_PARAM)]
         if others:

@@ -41,6 +41,10 @@ class UnsupportedEquationShape(JetCalcError):
     """The obstruction scan is scoped to fifth-order equations of GKE shape."""
 
 
+class ExponentOverflow(JetCalcError):
+    """A generator's exponent in a monomial exceeds poly.MAX_EXPONENT."""
+
+
 class DslSyntaxError(JetCalcError):
     """Parse error with source position information."""
 

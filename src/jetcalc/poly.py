@@ -3,10 +3,21 @@
 This is the arithmetic substrate for the whole package: generators are the
 coordinates of the jet space (x, t, u and its x-derivatives), abstract
 function symbols, undetermined functions of t and named parameters.  A
-monomial is a sorted tuple of (generator, exponent) pairs.  A polynomial is
-a dict mapping monomials to int coefficients over one positive int
-denominator, as in FLINT's fmpq_poly, so the arithmetic runs on ints and
+polynomial is a dict mapping monomials to int coefficients over one positive
+int denominator, as in FLINT's fmpq_poly, so the arithmetic runs on ints and
 Fractions appear only where a single coefficient leaves the layer.
+
+A monomial is one non-negative int that packs its exponent vector (Bachmann
+& Schoenemann, ISSAC 1998; Monagan & Pearce, ASCM 2012): every generator
+owns a FIELD_BITS-wide field, fixed when it is interned, and the exponent of
+the generator is the value of its field.  The product of two monomials is
+their sum, a quotient by a divisor is a difference, and the part of a
+monomial in some generators is a mask.  The top bit of every field is a
+guard bit that no stored monomial sets, so a product whose exponent would
+exceed MAX_EXPONENT raises ExponentOverflow instead of carrying into the
+next field.  (generator, exponent) pairs sorted by generator key appear only
+where a monomial leaves the layer: ``Poly.items``, ``mono_factors`` and
+``mono_sort_key``, so no printed order depends on the order of interning.
 
 Two invariants carry this: generators are interned, so object identity is
 their equality and their hash; and a polynomial is canonical (no zero
@@ -18,8 +29,12 @@ the empty dict over 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
 from math import gcd as _int_gcd
+from operator import or_
+
+from .errors import ExponentOverflow
 
 
 # Generator kinds, in canonical order: x < t < u_{ix} < function symbols
@@ -31,19 +46,37 @@ KIND_FN = 3
 KIND_UNKNOWN = 4
 KIND_PARAM = 5
 
+# Width of one exponent field of a packed monomial.  The top bit of a field
+# is its guard bit, so an exponent is at most MAX_EXPONENT.
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_GUARD = 1 << (FIELD_BITS - 1)
+
+# Field index -> generator, in interning order, and the guard bits of every
+# field assigned so far.
+_FIELD_GENS: list = []
+_GUARDS = 0
+
 
 class Generator:
     """One coordinate of the differential-polynomial ring.
 
     Interned: one instance per (kind, name, index) key, so the inherited
     identity equality and hash are exact.  Ordering goes through ``key``.
+    Interning also assigns the generator the next free field of packed
+    monomials, once: its exponent in a monomial m is
+    ``(m >> shift) & (2**FIELD_BITS - 1)``, and ``bit == 1 << shift`` is the
+    monomial of the generator itself.  The field's top bit is a guard bit,
+    never set in a stored monomial.
     """
 
-    __slots__ = ("kind", "name", "index", "key")
+    __slots__ = ("kind", "name", "index", "key", "shift", "bit")
 
     _cache: dict[tuple, "Generator"] = {}
 
     def __new__(cls, kind: int, name: str = "", index: int = 0):
+        global _GUARDS
         key = (kind, name, index)
         gen = cls._cache.get(key)
         if gen is None:
@@ -52,6 +85,10 @@ class Generator:
             gen.name = name
             gen.index = index
             gen.key = key
+            gen.shift = FIELD_BITS * len(_FIELD_GENS)
+            gen.bit = 1 << gen.shift
+            _FIELD_GENS.append(gen)
+            _GUARDS |= _GUARD << gen.shift
             cls._cache[key] = gen
         return gen
 
@@ -91,44 +128,49 @@ def param(name: str) -> Generator:
     return Generator(KIND_PARAM, name)
 
 
-# A monomial is a tuple of (Generator, exponent) pairs sorted by generator
-# key; the empty tuple is the constant monomial.
-EMPTY_MONO: tuple = ()
+# The packed monomial with every exponent 0.
+EMPTY_MONO = 0
 
 
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ga, ea = a[i]
-        gb, eb = b[j]
-        if ga is gb:
-            out.append((ga, ea + eb))
-            i += 1
-            j += 1
-        elif ga.key < gb.key:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _overflow(m: int) -> ExponentOverflow:
+    """The error for a monomial m with a guard bit set."""
+    guards = m & _GUARDS
+    g = _FIELD_GENS[((guards & -guards).bit_length() - 1) // FIELD_BITS]
+    return ExponentOverflow(f"exponent overflow: the exponent of {g!r} exceeds {MAX_EXPONENT}")
 
 
-def mono_degree(m: tuple) -> int:
-    return sum(e for _, e in m)
+def monomial(pairs) -> int:
+    """The packed monomial of (generator, exponent) pairs, exponents >= 0."""
+    m = 0
+    for g, e in pairs:
+        if e < 0:
+            raise ValueError("negative exponent in a monomial")
+        if e > MAX_EXPONENT:
+            raise _overflow(_GUARD << g.shift)
+        m += e << g.shift
+        if m & _GUARDS:
+            raise _overflow(m)
+    return m
 
 
-def mono_sort_key(m: tuple):
+def _unpack(m: int):
+    """(generator, exponent) for each nonzero field of m, in field order."""
+    while m:
+        g = _FIELD_GENS[((m & -m).bit_length() - 1) // FIELD_BITS]
+        e = (m >> g.shift) & _FIELD_MASK
+        yield g, e
+        m -= e << g.shift
+
+
+def mono_factors(m: int) -> tuple:
+    """The (generator, exponent) pairs of m with exponent > 0, sorted by key."""
+    return tuple(sorted(_unpack(m), key=lambda ge: ge[0].key))
+
+
+def mono_sort_key(m: int):
     """Fixed total order used for leading terms and deterministic output."""
-    return (mono_degree(m), tuple((g.key, e) for g, e in m))
+    factors = mono_factors(m)
+    return (sum(e for _, e in factors), tuple((g.key, e) for g, e in factors))
 
 
 class Poly:
@@ -157,7 +199,7 @@ class Poly:
 
     @classmethod
     def gen(cls, g: Generator) -> "Poly":
-        return cls({((g, 1),): 1})
+        return cls({g.bit: 1})
 
     # -- predicates -----------------------------------------------------
 
@@ -173,15 +215,17 @@ class Poly:
         return Fraction(self.terms[EMPTY_MONO], self.den)
 
     def items(self):
-        """(monomial, Fraction coefficient) pairs."""
+        """(mono_factors(monomial), Fraction coefficient) pairs."""
         den = self.den
-        return ((m, Fraction(c, den)) for m, c in self.terms.items())
+        return ((mono_factors(m), Fraction(c, den)) for m, c in self.terms.items())
 
     def generators(self) -> set:
+        m = reduce(or_, self.terms, 0)
         gens = set()
-        for m in self.terms:
-            for g, _ in m:
-                gens.add(g)
+        while m:
+            g = _FIELD_GENS[((m & -m).bit_length() - 1) // FIELD_BITS]
+            gens.add(g)
+            m &= ~(_FIELD_MASK << g.shift)
         return gens
 
     def __bool__(self):
@@ -243,8 +287,13 @@ class Poly:
         oterms = other.terms.items()
         for m1, c1 in self.terms.items():
             for m2, c2 in oterms:
-                m = mono_mul(m1, m2)
+                m = m1 + m2
                 res[m] = get(m, 0) + c1 * c2
+        # exponents below the guard bit add without a carry between fields,
+        # so an overflow shows as a guard bit of the sum
+        overflow = reduce(or_, res) & _GUARDS
+        if overflow:
+            raise _overflow(overflow)
         if 0 in res.values():
             res = {m: c for m, c in res.items() if c}
         return _normalized(res, self.den * other.den)
@@ -285,38 +334,39 @@ class Poly:
     # -- structure ------------------------------------------------------
 
     def degree_in(self, g: Generator) -> int:
-        d = 0
-        for m in self.terms:
-            for gen, e in m:
-                if gen is g and e > d:
-                    d = e
-        return d
+        shift = g.shift
+        return max(((m >> shift) & _FIELD_MASK for m in self.terms), default=0)
 
     def split(self, gens) -> dict:
         """{outer monomial over gens: inner Poly free of gens}.
 
         self == sum(outer * inner); each inner part is nonzero.
         """
+        mask = 0
+        for g in gens:
+            mask |= _FIELD_MASK << g.shift
         buckets: dict = {}
         for m, c in self.terms.items():
-            outer = []
-            inner = []
-            for g, e in m:
-                (outer if g in gens else inner).append((g, e))
-            buckets.setdefault(tuple(outer), {})[tuple(inner)] = c
+            outer = m & mask
+            buckets.setdefault(outer, {})[m - outer] = c
         return {m: _normalized(terms, self.den) for m, terms in buckets.items()}
 
     def partials(self, gens) -> dict:
-        """{g: d self/d g} for the generators g in gens that occur, in one
-        pass over the monomials; each partial is nonzero."""
+        """{g: d self/d g} for the generators g in gens that occur, in key
+        order, so that sums over the partials repeat exactly; each partial
+        is nonzero."""
         res: dict = {}
-        for m, c in self.terms.items():
-            for idx, (g, e) in enumerate(m):
-                if g in gens:
-                    nm = m[:idx] + (((g, e - 1),) if e > 1 else ()) + m[idx + 1:]
-                    # distinct monomials give distinct nm for one g: no collisions
-                    res.setdefault(g, {})[nm] = c * e
-        return {g: _normalized(terms, self.den) for g, terms in res.items()}
+        for g in sorted(gens, key=lambda g: g.key):
+            shift, bit = g.shift, g.bit
+            terms = {}
+            for m, c in self.terms.items():
+                e = (m >> shift) & _FIELD_MASK
+                if e:
+                    # distinct monomials give distinct m - bit: no collisions
+                    terms[m - bit] = c * e
+            if terms:
+                res[g] = _normalized(terms, self.den)
+        return res
 
     def leading(self):
         """(monomial, coeff) maximal in the canonical monomial order."""
@@ -335,9 +385,10 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in sorted(self.items(), key=lambda kv: mono_sort_key(kv[0]), reverse=True):
+        for m, c in sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]), reverse=True):
+            c = Fraction(c, self.den)
             factors = [str(c)] if (c != 1 or not m) else []
-            for g, e in m:
+            for g, e in mono_factors(m):
                 factors.append(f"{g!r}^{e}" if e > 1 else repr(g))
             parts.append("*".join(factors))
         return " + ".join(parts)
@@ -385,32 +436,26 @@ def subst_poly(p: Poly, mapping: dict, lift_const, lift_gen):
 # -- exact division and gcd ---------------------------------------------
 
 def _main_var(p: Poly) -> Generator | None:
-    best = None
-    for m in p.terms:
-        for g, _ in m:
-            if best is None or best.key < g.key:
-                best = g
-    return best
+    return max(p.generators(), key=lambda g: g.key, default=None)
 
 
 def _to_univariate(p: Poly, v: Generator) -> list[Poly]:
     """Dense coefficient list in v, ascending powers."""
+    shift = v.shift
     parts = p.split((v,))
-    coeffs = [ZERO] * (max((m[0][1] for m in parts if m), default=0) + 1)
+    coeffs = [ZERO] * ((max(parts, default=0) >> shift) + 1)
     for m, inner in parts.items():
-        coeffs[m[0][1] if m else 0] = inner
+        coeffs[m >> shift] = inner
     return coeffs
 
 
 def _from_univariate(coeffs: list[Poly], v: Generator) -> Poly:
     total = ZERO
     for e, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        if e == 0:
-            total = total + c
-        else:
-            total = total + c * Poly({((v, e),): 1})
+        if c.terms:
+            # c is free of v, so adding v^e to each monomial keeps it canonical
+            mono = e << v.shift
+            total = total + Poly({m + mono: k for m, k in c.terms.items()}, c.den)
     return total
 
 
@@ -483,49 +528,45 @@ def _primitive_in(coeffs: list[Poly]) -> tuple[Poly, list[Poly]]:
     return cont, [div_exact(c, cont) for c in coeffs]
 
 
-def _mono_gcd(a: Poly, b: Poly) -> tuple:
+def _fields_at_least(a: int, b: int) -> int:
+    """The whole fields in which the exponent in a is >= the one in b.
+
+    Per field, (a | guard) - b is 2**(FIELD_BITS-1) + a_f - b_f, positive, so
+    no field borrows from the next and the guard bit survives exactly where
+    a_f >= b_f; each surviving guard bit then widens to its whole field.
+    """
+    ge = ((a | _GUARDS) - b) & _GUARDS
+    return (ge << 1) - (ge >> (FIELD_BITS - 1))
+
+
+def _mono_min(a: int, b: int) -> int:
+    """Fieldwise minimum: the gcd of two monomials."""
+    return a ^ ((a ^ b) & _fields_at_least(a, b))
+
+
+def _mono_max(a: int, b: int) -> int:
+    """Fieldwise maximum: the lcm of two monomials."""
+    return b ^ ((a ^ b) & _fields_at_least(a, b))
+
+
+def _mono_gcd(a: Poly, b: Poly) -> int:
     """Common monomial factor of all terms of a and b."""
-    common: dict = None
-    for p in (a, b):
-        for m in p.terms:
-            if common is None:
-                common = dict(m)
-            else:
-                exps = dict(m)
-                for g in list(common):
-                    e = exps.get(g, 0)
-                    if e < common[g]:
-                        if e == 0:
-                            del common[g]
-                        else:
-                            common[g] = e
-            if not common:
-                return EMPTY_MONO
-    return tuple(sorted(common.items(), key=lambda kv: kv[0].key)) if common else EMPTY_MONO
+    common = next(iter(a.terms))
+    for m in chain(a.terms, b.terms):
+        common = _mono_min(common, m)
+        if not common:
+            break
+    return common
 
 
-def _mono_divide(p: Poly, mono: tuple) -> Poly:
+def _mono_divide(p: Poly, mono: int) -> Poly:
     if not mono:
         return p
-    mdict = dict(mono)
-    res = {}
-    for m, c in p.terms.items():
-        out = []
-        for g, e in m:
-            d = mdict.get(g, 0)
-            if e > d:
-                out.append((g, e - d))
-        res[tuple(out)] = c
-    return Poly(res, p.den)
+    return Poly({m - mono: c for m, c in p.terms.items()}, p.den)
 
 
 def _var_degrees(p: Poly) -> dict:
-    degs: dict = {}
-    for m in p.terms:
-        for g, e in m:
-            if e > degs.get(g, 0):
-                degs[g] = e
-    return degs
+    return dict(_unpack(reduce(_mono_max, p.terms, 0)))
 
 
 def _content_wrt(p: Poly, vars_out: set) -> Poly:

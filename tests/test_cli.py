@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from jetcalc.cli import main, parse_f_spec
 from jetcalc.expr import FunctionSpec
+from jetcalc.poly import MAX_EXPONENT
 
 DATA = Path(__file__).parent / "data"
 ABSTRACT = str(DATA / "gke_abstract.json")
@@ -232,6 +236,16 @@ def test_deep_nesting_is_a_syntax_error(capsys):
     assert "(line 1, column " in err
 
 
+def test_exponent_overflow_is_an_input_error(capsys):
+    code, out, _ = run(capsys, "dx", f"u^{MAX_EXPONENT}")
+    assert code == 0
+    assert f"result: {MAX_EXPONENT}*u^{MAX_EXPONENT - 1}*u_x\n" in out
+    code, out, err = run(capsys, "dx", f"u^{MAX_EXPONENT + 1}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: exponent overflow: the exponent of u exceeds {MAX_EXPONENT}\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5"])
 def test_invalid_precision_env_is_an_input_error(capsys, monkeypatch, value):
     monkeypatch.setenv("JETCALC_PRECISION", value)
@@ -325,3 +339,50 @@ def test_pinned_report_digest(capsys, monkeypatch, case, mode):
     code, out, err = run(capsys, *argv)
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert {"exit": code, "stderr": err, "stdout_sha256": digest} == PINNED[f"{case}/{mode}"]
+
+
+# A generator owns the monomial field it was interned into, for the life of the
+# process, and which tests ran first decides that inside a pytest session.  So
+# each interning order runs in a fresh interpreter that interns a dozen
+# unrelated generators, then runs the commands in one order and in the other.
+INTERNING_CASES = {
+    "root_readme_12": ["root", "xi^5 + b*xi^3 + f(u)*xi + f'(u)*u_x", "--n", "5", "--prec", "12"],
+    "root_log": DIGEST_PIN_CASES["root_log"],
+    "theorem1_log": ["kawahara", "verify", "--theorem", "1", "--f", "log:gamma,delta,c"],
+}
+INTERNING_SCRIPT = """
+import contextlib, io, json, sys
+from jetcalc.cli import main
+from jetcalc.poly import fnsym, param, unknown_t
+for i in range(4):
+    param(f"zz{i}"), fnsym(f"gg{i}"), unknown_t(f"hh{i}")
+reports = []
+for case in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(json.loads(sys.argv[2])[case])
+    reports.append((case, code, out.getvalue()))
+print(json.dumps(reports))
+"""
+
+
+def test_reports_do_not_depend_on_interning_order(monkeypatch):
+    monkeypatch.delenv("JETCALC_PRECISION", raising=False)
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    forward = sorted(INTERNING_CASES)
+    reports = {}
+    for first in (forward, forward[::-1]):
+        order = first + first[::-1]
+        proc = subprocess.run([sys.executable, "-c", INTERNING_SCRIPT, json.dumps(order),
+                               json.dumps(INTERNING_CASES)],
+                              env=env, capture_output=True, text=True, check=True)
+        for case, code, out in json.loads(proc.stdout):
+            reports.setdefault(case, set()).add((code, out))
+    assert all(len(seen) == 1 for seen in reports.values()), sorted(reports)
+    (code, out), = reports["root_log"]
+    assert {"exit": code, "stderr": "", "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()} \
+        == PINNED["root_log/text"]
+    (code, out), = reports["theorem1_log"]
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "theorem1_log.txt").read_text()

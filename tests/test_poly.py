@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from jetcalc import FunctionSpec, GKESpec, gke
+import pytest
+
+from jetcalc import ExponentOverflow, FunctionSpec, GKESpec, gke
 from jetcalc.analysis import formal_symmetry_scan
 from jetcalc.dsl import parse_series
 from jetcalc.poly import (
     EMPTY_MONO,
+    FIELD_BITS,
+    MAX_EXPONENT,
     ONE,
     T,
     X,
@@ -15,7 +19,10 @@ from jetcalc.poly import (
     _to_univariate,
     fnsym,
     jet,
+    mono_factors,
+    monomial,
     param,
+    unknown_t,
 )
 from jetcalc.series import nth_root
 
@@ -46,7 +53,7 @@ def dense_reference(p: Poly, v) -> list[Poly]:
                 terms[rest] = terms.get(rest, Fraction(0)) + c
         coeff = ZERO
         for rest, c in terms.items():
-            coeff = coeff + Poly.const(c) * Poly({rest: 1})
+            coeff = coeff + Poly.const(c) * Poly({monomial(rest): 1})
         out.append(coeff)
     return out
 
@@ -58,7 +65,7 @@ def test_split_recombines():
         gens = set(rng.sample(POOL, rng.randint(0, 4)))
         total = ZERO
         for outer, inner in p.split(gens).items():
-            assert all(g in gens for g, _ in outer)
+            assert all(g in gens for g, _ in mono_factors(outer))
             assert not inner.is_zero()
             total = total + Poly({outer: 1}) * inner
         assert total == p
@@ -78,7 +85,7 @@ def test_split_edge_cases():
     assert ONE.split({X}) == {EMPTY_MONO: ONE}
     p = Poly.gen(X) * Poly.gen(T) + Poly.gen(T)
     assert p.split(set()) == {EMPTY_MONO: p}
-    assert p.split({X, T}) == {((X, 1), (T, 1)): ONE, ((T, 1),): ONE}
+    assert p.split({X, T}) == {monomial([(X, 1), (T, 1)]): ONE, monomial([(T, 1)]): ONE}
 
 
 def test_to_univariate_matches_dense_reference():
@@ -89,7 +96,14 @@ def test_to_univariate_matches_dense_reference():
         assert _to_univariate(p, v) == dense_reference(p, v)
 
 
+def _guard_bits(nbits: int) -> int:
+    """The top bit of every monomial field below bit nbits, and of one more."""
+    return int(("1" + "0" * (FIELD_BITS - 1)) * (nbits // FIELD_BITS + 1), 2)
+
+
 def _assert_canonical(p: Poly):
+    guards = _guard_bits(max(p.terms, default=0).bit_length())
+    assert all(type(m) is int and m >= 0 and not m & guards for m in p.terms), p
     assert all(type(c) is int and c != 0 for c in p.terms.values()), p
     assert type(p.den) is int and p.den >= 1, p
     assert gcd(p.den, *p.terms.values()) == 1, p
@@ -114,3 +128,58 @@ def test_every_poly_of_a_scan_and_a_root_is_canonical(monkeypatch):
     assert max(built) > 1
     for p in (ZERO, ONE):
         _assert_canonical(p)
+
+
+def test_monomial_round_trip():
+    # interned against the key order, so their fields run opposite to it
+    late = [param("zz_late"), unknown_t("h_late"), fnsym("g_late"), jet(97)]
+    pool = POOL + late
+    assert [g.shift for g in late] == sorted(g.shift for g in late)
+    rng = random.Random(64)
+    for _ in range(300):
+        gens = rng.sample(pool, rng.randint(0, len(pool)))
+        pairs = tuple(sorted(((g, rng.randint(1, MAX_EXPONENT)) for g in gens),
+                             key=lambda ge: ge[0].key))
+        m = monomial(pairs)
+        assert mono_factors(m) == pairs
+        assert Poly({m: 1}).generators() == set(gens)
+    assert monomial([]) == EMPTY_MONO and mono_factors(EMPTY_MONO) == ()
+
+
+def test_partials_come_in_key_order():
+    # sums over the partials then repeat exactly, whatever the set order of gens
+    rng = random.Random(65)
+    for _ in range(100):
+        p = random_poly(rng)
+        gens = rng.sample(POOL, rng.randint(1, len(POOL)))
+        parts = p.partials(gens)
+        assert list(parts) == sorted(parts, key=lambda g: g.key)
+        assert list(p.partials(gens[::-1])) == list(parts)
+
+
+def test_leading_follows_the_key_order_not_the_interning_order():
+    zb, za = param("zz_lead_b"), param("zz_lead_a")  # za takes the higher field
+    a, b = Poly.gen(za), Poly.gen(zb)
+    assert (b - a).leading() == (monomial([(zb, 1)]), 1)
+    assert (a * b - b * b).leading() == (monomial([(zb, 2)]), -1)
+    assert (a * b - b * b - a).leading() == (monomial([(zb, 2)]), -1)
+    assert (a * a * b + b ** 3).leading() == (monomial([(zb, 3)]), 1)
+
+
+def test_exponent_overflow_is_an_error():
+    u = Poly.gen(jet(0))
+    top = u ** MAX_EXPONENT
+    assert top.terms == {monomial([(jet(0), MAX_EXPONENT)]): 1}
+    assert top.degree_in(jet(0)) == MAX_EXPONENT
+    assert (top * Poly.gen(jet(1))).degree_in(jet(0)) == MAX_EXPONENT
+    with pytest.raises(ExponentOverflow, match=f"exponent of u exceeds {MAX_EXPONENT}"):
+        u ** (MAX_EXPONENT + 1)
+    with pytest.raises(ExponentOverflow):
+        top * u
+    # the sum of two fields stays below the next field but sets the guard bit
+    with pytest.raises(ExponentOverflow):
+        top * top
+    with pytest.raises(ExponentOverflow):
+        monomial([(jet(0), MAX_EXPONENT + 1)])
+    with pytest.raises(ExponentOverflow):
+        monomial([(jet(0), MAX_EXPONENT), (jet(0), 1)])
