@@ -194,7 +194,6 @@ class Forcing:
 class ScanStep:
     xi_index: int
     coefficient_name: str
-    equation: str
     reduced_constraints: list[JetExpr] = field(default_factory=list)
     forced: list[str] = field(default_factory=list)
     solved_coefficient: JetExpr | None = None
@@ -308,8 +307,7 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
         F = forcing.apply(total_t(solved.get(m, ZERO_EXPR), eq)
                           - product_coeff(dk, solved, m, dx)
                           + product_coeff(solved, dk, m, dx))
-        step = ScanStep(xi_index=m, coefficient_name=name,
-                        equation=f"-5*D_x({name}) = {(-F)!r}")
+        step = ScanStep(xi_index=m, coefficient_name=name)
         report.steps.append(step)
 
         # exactness: the integrand F/5 must have vanishing variational

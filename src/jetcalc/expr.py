@@ -47,7 +47,6 @@ from .poly import (
     param,
     poly_gcd,
     squarefree_factors,
-    subst_poly,
     unknown_t,
 )
 
@@ -99,9 +98,6 @@ class JetExpr:
                     cancelled = cancelled * g
         if cancelled is not ONE:
             den = div_exact(den, cancelled)
-            if den.is_const():
-                c = den.const_value()
-                return JetExpr(num.scale(Fraction(1) / c), ONE)
         c = den.content()
         _, lead = den.leading()
         if lead < 0:
@@ -361,15 +357,29 @@ def partial_u_total(e: JetExpr) -> JetExpr:
     return derive(e, u_image)
 
 
+def _evaluate(p: Poly, mapping: dict) -> JetExpr:
+    """p with the generators in mapping replaced by their values; each power
+    g**e is formed once."""
+    total = None
+    powers: dict = {}
+    for mono, c in p.items():
+        term = JetExpr.from_const(c)
+        for g, e in mono:
+            v = powers.get((g, e))
+            if v is None:
+                v = powers[(g, e)] = mapping.get(g, JetExpr.from_gen(g)) ** e
+            term = term * v
+        total = term if total is None else total + term
+    return ZERO_EXPR if total is None else total
+
+
 def substitute_map(e: JetExpr, mapping: dict) -> JetExpr:
     """Simultaneous replacement of generators by expressions, renormalized."""
     e = as_expr(e)
     relevant = {g: as_expr(v) for g, v in mapping.items() if g in e.generators()}
     if not relevant:
         return e
-    num = subst_poly(e.num, relevant, JetExpr.from_const, JetExpr.from_gen)
-    den = subst_poly(e.den, relevant, JetExpr.from_const, JetExpr.from_gen)
-    return num / den
+    return _evaluate(e.num, relevant) / _evaluate(e.den, relevant)
 
 
 def substitute(e: JetExpr, g: Generator, v) -> JetExpr:

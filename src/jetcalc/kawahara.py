@@ -47,13 +47,8 @@ from .series import _fraction_nth_root
 
 @dataclass(frozen=True)
 class GKESpec:
-    """Equation data: the dispersion parameter name and the nonlinearity."""
+    """Equation data: the nonlinearity; the dispersion parameter is b."""
     f: FunctionSpec
-    b: str = "b"
-
-    @property
-    def b_expr(self) -> JetExpr:
-        return par(self.b)
 
 
 def _branch(f: FunctionSpec) -> str:
@@ -75,7 +70,7 @@ def gke(spec: GKESpec) -> EvolutionEquation:
     """Build u_t = u_5x + b u_xxx + f(u) u_x with f specialized per spec."""
     if _branch(spec.f) == "constant":
         raise ConstantF("f must be nonconstant (df/du != 0)")
-    rhs = u(5) + spec.b_expr * u(3) + specialize_f(fn("f"), spec.f) * u(1)
+    rhs = u(5) + par("b") * u(3) + specialize_f(fn("f"), spec.f) * u(1)
     return EvolutionEquation(rhs, spec.f)
 
 
@@ -122,7 +117,7 @@ def normalize_quadratic_f(spec: GKESpec) -> tuple[GKESpec, QuadraticNormalizatio
         relation = (scale ** 2, p2)
     record = QuadraticNormalization(u_shift=shift, x_shift_rate=p0_tilde,
                                     scale=scale, scale_relation=relation)
-    return GKESpec(f=FunctionSpec.quadratic(), b=spec.b), record
+    return GKESpec(f=FunctionSpec.quadratic()), record
 
 
 # -- the catalog ---------------------------------------------------------------
@@ -152,14 +147,14 @@ class DensityFluxPair:
     density_diff_vs_printed: JetExpr | None = None
 
 
-def catalog(b: str = "b") -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair]]:
+def catalog() -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair]]:
     """The published symmetries and conservation laws, with their domains.
 
     rho4 carries the beta*t*u completion required for f = alpha*u + beta with
     beta != 0; the published form (valid for beta = 0) is kept as
     printed_density and reported through the diff field.
     """
-    bb = par(b)
+    bb = par("b")
     alpha, beta = par("alpha"), par("beta")
     gamma, c = par("gamma"), par("c")
     f = fn("f")
@@ -252,12 +247,12 @@ def verify_entry(entry, eq: EvolutionEquation) -> bool:
     return d.verified
 
 
-def verify_catalog(b: str = "b") -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair]]:
+def verify_catalog() -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair]]:
     """Verify every catalog entry in its own domain; fill fluxes and diffs."""
-    syms, dens = catalog(b)
-    eqs = {"abstract": gke(GKESpec(FunctionSpec.abstract(), b)),
-           "linear": gke(GKESpec(FunctionSpec.linear(), b)),
-           "logshift": gke(GKESpec(FunctionSpec.log_shift(), b))}
+    syms, dens = catalog()
+    eqs = {"abstract": gke(GKESpec(FunctionSpec.abstract())),
+           "linear": gke(GKESpec(FunctionSpec.linear())),
+           "logshift": gke(GKESpec(FunctionSpec.log_shift()))}
     for entry in syms + dens:
         verify_entry(entry, eqs[entry.domain])
     return syms, dens
@@ -299,7 +294,7 @@ def verify_theorem_1(spec: GKESpec) -> TheoremReport:
     """Residual checks for the applicable Q's plus the point-symmetry ansatz."""
     eq = gke(spec)
     branch = _branch(spec.f)
-    syms, _ = catalog(spec.b)
+    syms, _ = catalog()
     report = TheoremReport(theorem=1, spec=spec, verified=True)
     dependent = linear_dependence_gate(spec)
     report.details.append(
@@ -327,7 +322,7 @@ def verify_theorem_2(spec: GKESpec) -> TheoremReport:
     """Density checks, flux reconstruction, characteristic order bounds."""
     eq = gke(spec)
     branch = _branch(spec.f)
-    _, dens = catalog(spec.b)
+    _, dens = catalog()
     report = TheoremReport(theorem=2, spec=spec, verified=True)
     for d in dens:
         if d.domain not in ("abstract", branch):

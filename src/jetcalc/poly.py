@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
 from math import gcd as _int_gcd
 from operator import or_
 
@@ -408,31 +407,6 @@ def _normalized(terms: dict, den: int) -> Poly:
     return Poly(terms, den)
 
 
-# -- substitution -------------------------------------------------------
-
-def subst_poly(p: Poly, mapping: dict, lift_const, lift_gen):
-    """Evaluate p with some generators replaced by ring elements.
-
-    Values must support +, * and ** with each other; lift_const/lift_gen
-    embed rational constants and untouched generators into the target ring
-    (used with JetExpr values by the expression layer).
-    """
-    total = None
-    pow_cache: dict = {}
-    for m, c in p.items():
-        term = lift_const(c)
-        for g, e in m:
-            key = (g, e)
-            v = pow_cache.get(key)
-            if v is None:
-                base = mapping.get(g)
-                v = (base if base is not None else lift_gen(g)) ** e
-                pow_cache[key] = v
-            term = term * v
-        total = term if total is None else total + term
-    return total if total is not None else lift_const(Fraction(0))
-
-
 # -- exact division and gcd ---------------------------------------------
 
 def _main_var(p: Poly) -> Generator | None:
@@ -460,7 +434,12 @@ def _from_univariate(coeffs: list[Poly], v: Generator) -> Poly:
 
 
 def div_exact(a: Poly, b: Poly) -> Poly | None:
-    """Exact quotient a/b, or None when b does not divide a."""
+    """Exact quotient a/b, or None when b does not divide a.
+
+    Long division in the main variable v of b, one quotient degree at a time
+    from the highest, each quotient coefficient an exact quotient of the
+    leading coefficients in v.
+    """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
@@ -468,29 +447,21 @@ def div_exact(a: Poly, b: Poly) -> Poly | None:
     if b.is_const():
         return a.scale(Fraction(1) / b.const_value())
     v = _main_var(b)
-    ac = _to_univariate(a, v)
+    rem = _to_univariate(a, v)
     bc = _to_univariate(b, v)
     db = len(bc) - 1
-    lead_b = bc[-1]
-    quot = [ZERO] * (len(ac) - db) if len(ac) > db else []
-    rem = list(ac)
-    while len(rem) - 1 >= db and any(not c.is_zero() for c in rem):
-        # strip trailing zeros
-        while rem and rem[-1].is_zero():
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        q = div_exact(rem[-1], lead_b)
+    quot = [ZERO] * max(len(rem) - db, 0)
+    for k in reversed(range(len(quot))):
+        if not rem[k + db].terms:
+            continue
+        q = div_exact(rem[k + db], bc[-1])
         if q is None:
             return None
-        shift = len(rem) - 1 - db
-        quot[shift] = q
-        for i, c in enumerate(bc):
-            rem[shift + i] = rem[shift + i] - q * c
-        if not rem[-1].is_zero():
-            return None
-        rem.pop()
-    if any(not c.is_zero() for c in rem):
+        quot[k] = q
+        # the slot k + db cancels exactly and is never read again
+        for i in range(db):
+            rem[k + i] = rem[k + i] - q * bc[i]
+    if any(c.terms for c in rem[:db]):
         return None
     return _from_univariate(quot, v)
 
@@ -515,16 +486,14 @@ def _prem(a: list[Poly], b: list[Poly]) -> list[Poly]:
 
 
 def _primitive_in(coeffs: list[Poly]) -> tuple[Poly, list[Poly]]:
+    """(content, primitive part) of a dense coefficient list in some variable."""
     if any(c.terms and c.is_const() for c in coeffs):
         return ONE, coeffs
     cont = ZERO
     for c in coeffs:
         cont = poly_gcd(cont, c)
-        if cont.is_const() and not cont.is_zero():
-            cont = ONE
-            break
-    if cont.is_zero() or cont == ONE:
-        return ONE, coeffs
+        if cont == ONE:
+            return ONE, coeffs
     return cont, [div_exact(c, cont) for c in coeffs]
 
 
@@ -539,108 +508,46 @@ def _fields_at_least(a: int, b: int) -> int:
     return (ge << 1) - (ge >> (FIELD_BITS - 1))
 
 
-def _mono_min(a: int, b: int) -> int:
-    """Fieldwise minimum: the gcd of two monomials."""
-    return a ^ ((a ^ b) & _fields_at_least(a, b))
-
-
 def _mono_max(a: int, b: int) -> int:
     """Fieldwise maximum: the lcm of two monomials."""
     return b ^ ((a ^ b) & _fields_at_least(a, b))
-
-
-def _mono_gcd(a: Poly, b: Poly) -> int:
-    """Common monomial factor of all terms of a and b."""
-    common = next(iter(a.terms))
-    for m in chain(a.terms, b.terms):
-        common = _mono_min(common, m)
-        if not common:
-            break
-    return common
-
-
-def _mono_divide(p: Poly, mono: int) -> Poly:
-    if not mono:
-        return p
-    return Poly({m - mono: c for m, c in p.terms.items()}, p.den)
 
 
 def _var_degrees(p: Poly) -> dict:
     return dict(_unpack(reduce(_mono_max, p.terms, 0)))
 
 
-def _content_wrt(p: Poly, vars_out: set) -> Poly:
-    """Gcd of the coefficients of p split by monomials in vars_out."""
-    cont = ZERO
-    for inner in p.split(vars_out).values():
-        cont = poly_gcd(cont, inner)
-        if cont == ONE:
-            return ONE
-    return cont
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd in Q[generators]; constants collapse to 1."""
+    """Primitive gcd in Q[generators] with a positive leading coefficient;
+    constants collapse to 1.
+
+    The recursive content / primitive PRS algorithm (Brown, J. ACM 18, 1971;
+    Geddes, Czapor & Labahn, Algorithms for Computer Algebra, 1992, ch. 7):
+    in a main variable v, the one of smallest worst-case degree, the gcd is
+    the gcd of the two contents in v, a recursive call without v, times the
+    last nonzero remainder of the pseudo-remainder sequence of the primitive
+    parts, each remainder made primitive in v.  A v that occurs in one
+    operand only leaves the other a constant in v, so the sequence is empty.
+    """
     if a.is_zero():
         return _make_primitive(b)
     if b.is_zero():
         return _make_primitive(a)
     if a.is_const() or b.is_const():
         return ONE
-    if a.terms == b.terms:
-        return _make_primitive(a)
-    # common monomial part, handled cheaply up front
-    mono = _mono_gcd(a, b)
-    if mono:
-        a = _mono_divide(a, mono)
-        b = _mono_divide(b, mono)
-    lead = Poly({mono: 1}) if mono else ONE
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return lead
     da = _var_degrees(a)
     db = _var_degrees(b)
-    common = set(da) & set(db)
-    if not common:
-        return lead
-    # the gcd of the rest only involves shared variables
-    extra_a = set(da) - common
-    extra_b = set(db) - common
-    if extra_a:
-        a = _content_wrt(a, extra_a)
-        if a.is_const():
-            return lead
-    if extra_b:
-        b = _content_wrt(b, extra_b)
-        if b.is_const():
-            return lead
-    if extra_a or extra_b:
-        inner = poly_gcd(a, b)
-        return lead * inner if not inner.is_const() else lead
-    # main variable: smallest worst-case degree for a tame PRS
-    v = min(common, key=lambda g: (max(da[g], db[g]), g.key))
+    v = min(da.keys() | db.keys(), key=lambda g: (max(da.get(g, 0), db.get(g, 0)), g.key))
     ca, pa = _primitive_in(_to_univariate(a, v))
     cb, pb = _primitive_in(_to_univariate(b, v))
-    cont = poly_gcd(ca, cb)
     if len(pa) < len(pb):
         pa, pb = pb, pa
-    while True:
+    while len(pb) > 1:
         r = _prem(pa, pb)
-        while r and r[-1].is_zero():
-            r.pop()
         if not r:
-            g = pb
             break
-        if len(r) == 1:
-            g = [ONE]
-            break
-        _, r = _primitive_in(r)
-        pa, pb = pb, r
-    _, g = _primitive_in(g)
-    res = _from_univariate(g, v)
-    res = _make_primitive(res)
-    if not cont.is_const():
-        res = cont * res
-    return lead * res if mono else res
+        pa, pb = pb, _primitive_in(r)[1]
+    return _make_primitive(poly_gcd(ca, cb) * _from_univariate(pb, v))
 
 
 def _make_primitive(p: Poly) -> Poly:

@@ -63,13 +63,13 @@ def _check(p: Poly, s, *context):
     assert p == ref and hash(p) == hash(ref), context
 
 
-def _random_poly(rng: random.Random, max_terms=4, max_factors=2, max_exp=2) -> Poly:
+def _random_poly(rng: random.Random, max_terms=4, max_factors=2, max_exp=2, gens=GENS) -> Poly:
     total = ZERO
     for _ in range(rng.randint(1, max_terms)):
         term = Poly.const(Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 6)),
                                    rng.choice((1, 1, 2, 3, 4))))
         for _ in range(rng.randint(0, max_factors)):
-            term = term * Poly.gen(rng.choice(GENS)) ** rng.randint(1, max_exp)
+            term = term * Poly.gen(rng.choice(gens)) ** rng.randint(1, max_exp)
         total = total + term
     return total
 
@@ -146,6 +146,22 @@ def test_split_matches_sympy():
             _check(inner, R.from_dict(grouped[_exps(mono_factors(outer))]), case, p, gens)
 
 
+def _main_gen(p: Poly):
+    # the variable div_exact divides in: the largest generator of the divisor
+    return max(p.generators(), key=lambda g: g.key)
+
+
+def _check_division(a: Poly, b: Poly, *context) -> bool:
+    q_s, r_s = _to_ring(a).div(_to_ring(b))
+    q = div_exact(a, b)
+    if r_s:
+        assert q is None, context
+        return False
+    assert q is not None, context
+    _check(q, q_s, *context)
+    return True
+
+
 def test_div_exact_matches_sympy():
     rng = random.Random(705)
     exact = 0
@@ -155,30 +171,100 @@ def test_div_exact_matches_sympy():
             a = b * _random_poly(rng, max_terms=3)
         else:
             a = _random_poly(rng)
-        q_s, r_s = _to_ring(a).div(_to_ring(b))
-        q = div_exact(a, b)
-        if r_s:
-            assert q is None, (case, a, b)
-        else:
-            exact += 1
-            assert q is not None, (case, a, b)
-            _check(q, q_s, case, a, b)
+        exact += _check_division(a, b, case, a, b)
     assert 150 < exact < 400
 
 
+def test_div_exact_low_degree_dividend_matches_sympy():
+    # the dividend's degree in the divisor's main variable v is below the
+    # divisor's, so no quotient degree exists and the division must fail
+    rng = random.Random(707)
+    for case in range(200):
+        b = _random_nonzero(rng, max_terms=3, max_exp=3)
+        while b.is_const():
+            b = _random_nonzero(rng, max_terms=3, max_exp=3)
+        v = _main_gen(b)
+        rest = tuple(g for g in GENS if g is not v)
+        a = ZERO
+        for k in range(b.degree_in(v)):
+            a = a + _random_poly(rng, max_terms=2, gens=rest) * Poly.gen(v) ** k
+        if a.is_zero():
+            continue
+        assert not _check_division(a, b, case, a, b)
+
+
+def test_div_exact_gapped_dividend_matches_sympy():
+    # divisor and quotient p0 + p_d v^d with d >= 2, so the dividend has zero
+    # coefficients between nonzero powers of the divisor's main variable v
+    rng = random.Random(708)
+    exact = 0
+    for case in range(200):
+        v = rng.choice(GENS[1:])
+        rest = tuple(g for g in GENS if g.key < v.key)
+        if not rest:
+            continue
+
+        def gapped():
+            low = _random_nonzero(rng, max_terms=2, gens=rest)
+            high = _random_nonzero(rng, max_terms=2, gens=rest)
+            return low + high * Poly.gen(v) ** rng.randint(2, 3)
+
+        b = gapped()
+        a = b * gapped()
+        if rng.random() < 0.5:
+            a = a + _random_nonzero(rng, max_terms=1, gens=rest) * Poly.gen(v)
+        assert _main_gen(b) is v and b.degree_in(v) >= 2, (case, b)
+        exact += _check_division(a, b, case, a, b)
+    assert 50 < exact < 200
+
+
+def _check_gcd(a: Poly, b: Poly, *context) -> Poly:
+    # sympy's gcd over QQ is monic, the engine's is primitive with a
+    # positive leading coefficient, so the two agree up to a rational unit
+    h = poly_gcd(a, b)
+    assert _to_ring(h).monic() == _to_ring(a).gcd(_to_ring(b)).monic(), context
+    assert h.content() == 1 and h.leading()[1] > 0, context
+    return h
+
+
 def test_poly_gcd_matches_sympy():
-    # planted common factors; sympy's gcd over QQ is monic, the engine's is
-    # primitive, so the two agree up to a rational unit
+    # planted common factors
     rng = random.Random(706)
     nontrivial = 0
     for case in range(1500):
         g = _random_nonzero(rng, max_terms=3)
         a = g * _random_nonzero(rng, max_terms=3)
         b = g * _random_nonzero(rng, max_terms=3) if rng.random() < 0.9 else ZERO
-        h = poly_gcd(a, b)
-        expected = _to_ring(a).gcd(_to_ring(b))
-        assert _to_ring(h).monic() == expected.monic(), (case, a, b, h)
-        assert h.content() == 1, (case, a, b, h)
+        h = _check_gcd(a, b, case, a, b)
         assert div_exact(a, h) is not None, (case, a, b, h)
         nontrivial += h != ONE
     assert nontrivial > 1000
+
+
+def test_poly_gcd_planted_shapes_match_sympy():
+    # operands over disjoint generator sets, with a common monomial factor,
+    # single terms, and equal operands up to a rational unit
+    rng = random.Random(709)
+    for case in range(300):
+        split = rng.randint(1, len(GENS) - 1)
+        left, right = GENS[:split], GENS[split:]
+        a = _random_nonzero(rng, max_terms=3, gens=left)
+        b = _random_nonzero(rng, max_terms=3, gens=right)
+        assert _check_gcd(a, b, case, "disjoint", a, b) == ONE
+
+        mono = Poly.const(1)
+        for _ in range(rng.randint(1, 3)):
+            mono = mono * Poly.gen(rng.choice(GENS)) ** rng.randint(1, 3)
+        g = _random_nonzero(rng, max_terms=2)
+        a = mono * g * _random_nonzero(rng, max_terms=3)
+        b = mono * _random_nonzero(rng, max_terms=3, max_factors=3)
+        h = _check_gcd(a, b, case, "monomial", a, b)
+        assert div_exact(h, mono) is not None, (case, a, b, h)
+
+        term = _random_nonzero(rng, max_terms=1, max_factors=3)
+        _check_gcd(term, a, case, "single term", term, a)
+        _check_gcd(a, term, case, "single term", a, term)
+
+        c = _random_scalar(rng) or Fraction(-1)
+        _check_gcd(a, a, case, "equal", a)
+        assert _check_gcd(a, a.scale(c), case, "unit multiple", a, c) == poly_gcd(a, ZERO)
