@@ -234,6 +234,7 @@ GOLDEN_CASES = [
     ("theorem1_log.txt", ["kawahara", "verify", "--theorem", "1", "--f", "log:gamma,delta,c"]),
     ("theorem2_abstract.txt", ["kawahara", "verify", "--theorem", "2", "--f", "abstract"]),
     ("theorem2_linear.txt", ["kawahara", "verify", "--theorem", "2", "--f", "linear:alpha,beta"]),
+    ("theorem2_log.txt", ["kawahara", "verify", "--theorem", "2", "--f", "log:gamma,delta,c"]),
     ("theorem3_abstract.txt", ["kawahara", "verify", "--theorem", "3", "--f", "abstract"]),
     ("theorem3_quadratic.txt", ["kawahara", "verify", "--theorem", "3", "--f", "quadratic"]),
 ]

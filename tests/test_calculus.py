@@ -13,13 +13,14 @@ from jetcalc.calculus import (
     total_t,
     total_x,
 )
-from jetcalc.expr import as_expr, fn, par, partial, t, u, unk, x
+from jetcalc.expr import as_expr, fn, ln_shift, par, partial, t, u, unk, x
 from jetcalc.series import PsdSeries
 
 from conftest import gen_pool, random_expr
 
 
 b = par("b")
+c = par("c")
 
 
 def K_abstract():
@@ -195,6 +196,23 @@ def test_formal_x_integrate_antiderivative_chain():
     # quadratic pattern r*f integrates to r^2/2
     z, r = formal_x_integrate(fn("r") * fn("f") * u(1))
     assert r.is_zero and z == fn("r") ** 2 / 2
+
+
+@pytest.mark.parametrize("F", [
+    fn("f") * ln_shift() * u(1),  # two symbol families in one product
+    u(1) / fn("f"),  # a symbol in the denominator
+    u(1) * ln_shift() / fn("f"),
+    ln_shift() * u(1) / (u(0) ** 2 + 1),  # a denominator other than (u+c)^k
+    fn("f") * u(1) / (u(0) + c),
+    fn("rhat") * u(1),  # nothing integrates to rhat
+], ids=["f_ln", "over_f", "ln_over_f", "ln_over_u2_plus_1", "f_over_u_plus_c", "rhat"])
+def test_formal_x_integrate_refuses_outside_the_class(F):
+    assert formal_x_integrate(F) == (0, F)
+
+
+def test_formal_x_integrate_log_power_by_parts():
+    z, r = formal_x_integrate(ln_shift() ** 2 * u(1) / (u(0) + c))
+    assert r.is_zero and z == ln_shift() ** 3 / 3
 
 
 def test_formal_x_integrate_roundtrip_randomized():

@@ -294,6 +294,7 @@ PIN_CASES = {
     "symmetry": ["symmetry", "t*u_x + 1/alpha", "--eq", "data/gke_linear.json"],
     "symmetry_residual": ["symmetry", "u", "--eq", "data/gke_abstract.json"],
     "density_flux": ["density", "u^2", "--eq", "data/gke_abstract.json", "--flux"],
+    "density_flux_log": ["density", "u", "--eq", "data/gke_log.json", "--flux"],
     "density_not_conserved": ["density", "u^3", "--eq", "data/gke_abstract.json"],
     "trivial": ["trivial", "u*u_xx + u_x^2"],
     "nontrivial": ["trivial", "u"],
