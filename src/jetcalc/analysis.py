@@ -59,7 +59,14 @@ def is_conserved_density(eq: EvolutionEquation, rho: JetExpr) -> bool:
 
 
 def reconstruct_flux(eq: EvolutionEquation, rho: JetExpr) -> JetExpr:
-    """The flux sigma with D_t(rho) = D_x(sigma), ker-D_x part dropped."""
+    """The flux sigma with D_t(rho) = D_x(sigma) that formal_x_integrate builds.
+
+    sigma is fixed up to ker D_x by the integrator's choices: antiderivatives
+    in u are built on powers of u, or on powers of u+c where u+c divides the
+    denominator, each with a zero constant.  So a flux may carry terms that
+    depend only on t and the parameters, such as the -c*gamma in the flux of
+    rho = u on the log branch.
+    """
     dt_rho = total_t(as_expr(rho), eq)
     zeta, residual = formal_x_integrate(dt_rho)
     if not residual.is_zero:
@@ -123,7 +130,7 @@ def rank_of(eq: EvolutionEquation, L: PsdSeries, require: int | None = None,
         return RankResult(m + n - d)
     if res.exact:
         return RankResult(None, unbounded=True)
-    k = m + n - (res.bottom - 1)
+    k = m + n - (res.floor - 1)
     if require is not None and k < require:
         raise InsufficientPrecision(
             f"residual window certifies rank >= {k} < required {require}")

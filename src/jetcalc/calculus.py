@@ -3,7 +3,10 @@
 total_x / total_t are the total derivatives (D_t restricted to an evolution
 equation u_t = K), frechet the linearization operator, euler the variational
 derivative, and formal_x_integrate a top-order stripping inverse of D_x that
-reports an irreducible residual instead of failing.
+reports an irreducible residual instead of failing.  One stripping loop runs
+over both chains: u -> u_x -> u_xx -> ... under D_x, and rhat -> r -> f ->
+f' -> ... under d/du, where an exact expression is affine in its top symbol
+and the slope is integrated in the predecessor; ln(u+c) powers go by parts.
 """
 
 from __future__ import annotations
@@ -180,6 +183,68 @@ def euler(F: JetExpr) -> JetExpr:
 # -- formal integration in x -------------------------------------------------
 
 
+def _strip(F: JetExpr, derivation, piece) -> tuple[JetExpr, JetExpr]:
+    """(zeta, rem) with F = derivation(zeta) + rem: while piece(rem) returns
+    an antiderivative C of the top part of rem, add C to zeta and subtract
+    derivation(C) from rem."""
+    zeta = ZERO_EXPR
+    rem = F
+    while not rem.is_zero:
+        C = piece(rem)
+        if C is None:
+            break
+        zeta = zeta + C
+        rem = rem - derivation(C)
+    return zeta, rem
+
+
+def _affine_piece(rem: JetExpr, H: Generator, pred: Generator) -> JetExpr | None:
+    """Antiderivative in pred of drem/dH when rem is affine in H, else None.
+    In pred = u it runs over the f-chain and ln(u+c), and all or nothing."""
+    if H in rem.den.generators() or rem.num.degree_in(H) != 1:
+        return None
+    slope = partial(rem, H)
+    if pred is not jet(0):
+        return _integrate_in(slope, pred)
+    zeta, left = _strip(slope, partial_u_total, _u_piece)
+    return zeta if left.is_zero else None
+
+
+def _x_piece(rem: JetExpr) -> JetExpr | None:
+    """Antiderivative in x of the top-jet part of rem, whose slope is
+    integrated in u when the top jet is u_x.  A remainder free of jets and
+    function symbols is integrated in x outright."""
+    m = rem.top_jet()
+    if m:
+        return _affine_piece(rem, jet(m), jet(m - 1))
+    if any(g.kind in (KIND_JET, KIND_FN) for g in rem.generators()):
+        return None  # u-dependence cannot be integrated in x
+    return _integrate_in(rem, X)
+
+
+def _u_piece(rem: JetExpr) -> JetExpr | None:
+    """Antiderivative in u of the part of rem in its deepest chain symbol,
+    else of its top power of ln(u+c), else of rem itself.  None outside the
+    class: a symbol in the denominator, a symbol off the chain, the chain
+    beside ln(u+c) or u in the denominator, or rhat."""
+    if any(g.kind == KIND_FN for g in rem.den.generators()):
+        return None
+    fns = [g for g in rem.generators() if g.kind == KIND_FN]
+    chain = [g for g in fns if g.name != LOG_FAMILY]
+    if chain:
+        depths = [symbol_depth(g) for g in chain]
+        if len(chain) < len(fns) or None in depths or jet(0) in rem.den.generators():
+            return None
+        d, H = max(zip(depths, chain), key=lambda t: t[0])
+        if d <= -2:
+            return None  # nothing integrates to rhat
+        return _affine_piece(rem, H, symbol_at_depth(d - 1))
+    if fns:
+        coeffs = _poly_in_gen(rem, fnsym(LOG_FAMILY, 0))
+        return _integrate_lnuc_power(coeffs[-1], len(coeffs) - 1)
+    return _integrate_rational_u(rem)
+
+
 def _poly_in_gen(e: JetExpr, g: Generator) -> list[JetExpr] | None:
     """Coefficient list of e in powers of g, or None when g divides the
     denominator (rational dependence)."""
@@ -198,19 +263,6 @@ def _integrate_in(e: JetExpr, g: Generator) -> JetExpr | None:
     for k, a in enumerate(coeffs):
         total = total + a * ge ** (k + 1) / (k + 1)
     return total
-
-
-def _shifted_poly_in_u(e: JetExpr, c: JetExpr) -> list[JetExpr] | None:
-    """Coefficients of e as a polynomial in (u + c); None if not polynomial in u."""
-    coeffs = _poly_in_gen(e, jet(0))
-    if coeffs is None:
-        return None
-    # Taylor shift: expand each u^k as ((u+c) - c)^k by binomials
-    shifted = [ZERO_EXPR] * len(coeffs)
-    for k, a in enumerate(coeffs):
-        for j in range(0, k + 1):
-            shifted[j] = shifted[j] + a * math.comb(k, j) * (-c) ** (k - j)
-    return shifted
 
 
 def _integrate_rational_u(R: JetExpr) -> JetExpr | None:
@@ -238,18 +290,25 @@ def _uc_decomposition(R: JetExpr) -> dict[int, JetExpr] | None:
     The power k of u+c in R's denominator is read off its squarefree
     factorization: the only factor involving u must be u+c itself (both are
     primitive with a positive leading coefficient), else there is no such sum.
+    R*(u+c)^k is then a polynomial in u, Taylor-shifted to powers of u+c.
     """
     ugen = jet(0)
-    uc = u() + par("c")
+    c = par("c")
+    uc = u() + c
     k = 0
     for q, e, _ in squarefree_factors(R.den):
         if ugen in q.generators():
             if q != uc.num:
                 return None
             k = e
-    shifted = _shifted_poly_in_u(R * uc ** k, par("c"))
-    if shifted is None:
+    coeffs = _poly_in_gen(R * uc ** k, ugen)
+    if coeffs is None:
         return None
+    # expand each u^i as ((u+c) - c)^i by binomials
+    shifted = [ZERO_EXPR] * len(coeffs)
+    for i, a in enumerate(coeffs):
+        for j in range(0, i + 1):
+            shifted[j] = shifted[j] + a * math.comb(i, j) * (-c) ** (i - j)
     out: dict[int, JetExpr] = {}
     for j, a in enumerate(shifted):
         if a.is_zero:
@@ -260,72 +319,6 @@ def _uc_decomposition(R: JetExpr) -> dict[int, JetExpr] | None:
     return out
 
 
-def _antiderivative_u(A: JetExpr) -> JetExpr | None:
-    """Antiderivative of A with respect to u inside the rational class
-    extended by the f/r/rhat tower and ln(u+c).
-
-    The tower is handled by top-symbol stripping: the u-derivation maps each
-    chain symbol to the next one, exactly like D_x on jets, so an exact
-    expression is affine in its deepest symbol and the integral is rebuilt
-    by integrating that coefficient with respect to the predecessor symbol.
-    ln(u+c) powers integrate by parts after splitting off the residue term.
-    """
-    if A.is_zero:
-        return ZERO_EXPR
-    fams = [g for g in A.generators() if g.kind == KIND_FN]
-    if any(g.name == LOG_FAMILY for g in fams):
-        if any(g.name != LOG_FAMILY for g in fams):
-            return None
-        return _integrate_lnuc(A)
-    if not fams:
-        return _integrate_rational_u(A)
-    if any(g.kind in (KIND_FN, KIND_JET) for g in A.den.generators()):
-        return None
-    zeta = ZERO_EXPR
-    rem = A
-    while True:
-        fams = [g for g in rem.generators() if g.kind == KIND_FN]
-        if not fams:
-            tail = _integrate_rational_u(rem)
-            if tail is None:
-                return None
-            return zeta + tail
-        depths = []
-        for g in fams:
-            d = symbol_depth(g)
-            if d is None:
-                return None
-            depths.append((d, g))
-        d, H = max(depths, key=lambda t: t[0])
-        if d <= -2:
-            return None  # nothing integrates to rhat
-        if rem.num.degree_in(H) != 1 or H in rem.den.generators():
-            return None
-        A_H = partial(rem, H)
-        C = _integrate_in(A_H, symbol_at_depth(d - 1))
-        if C is None:
-            return None
-        zeta = zeta + C
-        rem = rem - partial_u_total(C)
-
-
-def _integrate_lnuc(A: JetExpr) -> JetExpr | None:
-    """Antiderivative of a polynomial in ln(u+c) with rational coefficients."""
-    L = fnsym(LOG_FAMILY, 0)
-    if L in A.den.generators():
-        return None
-    coeffs = _poly_in_gen(A, L)
-    if coeffs is None:
-        return None
-    total = ZERO_EXPR
-    for p, Cp in enumerate(coeffs):
-        piece = _integrate_lnuc_power(Cp, p)
-        if piece is None:
-            return None
-        total = total + piece
-    return total
-
-
 def _integrate_lnuc_power(R: JetExpr, p: int) -> JetExpr | None:
     """Integral of R(u) * ln(u+c)^p du for rational R, by parts on p."""
     if R.is_zero:
@@ -334,17 +327,17 @@ def _integrate_lnuc_power(R: JetExpr, p: int) -> JetExpr | None:
         return _integrate_rational_u(R)
     uc = u() + par("c")
     Le = ln_shift()
-    dec = _uc_decomposition(R) if jet(0) in R.den.generators() else None
     residue = ZERO_EXPR
-    if dec is not None:
+    if jet(0) in R.den.generators():
+        dec = _uc_decomposition(R)
+        if dec is None:
+            return None
         residue = dec.get(-1, ZERO_EXPR)
-    elif jet(0) in R.den.generators():
-        return None
     rest = R - residue / uc
     total = residue * Le ** (p + 1) / (p + 1)
     IR = _integrate_rational_u(rest)
-    if IR is None or fnsym(LOG_FAMILY, 0) in IR.generators():
-        return None
+    if IR is None:
+        return None  # rest has no residue, so IR is free of ln(u+c)
     tail = _integrate_lnuc_power(IR / uc, p - 1)
     if tail is None:
         return None
@@ -358,28 +351,4 @@ def formal_x_integrate(F: JetExpr) -> tuple[JetExpr, JetExpr]:
     free of jets and function symbols is integrated in x outright, so an
     element h of ker D_x (a function of t and parameters) gives x*h.
     """
-    F = as_expr(F)
-    zeta = ZERO_EXPR
-    rem = F
-    while True:
-        m = rem.top_jet()
-        if m is None or m == 0:
-            break
-        if jet(m) in rem.den.generators():
-            return zeta, rem
-        if rem.num.degree_in(jet(m)) != 1:
-            return zeta, rem
-        A = partial(rem, jet(m))
-        C = _integrate_in(A, jet(m - 1)) if m >= 2 else _antiderivative_u(A)
-        if C is None:
-            return zeta, rem
-        zeta = zeta + C
-        rem = rem - total_x(C)
-    # remaining order <= 0: u-dependence cannot be integrated in x
-    gens = rem.generators()
-    if any(g.kind in (KIND_JET, KIND_FN) for g in gens):
-        return zeta, rem
-    tail = _integrate_in(rem, X)
-    if tail is None:
-        return zeta, rem
-    return zeta + tail, ZERO_EXPR
+    return _strip(as_expr(F), total_x, _x_piece)

@@ -432,5 +432,5 @@ def print_series(s: PsdSeries) -> str:
     else:
         body = " + ".join(parts)
     if not s.exact:
-        body += f" + O(xi^{s.bottom - 1})"
+        body += f" + O(xi^{s.floor - 1})"
     return body

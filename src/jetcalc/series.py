@@ -105,11 +105,6 @@ class PsdSeries:
     def exact(self) -> bool:
         return self.floor is None
 
-    @property
-    def bottom(self) -> int | None:
-        """Lowest guaranteed index; None when the tail is exactly zero."""
-        return self.floor
-
     def coeff(self, i: int) -> JetExpr:
         """Coefficient at xi^i; exact zero off the terms, error below the floor."""
         if self.floor is not None and i < self.floor:

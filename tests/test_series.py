@@ -177,7 +177,7 @@ def test_degree_additivity():
 def test_nth_root_xi5():
     R = nth_root(xi(5), 5, slots=6)
     assert R.coeff(1) == as_expr(1)
-    assert all(R.coeff(i).is_zero for i in range(0, R.bottom - 1, -1))
+    assert all(R.coeff(i).is_zero for i in range(0, R.floor - 1, -1))
 
 
 def test_nth_root_square():
@@ -232,7 +232,7 @@ def test_nth_root_roundtrip_randomized_degrees():
     A = compose(B, B, slots=6)
     assert not A.exact
     R = nth_root(A, 2)
-    assert R.bottom == A.bottom - 1
+    assert R.floor == A.floor - 1
     assert series_power(R, 2, slots=6).agrees_with(A)
 
 
@@ -259,7 +259,7 @@ def test_window_bookkeeping_addition():
     A = PsdSeries.from_coeffs({2: u(0)}, exact=False, bottom=0)
     B = PsdSeries.from_coeffs({1: u(1)}, exact=True)
     C = A + B
-    assert C.bottom == 0
+    assert C.floor == 0
     assert not C.exact
     with pytest.raises(IndexError):
         C.coeff(-1)
@@ -287,7 +287,7 @@ def test_sum_then_difference_is_canonical_randomized():
 
     for _ in range(100):
         A, B = with_floor(-2), with_floor(-2)
-        assert A.bottom == B.bottom == -2
+        assert A.floor == B.floor == -2
         got = (A + B) - B
         assert got == A and hash(got) == hash(A)
 
@@ -304,7 +304,7 @@ def test_windows_count_from_the_degree_after_a_cancelled_lead():
     S = PsdSeries.from_coeffs({3: as_expr(1), 2: as_expr(1), 1: u(0), 0: u(1)},
                               exact=False, bottom=-1) - xi(3)
     assert S.degree() == 2
-    assert compose(S, S, slots=3).bottom == 2
+    assert compose(S, S, slots=3).floor == 2
     R = nth_root(S, 2)
-    assert R.bottom == S.bottom - 1
+    assert R.floor == S.floor - 1
     assert series_power(R, 2, slots=4).agrees_with(S)
