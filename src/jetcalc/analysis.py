@@ -3,8 +3,8 @@
 Residual checks for generalized symmetries and conservation laws, density
 triviality, the density-to-symmetry map through the Hamiltonian operator
 D_x, the formal-symmetry rank test, the coefficient-extraction obstruction
-scan for fifth-order equations of Kawahara shape, and a linear-ansatz solver
-over the parameter field.
+scan for evolution equations whose leading coefficient is a rational
+constant, and a linear-ansatz solver over the parameter field.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from .calculus import (
     formal_x_integrate,
     frechet,
     frechet_hat,
-    order,
     total_t,
     total_x,
 )
+from .dsl import print_expr
 from .errors import InsufficientPrecision, NotConserved, UnsupportedEquationShape
-from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr, partial, substitute_map, u, unk
+from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr, partial, substitute_map, unk
 from .poly import (
     KIND_FN,
     KIND_JET,
@@ -245,10 +245,10 @@ def _force_from_constraint(coeff: JetExpr, forcing: Forcing) -> list[tuple[str, 
         others = [g for g, _e in mono if g.kind not in (KIND_UNKNOWN, KIND_PARAM)]
         if others:
             raise _UnresolvableConstraint(
-                f"constraint coefficient {coeff!r} mixes free generators")
+                f"constraint coefficient {print_expr(coeff)} mixes free generators")
         if not unknowns:
             raise _UnresolvableConstraint(
-                f"inconsistent constraint: nonzero term of {coeff!r} has no unknown")
+                f"inconsistent constraint: nonzero term of {print_expr(coeff)} has no unknown")
         per_mono.append(set(unknowns))
     if len(per_mono) == 1 and len(per_mono[0]) == 1:
         g = next(iter(per_mono[0]))
@@ -257,59 +257,45 @@ def _force_from_constraint(coeff: JetExpr, forcing: Forcing) -> list[tuple[str, 
     if len(common) == 1:
         g = next(iter(common))
         return [(g.name, g.index)]
-    raise _UnresolvableConstraint(f"constraint {coeff!r} couples several unknowns")
-
-
-def _check_gke_shape(eq: EvolutionEquation) -> None:
-    """Raise UnsupportedEquationShape unless u_t = u_5x + b u_3x + phi(u) u_x."""
-    K = eq.rhs
-    if eq.order != 5:
-        raise UnsupportedEquationShape("scan requires a fifth-order equation")
-    a5 = partial(K, jet(5))
-    if a5 != ONE_EXPR:
-        raise UnsupportedEquationShape("leading coefficient must be 1")
-    if not partial(K, jet(4)).is_zero or not partial(K, jet(2)).is_zero:
-        raise UnsupportedEquationShape("u_4x / u_2x terms not supported")
-    b = partial(K, jet(3))
-    if not total_x(b).is_zero or not b.depends_only_on_t():
-        raise UnsupportedEquationShape("third-order coefficient must be constant")
-    phi = partial(K, jet(1))
-    o = order(phi)
-    if not (o is NEG_INF or o <= 0):
-        raise UnsupportedEquationShape("u_x coefficient must be a function of u")
-    rebuilt = u(5) + b * u(3) + phi * u(1)
-    if rebuilt != K:
-        raise UnsupportedEquationShape("right-hand side is not of Kawahara shape")
+    raise _UnresolvableConstraint(f"constraint {print_expr(coeff)} couples several unknowns")
 
 
 def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanReport:
     """Stepwise coefficient extraction for a degree-1 formal symmetry.
 
-    Follows the nonexistence proof: L = g xi + sum l_i xi^-i with g and the
-    l_i initially arbitrary differential functions.  The xi^m coefficient of
-    D_t(L) - [hat D_K, L] involves the not-yet-solved coefficient a_(m-4)
-    only through -5 D_x(a_(m-4)), so each index yields one equation
-    -5 D_x(coeff) = F solved by formal integration, preceded by the Euler
+    Follows the nonexistence proof, which is the formal-symmetry recursion
+    (Mikhailov, Shabat & Sokolov, in *What is Integrability?*, 1991) for
+    u_t = K of order n whose leading coefficient a_n = dK/du_n is a rational
+    constant: L = g xi + sum l_i xi^-i with g and the l_i initially arbitrary
+    differential functions.  The xi^m coefficient of D_t(L) - [hat D_K, L]
+    involves the not-yet-solved coefficient a_(m-n+1) only through
+    -n a_n D_x(a_(m-n+1)), so each index yields one equation
+    -n a_n D_x(coeff) = F solved by formal integration, preceded by the Euler
     exactness test on F whose failure emits constraints on the scan unknowns.
     F is read at each step as the xi^m coefficient of D_t(L) - [hat D_K, L]
     for the solved part of L, so a step does not depend on the target rank:
-    that only sets where the scan stops, at xi-index 6 - target_rank (one
-    step per rank; indices 5 .. -7 for rank 13, the proof's step count).
+    that only sets where the scan stops, at xi-index n + 1 - target_rank (one
+    step per rank; indices 5 .. -7 for the Kawahara equation at rank 13, the
+    proof's step count).
     """
-    _check_gke_shape(eq)
+    n = eq.order
+    a_n = partial(eq.rhs, jet(n))
+    if not a_n.is_rational_const:
+        raise UnsupportedEquationShape("leading coefficient must be a rational constant")
     if target_rank < 13:
         raise UnsupportedEquationShape("scan supports target ranks >= 13")
+    lead = n * a_n  # D_x(a_(m-n+1)) enters the xi^m coefficient times -lead
     dk = frechet_hat(eq.rhs)
     dx = dx_towers()
-    floor = 6 - target_rank  # lowest xi-index whose coefficient is equated to zero
+    floor = n + 1 - target_rank  # lowest xi-index whose coefficient is equated to zero
     report = ScanReport(target_rank=target_rank)
     forcing = Forcing()
     report.forcing = forcing
 
     solved: dict[int, JetExpr] = {}
 
-    for m in range(5, floor - 1, -1):
-        new_idx = m - 4
+    for m in range(n, floor - 1, -1):
+        new_idx = m - n + 1
         name = "g" if new_idx == 1 else f"l{-new_idx}"
         F = forcing.apply(total_t(solved.get(m, ZERO_EXPR), eq)
                           - product_coeff(dk, solved, m, dx)
@@ -317,10 +303,10 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
         step = ScanStep(xi_index=m, coefficient_name=name)
         report.steps.append(step)
 
-        # exactness: the integrand F/5 must have vanishing variational
+        # exactness: the integrand F/lead must have vanishing variational
         # derivative; constraint extraction on failure
         while True:
-            obstruction_expr = euler(F / 5)
+            obstruction_expr = euler(F / lead)
             if obstruction_expr.is_zero:
                 break
             groups = split_by_free_monomials(obstruction_expr)
@@ -359,12 +345,12 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
             F = forcing.apply(F)
             step.notes.append("l0 set to 0 (constants are trivial formal symmetries)")
 
-        # solve -5 D_x(a) = -F  i.e.  5 D_x(a) = F
+        # solve -lead D_x(a) = -F  i.e.  lead D_x(a) = F
         zeta, res = formal_x_integrate(F)
         if not res.is_zero:
             raise _UnresolvableConstraint(
-                f"irreducible residual {res!r} in the coefficient equation")
-        a_new = zeta / 5 + unk(name)
+                f"irreducible residual {print_expr(res)} in the coefficient equation")
+        a_new = zeta / lead + unk(name)
         a_new = forcing.apply(a_new)
         solved[new_idx] = a_new
         if a_new == unk(name):

@@ -38,7 +38,7 @@ class NotQuadratic(JetCalcError):
 
 
 class UnsupportedEquationShape(JetCalcError):
-    """The obstruction scan is scoped to fifth-order equations of GKE shape."""
+    """Outside the obstruction scan's scope: leading coefficient, rank or constraint."""
 
 
 class ExponentOverflow(JetCalcError):

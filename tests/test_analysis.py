@@ -23,6 +23,7 @@ from jetcalc.analysis import (
     symmetry_residual,
 )
 from jetcalc.calculus import EvolutionEquation, euler, frechet_hat, total_t, total_x
+from jetcalc.dsl import parse
 from jetcalc.expr import FunctionSpec, as_expr, fn, par, specialize_f, t, u, unk, x
 from jetcalc.series import PsdSeries
 
@@ -187,9 +188,9 @@ def test_split_by_free_monomials():
 # -- the obstruction scan -------------------------------------------------------
 
 
-def test_scan_requires_gke_shape():
-    eq = EvolutionEquation(u(3) + u(0) * u(1))
-    with pytest.raises(UnsupportedEquationShape):
+def test_scan_requires_rational_constant_leading_coefficient():
+    eq = EvolutionEquation(u(3) / u(0) ** 3)
+    with pytest.raises(UnsupportedEquationShape, match="rational constant"):
         formal_symmetry_scan(eq, 13)
 
 
@@ -288,21 +289,72 @@ def test_scan_linear_branch_survives_then_obstructs():
     assert rep15.obstruction == "g = 0"
 
 
-def test_scan_linear_branch_rank13_witness():
+@pytest.mark.parametrize("rhs, rank", [
+    (None, 13),
+    ("u_xxx + 6*u*u_x", 17),
+    ("u_5x + 5*u*u_xxx + 5*u_x*u_xx + 5*u^2*u_x", 17),
+    ("u_5x + 10*u*u_xxx + 25*u_x*u_xx + 20*u^2*u_x", 17),
+    ("u_5x + 10*u*u_xxx + 20*u_x*u_xx + 30*u^2*u_x", 17),
+], ids=["linear-f", "kdv", "sawada-kotera", "kaup-kupershmidt", "lax5"])
+def test_scan_linear_branch_rank13_witness(eq_linear, rhs, rank):
     # independent residual check: the solved prefix really is a formal
-    # symmetry of rank >= 13 for f = alpha*u + beta
+    # symmetry of the target rank, for f = alpha*u + beta at rank 13 and for
+    # the integrable controls at rank 17
     from jetcalc.series import commutator, dt_series
-    eq = EvolutionEquation(
-        specialize_f(u(5) + b * u(3) + fn("f") * u(1), FunctionSpec.linear()),
-        FunctionSpec.linear())
-    rep = formal_symmetry_scan(eq, 13)
+    eq = eq_linear if rhs is None else EvolutionEquation(parse(rhs))
+    rep = formal_symmetry_scan(eq, rank)
+    assert rep.survived
     forcing = rep.forcing
     L = PsdSeries.from_coeffs({i: forcing.apply(c)
                                for i, c in rep.coefficients.items()}, exact=True)
     dk = frechet_hat(eq.rhs)
     res = dt_series(L, eq) - commutator(dk, L, slots=40)
-    for i in range(5, -8, -1):
+    n = eq.order
+    for i in range(n, n - rank, -1):
         assert forcing.apply(res.coeff(i)).is_zero, f"residual at xi^{i}"
+
+
+@pytest.mark.parametrize("rhs, index", [
+    ("u_5x + u*u_x", -9),
+    ("u_5x + u^2*u_x", -7),
+    ("2*u_5x + u^2*u_x", -7),
+    ("u_xxx + u^3*u_x", -1),
+])
+def test_scan_obstructs_non_integrable_controls(rhs, index):
+    rep = formal_symmetry_scan(EvolutionEquation(parse(rhs)), 17)
+    assert rep.obstruction_index == index
+    assert rep.obstruction == "g = 0"
+
+
+def _recursion_obstruction(eq, rank):
+    """Theorem 3 by a second route: the formal-symmetry recursion for
+    L = xi + sum l_i xi^-i with every integration constant 0, sharing
+    neither Forcing nor the constraint solver with the scan.  Returns the
+    first xi-index whose coefficient equation has no local solution."""
+    from jetcalc.calculus import formal_x_integrate
+    from jetcalc.expr import ONE_EXPR, partial
+    from jetcalc.poly import jet
+    from jetcalc.series import dx_towers, product_coeff
+    n = eq.order
+    lead = n * partial(eq.rhs, jet(n))
+    dk, dx = frechet_hat(eq.rhs), dx_towers()
+    L = {1: ONE_EXPR}
+    for m in range(n - 1, n - rank, -1):
+        F = (total_t(L.get(m, as_expr(0)), eq) - product_coeff(dk, L, m, dx)
+             + product_coeff(L, dk, m, dx))
+        if not euler(F).is_zero:
+            return m
+        L[m - n + 1] = formal_x_integrate(F)[0] / lead
+    return None
+
+
+@pytest.mark.parametrize("branch, index", [
+    ("eq_abstract", -3), ("eq_linear", -9), ("eq_quadratic", -7), ("eq_log", -3),
+])
+def test_theorem3_second_proof_route(request, branch, index):
+    eq = request.getfixturevalue(branch)
+    assert _recursion_obstruction(eq, 17) == index
+    assert formal_symmetry_scan(eq, 17).obstruction_index == index
 
 
 # -- linear ansatz ---------------------------------------------------------------

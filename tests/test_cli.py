@@ -145,6 +145,20 @@ def test_scan_command(capsys):
     assert "l0 is constant" in out
 
 
+def test_scan_refusals_exit_2_in_dsl_spelling(capsys, tmp_path):
+    # 1/(1+u^2) lies outside the integrator's (u+c)^k class
+    outside = tmp_path / "outside.json"
+    outside.write_text(json.dumps({"rhs": "u_xxx + u_x/(1+u^2)"}))
+    code, out, err = run(capsys, "scan", "--eq", str(outside), "--rank", "13")
+    assert (code, out) == (2, "")
+    assert "u_x" in err and "dg/dt" in err and "u_1x" not in err
+    # a constraint that holds t is not one the scan can resolve
+    explicit_t = tmp_path / "explicit_t.json"
+    explicit_t.write_text(json.dumps({"rhs": "u_xxx + t*u*u_x"}))
+    code, out, _ = run(capsys, "scan", "--eq", str(explicit_t), "--rank", "13")
+    assert (code, out) == (2, "")
+
+
 def test_kawahara_verify_exit_zero_on_obstruction(capsys):
     code, out, _ = run(capsys, "kawahara", "verify", "--theorem", "3",
                        "--f", "quadratic")
@@ -300,6 +314,7 @@ PIN_CASES = {
     "nontrivial": ["trivial", "u"],
     "lemma1": ["lemma1", "(u_xx^2 - b*u_x^2)/2 + rhat(u)", "--eq", "data/gke_abstract.json"],
     "scan": ["scan", "--eq", "data/gke_quadratic.json", "--rank", "13"],
+    "scan_kdv": ["scan", "--eq", "data/kdv.json", "--rank", "13"],
     "kawahara_verify": ["kawahara", "verify", "--theorem", "3", "--f", "quadratic"],
     "kawahara_not_verified": ["kawahara", "verify", "--theorem", "3", "--f", "linear:alpha,beta"],
     "usage_error": ["dt", "u"],
