@@ -226,14 +226,14 @@ def _u_piece(rem: JetExpr) -> JetExpr | None:
     """Antiderivative in u of the part of rem in its deepest chain symbol,
     else of its top power of ln(u+c), else of rem itself.  None outside the
     class: a symbol in the denominator, a symbol off the chain, the chain
-    beside ln(u+c) or u in the denominator, or rhat."""
+    beside u in the denominator, or rhat."""
     if any(g.kind == KIND_FN for g in rem.den.generators()):
         return None
     fns = [g for g in rem.generators() if g.kind == KIND_FN]
     chain = [g for g in fns if g.name != LOG_FAMILY]
     if chain:
         depths = [symbol_depth(g) for g in chain]
-        if len(chain) < len(fns) or None in depths or jet(0) in rem.den.generators():
+        if None in depths or jet(0) in rem.den.generators():
             return None
         d, H = max(zip(depths, chain), key=lambda t: t[0])
         if d <= -2:

@@ -15,6 +15,13 @@ the k <= e trial divisions of the numerator by q that succeed; any other
 factor costs one poly_gcd(num, q^e).  The factors are pairwise coprime, so
 the product of these common parts is gcd(num, den).
 
+The same factorizations keep the denominators small before reduction.  A
+sum goes over the lcm of the two denominators, a.den * (b.den / g) with g
+the product of the factors they share, at the lower multiplicity; and
+``derive`` applies the quotient rule once, over d*s with s the product of
+the factors of d that the derivation moves, where D(n)/d - (n/d) * D(d)/d
+would reduce over d^2.
+
 The abstract function symbols form a fixed derivation chain in u:
 
     rhat --d/du--> r --d/du--> f --d/du--> f' --d/du--> f'' --> ...
@@ -171,7 +178,18 @@ class JetExpr:
             return self
         if self.den == other.den:
             return JetExpr._reduce(self.num + other.num, self.den)
-        return JetExpr._reduce(self.num * other.den + other.num * self.den, self.den * other.den)
+        # over a.den * (b.den / g), g the common part of the two factorizations
+        mine = {q: e for q, e, _ in squarefree_factors(self.den)}
+        g = ONE
+        for q, e, _ in squarefree_factors(other.den):
+            k = min(e, mine.get(q, 0))
+            if k:
+                g = g * q ** k
+        if g is ONE:
+            a_cof, b_cof = self.den, other.den
+        else:
+            a_cof, b_cof = div_exact(self.den, g), div_exact(other.den, g)
+        return JetExpr._reduce(self.num * b_cof + other.num * a_cof, self.den * b_cof)
 
     __radd__ = __add__
 
@@ -316,9 +334,14 @@ def derive(e: JetExpr, image) -> JetExpr:
     """The derivation that maps each generator g of e to image(g).
 
     image(g) is None for generators the derivation annihilates.  D(num) and
-    D(den) are sums of partials times images, each found in one pass over the
-    monomials; the quotient rule (n/d)' = D(n)/d - (n/d) * D(d)/d is applied
-    once.
+    each D(q) are sums of partials times images, each found in one pass over
+    the monomials.  With d = const * prod q^k over the squarefree factors of
+    the denominator and s = prod q over those with D(q) != 0, the quotient
+    rule is applied once:
+
+        D(n/d) = (D(n)*s - n * sum k*D(q)*s/q) / (d*s),
+
+    a single reduction over d*s instead of d^2.
     """
     e = as_expr(e)
     images = {}
@@ -331,10 +354,18 @@ def derive(e: JetExpr, image) -> JetExpr:
     dn = _image_sum(e.num.partials(images), images)
     if e.den == ONE:
         return dn
-    den = JetExpr(e.den, ONE)
-    dd = _image_sum(e.den.partials(images), images)
-    # reducing D(d)/d first keeps gcds small
-    return dn / den - e * (dd / den)
+    moved = []  # the factors q with D(q) != 0; the others stay out of s
+    s = ONE
+    for q, k, _ in squarefree_factors(e.den):
+        dq = _image_sum(q.partials(images), images)
+        if not dq.is_zero:
+            moved.append((q, k, dq))
+            s = s * q
+    dlog = ZERO_EXPR  # sum k*D(q)*s/q = s * D(d)/d
+    for q, k, dq in moved:
+        dlog = dlog + dq * JetExpr(div_exact(s, q).scale(k), ONE)
+    top = dn * JetExpr(s, ONE) - JetExpr(e.num, ONE) * dlog
+    return top / JetExpr(e.den * s, ONE)
 
 
 def u_image(g: Generator) -> JetExpr | None:

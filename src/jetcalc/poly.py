@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import or_
 
 from .errors import ExponentOverflow
@@ -486,15 +486,28 @@ def _prem(a: list[Poly], b: list[Poly]) -> list[Poly]:
 
 
 def _primitive_in(coeffs: list[Poly]) -> tuple[Poly, list[Poly]]:
-    """(content, primitive part) of a dense coefficient list in some variable."""
-    if any(c.terms and c.is_const() for c in coeffs):
-        return ONE, coeffs
-    cont = ZERO
-    for c in coeffs:
-        cont = poly_gcd(cont, c)
-        if cont == ONE:
-            return ONE, coeffs
-    return cont, [div_exact(c, cont) for c in coeffs]
+    """(content, primitive part) of a dense coefficient list in some variable.
+
+    The content is a primitive polynomial.  The primitive part has the
+    rational content of its coefficients divided out as well: a unit over Q,
+    but one that grows geometrically along a pseudo-remainder sequence if it
+    is kept.
+    """
+    cont = ONE
+    if not any(c.terms and c.is_const() for c in coeffs):
+        cont = ZERO
+        for c in coeffs:
+            cont = poly_gcd(cont, c)
+            if cont == ONE:
+                break
+        if cont != ONE:
+            coeffs = [div_exact(c, cont) for c in coeffs]
+    rational = [c.content() for c in coeffs if c.terms]
+    unit = Fraction(reduce(_int_gcd, (k.numerator for k in rational)),
+                    reduce(_int_lcm, (k.denominator for k in rational)))
+    if unit != 1:
+        coeffs = [c.scale(1 / unit) for c in coeffs]
+    return cont, coeffs
 
 
 def _fields_at_least(a: int, b: int) -> int:
@@ -526,8 +539,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     in a main variable v, the one of smallest worst-case degree, the gcd is
     the gcd of the two contents in v, a recursive call without v, times the
     last nonzero remainder of the pseudo-remainder sequence of the primitive
-    parts, each remainder made primitive in v.  A v that occurs in one
-    operand only leaves the other a constant in v, so the sequence is empty.
+    parts, each remainder made primitive in v.  When a generator v occurs
+    in one operand only, the gcd is that of the other operand and of the
+    coefficients in v, folded from the operand free of v so that every gcd
+    on the way divides it.
     """
     if a.is_zero():
         return _make_primitive(b)
@@ -537,6 +552,17 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return ONE
     da = _var_degrees(a)
     db = _var_degrees(b)
+    only = da.keys() ^ db.keys()
+    if only:
+        v = min(only, key=lambda g: g.key)
+        if v in db:
+            a, b = b, a
+        for c in _to_univariate(a, v):
+            if c.terms:
+                b = poly_gcd(b, c)
+                if b == ONE:
+                    return ONE
+        return b
     v = min(da.keys() | db.keys(), key=lambda g: (max(da.get(g, 0), db.get(g, 0)), g.key))
     ca, pa = _primitive_in(_to_univariate(a, v))
     cb, pb = _primitive_in(_to_univariate(b, v))

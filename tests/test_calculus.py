@@ -215,6 +215,15 @@ def test_formal_x_integrate_log_power_by_parts():
     assert r.is_zero and z == ln_shift() ** 3 / 3
 
 
+def test_formal_x_integrate_f_chain_beside_log():
+    # the chain symbol f is stripped first (to r), then the ln(u+c) part goes
+    # by parts; once this came back whole as the residual
+    F = (c ** 2 * fn("f") + 3 * u(0) ** 2 * ln_shift() / 2) * u(1) / (b ** 2 * c)
+    z, r = formal_x_integrate(F)
+    assert r.is_zero and not z.is_zero
+    assert total_x(z) == F
+
+
 def test_formal_x_integrate_roundtrip_randomized():
     rng = random.Random(31)
     pool = gen_pool(jets=3, with_f=False)

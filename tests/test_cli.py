@@ -337,11 +337,13 @@ def test_pinned_report(capsys, monkeypatch, case, mode):
 # Reports too long to store are pinned by the sha256 of stdout: the README root
 # example at the default 20 slots (89 KB), a root with rational multipliers, and
 # the root of the log branch's symbol, frechet_hat of K for f = gamma*ln(u+c) +
-# delta, whose coefficients carry (u+c)^k denominators.
+# delta, whose coefficients carry (u+c)^k denominators, at 12 and 14 slots.
 DIGEST_PIN_CASES = {
     "root_readme": ["root", "xi^5 + b*xi^3 + f(u)*xi + f'(u)*u_x", "--n", "5"],
     "root_log": ["root", "xi^5 + (b)*xi^3 + (gamma*ln(u+c) + delta)*xi + ((gamma*u_x)/(u + c))",
                  "--n", "5", "--prec", "12"],
+    "root_log_14": ["root", "xi^5 + (b)*xi^3 + (gamma*ln(u+c) + delta)*xi + ((gamma*u_x)/(u + c))",
+                    "--n", "5", "--prec", "14"],
     "root_rational": ["root", "xi^5 - 2/3*b*xi^3 + 3/2*f(u)*xi - 1/3*f'(u)*u_x",
                       "--n", "5", "--prec", "16"],
 }

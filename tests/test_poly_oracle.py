@@ -268,3 +268,28 @@ def test_poly_gcd_planted_shapes_match_sympy():
         c = _random_scalar(rng) or Fraction(-1)
         _check_gcd(a, a, case, "equal", a)
         assert _check_gcd(a, a.scale(c), case, "unit multiple", a, c) == poly_gcd(a, ZERO)
+
+
+def test_poly_gcd_of_a_long_remainder_sequence():
+    # the pseudo-remainder sequence in u of the two u_x-coefficients of a
+    # runs through coefficients of degree 40 in c; kept with their integer
+    # contents, those grew about 2.4 times in bit length per step and this
+    # gcd did not finish in a minute
+    x, u, ux, uxx, b, c = (Poly.gen(g) for g in (X, jet(0), jet(1), jet(2), param("b"),
+                                                 param("c")))
+    terms = ((8, u ** 5 * ux * c ** 2), (20, u ** 3 * c ** 5), (4, u ** 3 * ux * c ** 3),
+             (12, u * c ** 6), (-36, u ** 4 * c ** 2), (-20, u ** 2 * c ** 3),
+             (2, u ** 3 * ux), (8, u * c ** 3), (-2, u * ux * c), (-12, u ** 2), (4, c))
+    a = ZERO
+    for k, m in terms:
+        a = a + m.scale(k)
+    q = c * c * u * u + ONE
+    for k in range(1, 5):
+        assert _check_gcd(a, q ** k, k) == ONE
+        assert _check_gcd(a * q, q ** k, k) == q
+    # an operand free of a generator of the other: the gcd divides every
+    # coefficient in that generator, so it is folded through them
+    p = u * u * b * b + ux * ux + ONE
+    a = (x ** 4 - (u * u * b * b).scale(Fraction(1, 6))) * uxx + x * u * c + ux ** 3
+    assert _check_gcd(a, p ** 3) == ONE
+    assert _check_gcd(a * p, p ** 3) == p
