@@ -21,7 +21,6 @@ from .calculus import (
     total_t,
     total_x,
 )
-from .dsl import print_expr
 from .errors import InsufficientPrecision, NotConserved, UnsupportedEquationShape
 from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr, partial, substitute_map, unk
 from .poly import (
@@ -186,16 +185,6 @@ class Forcing:
             return e
         return substitute_map(e, mapping)
 
-    def state_of(self, name: str) -> str:
-        k0 = self.zero_from.get(name)
-        if k0 is None:
-            return "function of t"
-        if k0 == 0:
-            return "zero"
-        if k0 == 1:
-            return "constant"
-        return f"polynomial in t of degree < {k0}"
-
 
 @dataclass
 class ScanStep:
@@ -224,40 +213,35 @@ class ScanReport:
         return f"ObstructionFound(xi^{self.obstruction_index}: {self.obstruction})"
 
 
-class _UnresolvableConstraint(UnsupportedEquationShape):
-    pass
+def _force_from_constraint(coeff: JetExpr, forcing: Forcing) -> tuple[str, int] | None:
+    """Interpret a vanishing coefficient polynomial in the unknowns: the
+    (name, order) of the unknown it forces to zero, None when it already
+    vanishes.
 
-
-def _force_from_constraint(coeff: JetExpr, forcing: Forcing) -> list[tuple[str, int]]:
-    """Interpret a vanishing coefficient polynomial in the unknowns.
-
-    Supports the triangular shapes the proof produces: a single monomial
-    carrying one unknown generator, or a sum all of whose monomials share a
-    common unknown generator (then that common factor must vanish, parameters
-    being transcendental).  Anything else is refused rather than guessed.
+    Supports the triangular shape the proof produces: a sum all of whose
+    monomials share exactly one unknown generator, which then must vanish,
+    parameters being transcendental.  Anything else is refused rather than
+    guessed.
     """
     num = forcing.apply(coeff).num
     if num.is_zero():
-        return []
+        return None
     per_mono = []
     for mono, _ in num.items():
         unknowns = [g for g, _e in mono if g.kind == KIND_UNKNOWN]
         others = [g for g, _e in mono if g.kind not in (KIND_UNKNOWN, KIND_PARAM)]
         if others:
-            raise _UnresolvableConstraint(
-                f"constraint coefficient {print_expr(coeff)} mixes free generators")
+            raise UnsupportedEquationShape(
+                f"constraint coefficient {coeff!r} mixes free generators")
         if not unknowns:
-            raise _UnresolvableConstraint(
-                f"inconsistent constraint: nonzero term of {print_expr(coeff)} has no unknown")
+            raise UnsupportedEquationShape(
+                f"inconsistent constraint: nonzero term of {coeff!r} has no unknown")
         per_mono.append(set(unknowns))
-    if len(per_mono) == 1 and len(per_mono[0]) == 1:
-        g = next(iter(per_mono[0]))
-        return [(g.name, g.index)]
     common = set.intersection(*per_mono)
     if len(common) == 1:
         g = next(iter(common))
-        return [(g.name, g.index)]
-    raise _UnresolvableConstraint(f"constraint {print_expr(coeff)} couples several unknowns")
+        return g.name, g.index
+    raise UnsupportedEquationShape(f"constraint {coeff!r} couples several unknowns")
 
 
 def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanReport:
@@ -316,14 +300,16 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
                     step.reduced_constraints.append(coeff)
             forced_any = False
             for _, coeff in groups:
-                for uname, uorder in _force_from_constraint(coeff, forcing):
-                    changed = forcing.require(uname, uorder)
-                    if changed:
-                        forced_any = True
-                        if uorder == 0:
-                            step.forced.append(f"{uname} = 0")
-                        else:
-                            step.forced.append(f"{uname} is {forcing.state_of(uname)}")
+                forced = _force_from_constraint(coeff, forcing)
+                if forced is not None and forcing.require(*forced):
+                    forced_any = True
+                    uname, uorder = forced
+                    if uorder == 0:
+                        step.forced.append(f"{uname} = 0")
+                    elif uorder == 1:
+                        step.forced.append(f"{uname} is constant")
+                    else:
+                        step.forced.append(f"{uname} is polynomial in t of degree < {uorder}")
             if forcing.zero_from.get("g") == 0:
                 report.obstruction_index = m
                 report.obstruction = "g = 0"
@@ -331,7 +317,7 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
                 report.coefficients = {i: forcing.apply(c) for i, c in solved.items()}
                 return report
             if not forced_any:
-                raise _UnresolvableConstraint(
+                raise UnsupportedEquationShape(
                     "exactness constraints did not determine any unknown")
             # apply the new forcings and retry
             solved = {i: forcing.apply(c) for i, c in solved.items()}
@@ -348,8 +334,8 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
         # solve -lead D_x(a) = -F  i.e.  lead D_x(a) = F
         zeta, res = formal_x_integrate(F)
         if not res.is_zero:
-            raise _UnresolvableConstraint(
-                f"irreducible residual {print_expr(res)} in the coefficient equation")
+            raise UnsupportedEquationShape(
+                f"irreducible residual {res!r} in the coefficient equation")
         a_new = zeta / lead + unk(name)
         a_new = forcing.apply(a_new)
         solved[new_idx] = a_new

@@ -9,7 +9,8 @@ series contexts only.
 The printer emits the canonical form: numerator and denominator as sums of
 monomials in a fixed dominance order (higher jets first, parameters last
 inside a product), jets spelled u_x/u_xx/u_xxx below order four and
-numerically from u_4x on.  parse(print(e)) reproduces e exactly.
+numerically from u_4x on.  parse(print(e)) reproduces e exactly.  It is the
+only printer: the repr of a generator, Poly, JetExpr and PsdSeries calls it.
 """
 
 from __future__ import annotations
@@ -326,21 +327,18 @@ def parse_series(text: str) -> PsdSeries:
 # -- printing -----------------------------------------------------------------
 
 
-def _jet_name(k: int) -> str:
-    if k == 0:
-        return "u"
-    if k <= 3:
-        return "u_" + "x" * k
-    return f"u_{k}x"
-
-
-def _gen_name(g) -> str:
+def gen_name(g) -> str:
+    """The input spelling of one generator."""
     if g.kind == KIND_X:
         return "x"
     if g.kind == KIND_T:
         return "t"
     if g.kind == KIND_JET:
-        return _jet_name(g.index)
+        if g.index == 0:
+            return "u"
+        if g.index <= 3:
+            return "u_" + "x" * g.index
+        return f"u_{g.index}x"
     if g.kind == KIND_FN:
         if g.name == "lnuc":
             return "ln(u+c)"
@@ -382,7 +380,7 @@ _FACTOR_RANK = {KIND_PARAM: 0, KIND_X: 1, KIND_T: 2, KIND_UNKNOWN: 3,
                 KIND_FN: 4, KIND_JET: 5}
 
 
-def _print_poly(p: Poly) -> str:
+def print_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     terms = sorted(p.items(), key=lambda kv: _dominance_key(kv[0]))
@@ -391,7 +389,7 @@ def _print_poly(p: Poly) -> str:
         factors = sorted(mono, key=lambda ge: (_FACTOR_RANK[ge[0].kind],
                                                ge[0].name, ge[0].index))
         body = "*".join(
-            f"{_gen_name(g)}^{e}" if e != 1 else _gen_name(g)
+            f"{gen_name(g)}^{e}" if e != 1 else gen_name(g)
             for g, e in factors)
         mag = abs(coeff)
         if not body:
@@ -409,10 +407,10 @@ def _print_poly(p: Poly) -> str:
 
 def print_expr(e: JetExpr) -> str:
     e = as_expr(e)
-    num = _print_poly(e.num)
+    num = print_poly(e.num)
     if e.den == POLY_ONE:
         return num
-    return f"({num})/({_print_poly(e.den)})"
+    return f"({num})/({print_poly(e.den)})"
 
 
 def print_series(s: PsdSeries) -> str:

@@ -237,9 +237,8 @@ class JetExpr:
         return JetExpr(self.num ** n, self.den ** n)
 
     def __repr__(self):
-        if self.den == ONE:
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
+        from .dsl import print_expr  # the one printer; cycle broken at call time
+        return print_expr(self)
 
 
 ZERO_EXPR = JetExpr(ZERO, ONE)
@@ -432,7 +431,7 @@ def substitute(e: JetExpr, g: Generator, v) -> JetExpr:
             return substitute_map(e, mapping)
         if any(i > g.index for i in jets):
             raise InconsistentJetSubstitution(
-                f"cannot replace u_{g.index}x alone while higher jets are present")
+                f"cannot replace {g!r} alone while higher jets are present")
         return substitute_map(e, {g: v})
     return substitute_map(e, {g: v})
 

@@ -338,19 +338,19 @@ def verify_theorem_2(spec: GKESpec) -> TheoremReport:
     return report
 
 
-def verify_theorem_3(spec: GKESpec, target_rank: int = 13,
-                     escalate_to: int = 17) -> TheoremReport:
+def verify_theorem_3(spec: GKESpec) -> TheoremReport:
     """Obstruction scan: no nontrivial formal symmetry of rank >= 13.
 
-    One scan runs to escalate_to; the target-rank verdict is read from its
-    prefix.  When that prefix survives (it does for linear f, a branch the
-    published normalization to f = u^2 cannot reach because it divides by
-    the quadratic coefficient), the deeper steps locate the actual
-    obstruction; the report then records the rank window on which formal
-    symmetries do exist and leaves the literal rank-13 claim unverified.
+    One scan runs to rank 17; the rank-13 verdict is read from its prefix.
+    When that prefix survives (it does for linear f, a branch the published
+    normalization to f = u^2 cannot reach because it divides by the
+    quadratic coefficient), the deeper steps locate the actual obstruction;
+    the report then records the rank window on which formal symmetries do
+    exist and leaves the literal rank-13 claim unverified.
     """
+    target_rank, escalate_to = 13, 17
     eq = gke(spec)
-    deep = formal_symmetry_scan(eq, max(target_rank, escalate_to))
+    deep = formal_symmetry_scan(eq, escalate_to)
     # a scan takes one step per rank and no step depends on the target: the
     # target scan is the first target_rank steps (when it survives, the deeper
     # forcings do not hold for it, so it carries no coefficients), and an

@@ -92,17 +92,8 @@ class Generator:
         return gen
 
     def __repr__(self):
-        if self.kind == KIND_X:
-            return "x"
-        if self.kind == KIND_T:
-            return "t"
-        if self.kind == KIND_JET:
-            return "u" if self.index == 0 else f"u_{self.index}x"
-        if self.kind == KIND_FN:
-            return self.name if self.index == 0 else f"{self.name}^({self.index})"
-        if self.kind == KIND_UNKNOWN:
-            return self.name if self.index == 0 else f"d^{self.index}{self.name}/dt^{self.index}"
-        return self.name
+        from .dsl import gen_name  # the one printer; cycle broken at call time
+        return gen_name(self)
 
 
 X = Generator(KIND_X)
@@ -167,7 +158,9 @@ def mono_factors(m: int) -> tuple:
 
 
 def mono_sort_key(m: int):
-    """Fixed total order used for leading terms and deterministic output."""
+    """Fixed total order on monomials: it picks leading terms, which set the
+    sign of a reduced denominator, and orders the scan's constraints and the
+    ansatz solver's rows.  The printer in dsl has an order of its own."""
     factors = mono_factors(m)
     return (sum(e for _, e in factors), tuple((g.key, e) for g, e in factors))
 
@@ -381,16 +374,8 @@ class Poly:
         return Fraction(_int_gcd(*self.terms.values()), self.den)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]), reverse=True):
-            c = Fraction(c, self.den)
-            factors = [str(c)] if (c != 1 or not m) else []
-            for g, e in mono_factors(m):
-                factors.append(f"{g!r}^{e}" if e > 1 else repr(g))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        from .dsl import print_poly  # the one printer; cycle broken at call time
+        return print_poly(self)
 
 
 ZERO = Poly({})

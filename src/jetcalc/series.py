@@ -139,11 +139,8 @@ class PsdSeries:
         return (self - other).is_zero_on_window()
 
     def __repr__(self):
-        if not self.terms and self.exact:
-            return "PsdSeries(0)"
-        parts = [f"({c!r})*xi^{i}" for i, c in self.items()] or ["0"]
-        tail = "" if self.exact else f" + O(xi^{self.floor - 1})"
-        return " + ".join(parts) + tail
+        from .dsl import print_series  # the one printer; cycle broken at call time
+        return print_series(self)
 
     # -- linear structure ----------------------------------------------------
 

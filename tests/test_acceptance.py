@@ -247,6 +247,7 @@ def test_criterion_7_cli_goldens(capsys):
     exprs = [s.Q for s in syms] + [d.rho for d in dens] + [d.flux for d in dens]
     for e in exprs:
         assert parse(print_expr(e)) == e
+        assert repr(e) == print_expr(e)
     # committed golden reports, byte for byte
     for fname, argv in GOLDEN_CASES:
         code = main(argv)

@@ -64,7 +64,10 @@ def test_is_conserved_density(eq_abstract):
 
 
 def test_reconstruct_flux_rho1(eq_abstract):
-    assert reconstruct_flux(eq_abstract, u(0)) == u(4) + b * u(2) + fn("r")
+    sigma = reconstruct_flux(eq_abstract, u(0))
+    assert sigma == u(4) + b * u(2) + fn("r")
+    # the README's library example prints exactly its comment
+    assert repr(sigma) == "u_4x + b*u_xx + r(u)"
 
 
 def test_reconstruct_flux_rho2_quadratic(eq_quadratic):

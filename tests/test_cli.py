@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from jetcalc.cli import main, parse_f_spec
 from jetcalc.expr import FunctionSpec
 from jetcalc.poly import MAX_EXPONENT
 
+ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 ABSTRACT = str(DATA / "gke_abstract.json")
 LINEAR = str(DATA / "gke_linear.json")
@@ -167,6 +169,24 @@ def test_kawahara_verify_exit_zero_on_obstruction(capsys):
     assert "g = 0 contradicts deg L = 1" in out
 
 
+def test_readme_command_lines_run(capsys, monkeypatch):
+    # every command line the README shows runs from the repository root; a
+    # "# -> value" comment states the result line of its report
+    monkeypatch.chdir(ROOT)
+    lines = [ln for ln in (ROOT / "README.md").read_text().splitlines()
+             if ln.startswith("jetcalc ")]
+    stated = 0
+    for line in lines:
+        command, _, comment = line.partition(" #")
+        argv = shlex.split(command)[1:]
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1), (line, err)
+        if comment.startswith(" -> "):
+            assert f": {comment[4:]}\n" in out, line
+            stated += 1
+    assert stated == 2
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "euler", "u_x + ")
     assert code == 2
@@ -258,6 +278,10 @@ def test_exponent_overflow_is_an_input_error(capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: exponent overflow: the exponent of u exceeds {MAX_EXPONENT}\n"
+    # the generator is named as the input spells it
+    code, out, err = run(capsys, "dx", f"u_x^{MAX_EXPONENT + 1}")
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent overflow: the exponent of u_x exceeds {MAX_EXPONENT}\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5"])

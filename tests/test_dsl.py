@@ -98,6 +98,7 @@ def test_print_parse_roundtrip_catalog():
         [d.printed_flux for d in dens]
     for e in exprs:
         assert parse(print_expr(e)) == e
+        assert repr(e) == print_expr(e)
 
 
 def test_print_parse_roundtrip_series():
@@ -105,6 +106,7 @@ def test_print_parse_roundtrip_series():
                                0: fn("f", 1) * u(1)})
     text = print_series(S)
     assert parse_series(text) == S
+    assert repr(S) == text
 
 
 def test_whitespace_normalization():

@@ -86,6 +86,9 @@ def test_partial_u_total_chain():
 def test_partial_u_total_rejects_jets():
     with pytest.raises(NotAPointFunction):
         partial_u_total(u(1) * fn("f"))
+    # the message spells the jet as the input syntax does
+    with pytest.raises(NotAPointFunction, match="^expression depends on u_x$"):
+        partial_u_total(u(1))
 
 
 def test_substitute_simple():
