@@ -174,16 +174,10 @@ class Forcing:
         return False
 
     def apply(self, e: JetExpr) -> JetExpr:
-        e = as_expr(e)
-        mapping = {}
-        for g in e.generators():
-            if g.kind == KIND_UNKNOWN:
-                k0 = self.zero_from.get(g.name)
-                if k0 is not None and g.index >= k0:
-                    mapping[g] = ZERO_EXPR
-        if not mapping:
-            return e
-        return substitute_map(e, mapping)
+        zero_from = self.zero_from
+        return substitute_map(e, {g: ZERO_EXPR for g in as_expr(e).generators()
+                                  if g.kind == KIND_UNKNOWN and g.name in zero_from
+                                  and g.index >= zero_from[g.name]})
 
 
 @dataclass

@@ -3,8 +3,10 @@
 Surface syntax: jets u, u_x, u_xx, u_xxx (up to four x's), u_4x / u_{4}x;
 independent variables x, t; function symbols f(u), f'(u), df^k, r(u),
 rhat(u), ln(u+c); any other identifier is a named parameter; integer
-rationals with + - * / ^ and parentheses.  xi^k monomials are admitted in
-series contexts only.
+rationals with + - * / ^ and parentheses, evaluated straight into JetExpr.
+A series literal is such an expression in xi, one more generator, whose
+divisors (right operands of / and bases of negative powers) hold a single
+power of xi in their numerators; parse_series reads its xi-coefficients.
 
 The printer emits the canonical form: numerator and denominator as sums of
 monomials in a fixed dominance order (higher jets first, parameters last
@@ -28,6 +30,8 @@ from .poly import (
     KIND_X,
     ONE as POLY_ONE,
     Poly,
+    mono_factors,
+    param,
 )
 from .series import PsdSeries
 
@@ -45,6 +49,10 @@ _TOKEN_RE = re.compile(r"""
 # below the default recursion limit of 1000: over-deep input is a syntax
 # error, not a crash.
 MAX_DEPTH = 64
+
+
+# The series variable of series literals.
+XI = param("xi")
 
 
 class _Token:
@@ -128,57 +136,58 @@ class _Parser:
             self.error(f"expected {op!r}", tok, expected=(op,))
         return self.advance()
 
-    # xi bookkeeping: expressions are dicts {xi_power: JetExpr}
-    def parse(self):
+    def parse(self) -> JetExpr:
         v = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             self.error("unexpected trailing input", tok)
         return v
 
-    def expr(self) -> dict:
+    def expr(self) -> JetExpr:
         v = self.term()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.value in "+-":
                 self.advance()
                 rhs = self.term()
-                v = _series_add(v, rhs, 1 if tok.value == "+" else -1)
+                v = v + rhs if tok.value == "+" else v - rhs
             else:
                 return v
 
-    def term(self) -> dict:
+    def term(self) -> JetExpr:
         v = self.factor()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.value in "*/":
                 self.advance()
                 rhs = self.factor()
-                if tok.value == "*":
-                    v = _series_mul(v, rhs)
-                else:
-                    v = _series_div(v, rhs, self, tok)
+                v = v * rhs if tok.value == "*" else v / self.divisor(rhs, tok)
             else:
                 return v
 
-    def factor(self) -> dict:
+    def factor(self) -> JetExpr:
         tok = self.peek()
         if tok.kind == "op" and tok.value in "+-":
             self.advance()
             v = self.nested(tok, self.factor)
-            if tok.value == "-":
-                return {k: -e for k, e in v.items()}
-            return v
+            return -v if tok.value == "-" else v
         return self.power()
 
-    def power(self) -> dict:
+    def power(self) -> JetExpr:
         base = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.value == "^":
             self.advance()
             n = self.integer_exponent()
-            return _series_pow(base, n, self, tok)
+            return self.divisor(base, tok) ** n if n < 0 else base ** n
         return base
+
+    def divisor(self, d: JetExpr, tok: _Token) -> JetExpr:
+        """d, refused at tok unless its numerator holds a single power of xi,
+        so that every xi-denominator is a monomial."""
+        if len(d.num.split((XI,))) > 1:
+            self.error("cannot divide by a sum of xi powers", tok)
+        return d
 
     def integer_exponent(self) -> int:
         tok = self.peek()
@@ -197,34 +206,32 @@ class _Parser:
         self.advance()
         return sign * tok.value
 
-    def atom(self) -> dict:
+    def atom(self) -> JetExpr:
         tok = self.advance()
         if tok.kind == "num":
-            return {0: as_expr(tok.value)}
+            return as_expr(tok.value)
         if tok.kind == "jet":
-            return {0: u(tok.value)}
+            return u(tok.value)
         if tok.kind == "dfk":
-            self.maybe_call_u(required=False)
-            return {0: fn("f", tok.value)}
+            self.maybe_call_u()
+            return fn("f", tok.value)
         if tok.kind == "op" and tok.value == "(":
             v = self.nested(tok, self.expr)
             self.expect_op(")")
             return v
         if tok.kind == "name":
-            return {0: self.named_atom(tok)}
+            return self.named_atom(tok)
         self.error("expected a value", tok,
                    expected=("number", "identifier", "("))
 
-    def maybe_call_u(self, required: bool) -> None:
+    def maybe_call_u(self) -> None:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "(":
             self.advance()
             inner = self.nested(tok, self.expr)
             self.expect_op(")")
-            if set(inner) != {0} or inner[0] != u(0):
+            if inner != u(0):
                 self.error("function symbols take the argument (u)", tok)
-        elif required:
-            self.error("expected (u)", tok, expected=("(",))
 
     def named_atom(self, tok: _Token) -> JetExpr:
         name = tok.value
@@ -247,11 +254,11 @@ class _Parser:
             self.advance()
             inner = self.nested(nxt, self.expr)
             self.expect_op(")")
-            if set(inner) != {0} or inner[0] != u(0) + par("c"):
+            if inner != u(0) + par("c"):
                 self.error("ln argument must be u+c", tok)
             return ln_shift()
         if stem in ("f", "r", "rhat"):
-            self.maybe_call_u(required=False)
+            self.maybe_call_u()
             return fn(stem, primes)
         if primes:
             self.error(f"primes are reserved for function symbols, got {name!r}", tok)
@@ -259,69 +266,37 @@ class _Parser:
 
 
 class _SeriesParser(_Parser):
-    def atom(self) -> dict:
+    def atom(self) -> JetExpr:
         tok = self.peek()
         if tok.kind == "name" and tok.value == "xi":
             self.advance()
             nxt = self.peek()
             if nxt.kind == "op" and nxt.value == "^":
                 self.advance()
-                n = self.integer_exponent()
-                return {n: as_expr(1)}
-            return {1: as_expr(1)}
+                return JetExpr.from_gen(XI) ** self.integer_exponent()
+            return JetExpr.from_gen(XI)
         return super().atom()
-
-
-def _series_add(a: dict, b: dict, sign: int) -> dict:
-    out = dict(a)
-    for k, e in b.items():
-        out[k] = out.get(k, as_expr(0)) + (e if sign > 0 else -e)
-    return out
-
-
-def _series_mul(a: dict, b: dict) -> dict:
-    # plain coefficient multiplication: valid because the only xi-bearing
-    # factors admitted by the grammar have constant coefficients
-    out: dict = {}
-    for ka, ea in a.items():
-        for kb, eb in b.items():
-            k = ka + kb
-            out[k] = out.get(k, as_expr(0)) + ea * eb
-    return out
-
-
-def _series_div(a: dict, b: dict, parser: _Parser, tok: _Token) -> dict:
-    if set(b) not in ({0}, set()):
-        parser.error("cannot divide by a xi-dependent value", tok)
-    d = b.get(0, as_expr(0))
-    return {k: e / d for k, e in a.items()}
-
-
-def _series_pow(a: dict, n: int, parser: _Parser, tok: _Token) -> dict:
-    if set(a) == {0} or not a:
-        return {0: a.get(0, as_expr(0)) ** n}
-    if len(a) == 1:
-        (k, e), = a.items()
-        if n < 0 and not e.is_rational_const:
-            parser.error("negative powers require constant coefficients", tok)
-        return {k * n: e ** n}
-    if n < 0:
-        parser.error("negative powers of xi-sums are not supported", tok)
-    out = {0: as_expr(1)}
-    for _ in range(n):
-        out = _series_mul(out, a)
-    return out
 
 
 def parse(text: str) -> JetExpr:
     """Parse an expression; xi is rejected here."""
-    return _Parser(text).parse()[0]
+    return _Parser(text).parse()
+
+
+def _xi_power(mono: int) -> int:
+    """The exponent of a monomial in xi alone."""
+    return sum(e for _, e in mono_factors(mono))
 
 
 def parse_series(text: str) -> PsdSeries:
-    """Parse a polynomial-in-xi series literal."""
+    """Parse a series literal: an expression in xi whose divisors hold a
+    single power of xi, so its denominator is xi^k times a xi-free d."""
     v = _SeriesParser(text).parse()
-    return PsdSeries.from_coeffs(v, exact=True)
+    (low, d), = v.den.split((XI,)).items()
+    d = JetExpr(d, POLY_ONE)
+    k = _xi_power(low)
+    return PsdSeries.from_coeffs({_xi_power(m) - k: JetExpr(c, POLY_ONE) / d
+                                  for m, c in v.num.split((XI,)).items()})
 
 
 # -- printing -----------------------------------------------------------------

@@ -526,14 +526,5 @@ class FunctionSpec:
 
 def specialize_f(e: JetExpr, spec: FunctionSpec) -> JetExpr:
     """Rewrite every function symbol according to spec, then renormalize."""
-    e = as_expr(e)
-    if spec.mode == "abstract":
-        return e
-    mapping = {}
-    for g in e.generators():
-        img = spec.image_of(g)
-        if img is not None:
-            mapping[g] = img
-    if not mapping:
-        return e
-    return substitute_map(e, mapping)
+    return substitute_map(e, {g: img for g in as_expr(e).generators()
+                              if (img := spec.image_of(g)) is not None})

@@ -282,6 +282,10 @@ def test_exponent_overflow_is_an_input_error(capsys):
     code, out, err = run(capsys, "dx", f"u_x^{MAX_EXPONENT + 1}")
     assert (code, out) == (2, "")
     assert err == f"error: exponent overflow: the exponent of u_x exceeds {MAX_EXPONENT}\n"
+    # xi is one generator of a series literal, with the same bound
+    code, out, err = run(capsys, "compose", f"xi^{MAX_EXPONENT + 1}", "u")
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent overflow: the exponent of xi exceeds {MAX_EXPONENT}\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5"])

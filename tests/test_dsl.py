@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from jetcalc import DslSyntaxError
@@ -75,6 +78,17 @@ def test_parse_series():
     neg = parse_series("xi^(-1) + u*xi^-2")
     assert neg.coeff(-1) == as_expr(1)
     assert neg.coeff(-2) == u(0)
+    # a divisor may hold a single power of xi
+    assert parse_series("1/xi") == parse_series("xi^(-1)")
+    assert parse_series("(xi^2 + xi)/xi") == parse_series("xi + 1")
+    assert parse_series("(u*xi)^-1") == PsdSeries.from_coeffs({-1: 1 / u(0)})
+    assert print_series(parse_series("(u*xi)^-1")) == "((1)/(u))*xi^(-1)"
+    # a sum of xi powers is refused at the operator's token
+    for text, column in (("1/(xi+u)", 2), ("(xi+1)^-1", 7)):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_series(text)
+        assert "cannot divide by a sum of xi powers" in str(err.value)
+        assert (err.value.line, err.value.column) == (1, column)
 
 
 def test_print_canonical_order():
@@ -101,12 +115,41 @@ def test_print_parse_roundtrip_catalog():
         assert repr(e) == print_expr(e)
 
 
+def _random_coefficient(rng):
+    """A random rational expression over the generators the parser spells."""
+    atoms = [u(0), u(1), u(2), u(3), u(4), u(7), x(), t(), fn("f"), fn("f", 1),
+             fn("f", 2), fn("f", 5), fn("r"), fn("rhat"), ln_shift(), par("b"),
+             par("alpha"), par("c")]
+
+    def poly():
+        total = as_expr(0)
+        for _ in range(rng.randint(1, 3)):
+            term = as_expr(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            for _ in range(rng.randint(0, 2)):
+                term = term * rng.choice(atoms) ** rng.randint(1, 3)
+            total = total + term
+        return total
+    num = poly()
+    if rng.random() < 0.4:
+        den = poly()
+        if not den.is_zero:
+            return num / den
+    return num
+
+
 def test_print_parse_roundtrip_series():
     S = PsdSeries.from_coeffs({5: as_expr(1), 3: par("b"), 1: fn("f"),
                                0: fn("f", 1) * u(1)})
     text = print_series(S)
     assert parse_series(text) == S
     assert repr(S) == text
+    rng = random.Random(16)
+    for _ in range(120):
+        S = PsdSeries.from_coeffs({k: _random_coefficient(rng)
+                                   for k in rng.sample(range(-4, 6), rng.randint(0, 4))})
+        text = print_series(S)
+        assert parse_series(text) == S, text
+        assert repr(S) == text
 
 
 def test_whitespace_normalization():
