@@ -62,7 +62,6 @@ from .expr import (
 )
 from .kawahara import (
     DensityFluxPair,
-    GKESpec,
     QuadraticNormalization,
     SymmetryCharacteristic,
     TheoremReport,

@@ -225,17 +225,17 @@ def _x_piece(rem: JetExpr) -> JetExpr | None:
 def _u_piece(rem: JetExpr) -> JetExpr | None:
     """Antiderivative in u of the part of rem in its deepest chain symbol,
     else of its top power of ln(u+c), else of rem itself.  None outside the
-    class: a symbol in the denominator, a symbol off the chain, the chain
-    beside u in the denominator, or rhat."""
+    class: a symbol in the denominator, the chain beside u in the
+    denominator, or rhat as the deepest symbol."""
     if any(g.kind == KIND_FN for g in rem.den.generators()):
         return None
     fns = [g for g in rem.generators() if g.kind == KIND_FN]
     chain = [g for g in fns if g.name != LOG_FAMILY]
     if chain:
-        depths = [symbol_depth(g) for g in chain]
-        if None in depths or jet(0) in rem.den.generators():
+        if jet(0) in rem.den.generators():
             return None
-        d, H = max(zip(depths, chain), key=lambda t: t[0])
+        H = max(chain, key=symbol_depth)
+        d = symbol_depth(H)
         if d <= -2:
             return None  # nothing integrates to rhat
         return _affine_piece(rem, H, symbol_at_depth(d - 1))

@@ -30,7 +30,7 @@ from .calculus import EvolutionEquation, euler, order, order_text, total_t, tota
 from .dsl import parse, parse_series, print_expr, print_series
 from .errors import DslSyntaxError, JetCalcError, NotConserved
 from .expr import FunctionSpec, specialize_f
-from .kawahara import GKESpec, verify_theorem
+from .kawahara import verify_theorem
 from .series import adjoint, commutator, compose, nth_root, positive_int
 
 
@@ -233,7 +233,7 @@ def _kawahara_verify(args, report, eq):
     fspec = parse_f_spec(args.f)
     report.add_input("theorem", str(args.theorem))
     report.add_input("f", args.f)
-    rep = verify_theorem(args.theorem, GKESpec(f=fspec))
+    rep = verify_theorem(args.theorem, fspec)
     for line in rep.details:
         report.add(line)
     for s in rep.symmetries:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import DslSyntaxError
-from .expr import JetExpr, as_expr, fn, ln_shift, par, u, x as x_atom, t as t_atom
+from .expr import CHAIN_DEPTH, JetExpr, as_expr, fn, ln_shift, par, u, x as x_atom, t as t_atom
 from .poly import (
     KIND_FN,
     KIND_JET,
@@ -257,7 +257,7 @@ class _Parser:
             if inner != u(0) + par("c"):
                 self.error("ln argument must be u+c", tok)
             return ln_shift()
-        if stem in ("f", "r", "rhat"):
+        if stem in CHAIN_DEPTH:
             self.maybe_call_u()
             return fn(stem, primes)
         if primes:
@@ -321,7 +321,7 @@ def gen_name(g) -> str:
             if g.index <= 3:
                 return "f" + "'" * g.index + "(u)"
             return f"df^{g.index}"
-        return f"{g.name}(u)" if g.index == 0 else f"{g.name}{'~' * g.index}(u)"
+        return f"{g.name}(u)"  # r or rhat; fn folds their derivatives into f's
     if g.kind == KIND_UNKNOWN:
         if g.index == 0:
             return g.name

@@ -22,9 +22,11 @@ the product of the factors they share, at the lower multiplicity; and
 the factors of d that the derivation moves, where D(n)/d - (n/d) * D(d)/d
 would reduce over d^2.
 
-The abstract function symbols form a fixed derivation chain in u:
+The abstract function symbols form one derivation chain in u, indexed by
+depth (``CHAIN_DEPTH``):
 
     rhat --d/du--> r --d/du--> f --d/du--> f' --d/du--> f'' --> ...
+     -2             -1          0           1            2
 
 together with the opaque logarithm ``lnuc`` = ln(u+c) whose u-derivative is
 1/(u+c).  The chain is what makes the antiderivative symbols of the energy
@@ -33,6 +35,7 @@ density work without a general integration operator.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -57,10 +60,11 @@ from .poly import (
     unknown_t,
 )
 
-# u-antiderivative chain among function-symbol families.
-ANTIDERIVATIVE_CHAIN = {"rhat": "r", "r": "f"}
+# The depth of each chain name's own symbol; f^(k) sits at depth k.
+CHAIN_DEPTH = {"rhat": -2, "r": -1, "f": 0}
+_NAME_AT_DEPTH = {d: name for name, d in CHAIN_DEPTH.items()}
 
-# Reserved family names; anything else behaves like "f" (own derivative tower).
+# The family of the opaque ln(u+c), the one function symbol off the chain.
 LOG_FAMILY = "lnuc"
 
 
@@ -270,11 +274,10 @@ def u(i: int = 0) -> JetExpr:
 
 
 def fn(name: str = "f", k: int = 0) -> JetExpr:
-    """Function-symbol atom; collapses the antiderivative chain eagerly."""
-    while k > 0 and name in ANTIDERIVATIVE_CHAIN:
-        name = ANTIDERIVATIVE_CHAIN[name]
-        k -= 1
-    return JetExpr.from_gen(fnsym(name, k))
+    """The k-th u-derivative of the chain symbol name: fn("r", 1) is f."""
+    if name not in CHAIN_DEPTH:
+        raise ValueError(f"unknown function symbol {name!r}: the chain is rhat, r, f")
+    return JetExpr.from_gen(symbol_at_depth(CHAIN_DEPTH[name] + k))
 
 
 def unk(name: str, k: int = 0) -> JetExpr:
@@ -290,23 +293,16 @@ def ln_shift() -> JetExpr:
     return JetExpr.from_gen(fnsym(LOG_FAMILY, 0))
 
 
-def symbol_depth(g: Generator) -> int | None:
-    """Depth of a symbol in the chain rhat -> r -> f -> f' -> ... (f at 0)."""
-    if g.name == "f":
-        return g.index
-    if g.name == "r" and g.index == 0:
-        return -1
-    if g.name == "rhat" and g.index == 0:
-        return -2
-    return None
+def symbol_depth(g: Generator) -> int:
+    """Depth of a chain symbol: rhat -2, r -1, f^(k) k."""
+    return CHAIN_DEPTH[g.name] + g.index
 
 
 def symbol_at_depth(d: int) -> Generator:
-    if d == -2:
-        return fnsym("rhat", 0)
-    if d == -1:
-        return fnsym("r", 0)
-    return fnsym("f", d)
+    """The chain symbol at depth d >= -2."""
+    if d < -2:
+        raise ValueError(f"no function symbol at depth {d}: the chain starts at rhat")
+    return fnsym(_NAME_AT_DEPTH[min(d, 0)], max(d, 0))
 
 
 # -- calculus-free operations ----------------------------------------------
@@ -368,14 +364,12 @@ def derive(e: JetExpr, image) -> JetExpr:
 
 
 def u_image(g: Generator) -> JetExpr | None:
-    """Image of g under d/du: 1 on u, and on function symbols the fixed chain
-    (ln(u+c) -> 1/(u+c), rhat -> r -> f, f^(k) -> f^(k+1))."""
+    """Image of g under d/du: 1 on u, 1/(u+c) on ln(u+c), and on a chain
+    symbol the symbol one level deeper."""
     if g.kind == KIND_FN:
         if g.name == LOG_FAMILY:
             return ONE_EXPR / (u() + par("c"))
-        if g.index == 0 and g.name in ANTIDERIVATIVE_CHAIN:
-            return JetExpr.from_gen(fnsym(ANTIDERIVATIVE_CHAIN[g.name], 0))
-        return JetExpr.from_gen(fnsym(g.name, g.index + 1))
+        return JetExpr.from_gen(symbol_at_depth(symbol_depth(g) + 1))
     return ONE_EXPR if g is jet(0) else None
 
 
@@ -406,7 +400,8 @@ def _evaluate(p: Poly, mapping: dict) -> JetExpr:
 def substitute_map(e: JetExpr, mapping: dict) -> JetExpr:
     """Simultaneous replacement of generators by expressions, renormalized."""
     e = as_expr(e)
-    relevant = {g: as_expr(v) for g, v in mapping.items() if g in e.generators()}
+    gens = e.generators()
+    relevant = {g: as_expr(v) for g, v in mapping.items() if g in gens}
     if not relevant:
         return e
     return _evaluate(e.num, relevant) / _evaluate(e.den, relevant)
@@ -432,12 +427,12 @@ def substitute(e: JetExpr, g: Generator, v) -> JetExpr:
         if any(i > g.index for i in jets):
             raise InconsistentJetSubstitution(
                 f"cannot replace {g!r} alone while higher jets are present")
-        return substitute_map(e, {g: v})
     return substitute_map(e, {g: v})
 
 
 # -- concrete nonlinearities -------------------------------------------------
 
+@dataclass(frozen=True)
 class FunctionSpec:
     """How the abstract symbols f, r, rhat specialize.
 
@@ -447,21 +442,18 @@ class FunctionSpec:
     mode "logshift"    : f = gamma*ln(u+c) + delta via the opaque lnuc symbol.
     """
 
-    __slots__ = ("mode", "coeffs", "gamma", "delta")
-
-    def __init__(self, mode: str, coeffs=None, gamma=None, delta=None):
-        self.mode = mode
-        self.coeffs = tuple(as_expr(c) for c in coeffs) if coeffs is not None else None
-        self.gamma = as_expr(gamma) if gamma is not None else None
-        self.delta = as_expr(delta) if delta is not None else None
+    mode: str = "abstract"
+    coeffs: tuple | None = None
+    gamma: JetExpr | None = None
+    delta: JetExpr | None = None
 
     @classmethod
     def abstract(cls) -> "FunctionSpec":
-        return cls("abstract")
+        return cls()
 
     @classmethod
     def polynomial(cls, coeffs) -> "FunctionSpec":
-        return cls("polynomial", coeffs=coeffs)
+        return cls("polynomial", coeffs=tuple(as_expr(c) for c in coeffs))
 
     @classmethod
     def linear(cls, alpha="alpha", beta="beta") -> "FunctionSpec":
@@ -479,52 +471,29 @@ class FunctionSpec:
         d = par(delta) if isinstance(delta, str) else as_expr(delta)
         return cls("logshift", gamma=g, delta=d)
 
-    def __eq__(self, other):
-        return (isinstance(other, FunctionSpec) and self.mode == other.mode
-                and self.coeffs == other.coeffs and self.gamma == other.gamma
-                and self.delta == other.delta)
-
-    def __hash__(self):
-        return hash((self.mode, self.coeffs, self.gamma, self.delta))
-
-    def __repr__(self):
-        if self.mode == "polynomial":
-            return f"FunctionSpec.polynomial({list(self.coeffs)!r})"
-        if self.mode == "logshift":
-            return f"FunctionSpec.log_shift({self.gamma!r}, {self.delta!r})"
-        return "FunctionSpec.abstract()"
-
     def f_image(self, k: int) -> JetExpr:
-        """Image of the k-th u-derivative of f; k = -1 and k = -2 are the
-        antiderivatives r and rhat, with zero integration constants."""
+        """Image of the chain symbol at depth k under a concrete f.  f, r and
+        rhat are written out, r and rhat with zero integration constants;
+        each f^(k) is the u-derivative of the image one level up."""
+        if k > 0:
+            return derive(self.f_image(k - 1), u_image)
         if self.mode == "polynomial":
-            uu = u()
-            total = ZERO_EXPR
-            for i, c in enumerate(self.coeffs):
-                if i >= k:
-                    total = total + c * Fraction(factorial(i), factorial(i - k)) * uu ** (i - k)
-            return total
-        if self.mode == "logshift":
-            uc = u() + par("c")
-            if k == -2:
-                return (self.gamma * uc ** 2 / 2 * ln_shift()
-                        - 3 * self.gamma * uc ** 2 / 4 + self.delta * u() ** 2 / 2)
-            if k == -1:
-                return self.gamma * (uc * ln_shift() - uc) + self.delta * u()
-            if k == 0:
-                return self.gamma * ln_shift() + self.delta
-            sign = Fraction(1) if k % 2 == 1 else Fraction(-1)
-            return self.gamma * (sign * factorial(k - 1)) / uc ** k
-        return JetExpr.from_gen(symbol_at_depth(k))
-
-    def image_of(self, g: Generator) -> JetExpr | None:
-        if g.kind != KIND_FN or self.mode == "abstract":
-            return None
-        d = symbol_depth(g)
-        return None if d is None else self.f_image(d)  # lnuc and unknown families stay opaque
+            return sum((c * Fraction(factorial(i), factorial(i - k)) * u() ** (i - k)
+                        for i, c in enumerate(self.coeffs)), ZERO_EXPR)
+        uc = u() + par("c")
+        if k == -2:
+            return (self.gamma * uc ** 2 / 2 * ln_shift()
+                    - 3 * self.gamma * uc ** 2 / 4 + self.delta * u() ** 2 / 2)
+        if k == -1:
+            return self.gamma * (uc * ln_shift() - uc) + self.delta * u()
+        return self.gamma * ln_shift() + self.delta
 
 
 def specialize_f(e: JetExpr, spec: FunctionSpec) -> JetExpr:
-    """Rewrite every function symbol according to spec, then renormalize."""
-    return substitute_map(e, {g: img for g in as_expr(e).generators()
-                              if (img := spec.image_of(g)) is not None})
+    """Rewrite every chain symbol according to spec, then renormalize;
+    ln(u+c) stays opaque."""
+    e = as_expr(e)
+    if spec.mode == "abstract":
+        return e
+    return substitute_map(e, {g: spec.f_image(symbol_depth(g)) for g in e.generators()
+                              if g.kind == KIND_FN and g.name != LOG_FAMILY})

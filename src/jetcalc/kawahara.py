@@ -45,12 +45,6 @@ from .poly import jet, param
 from .series import _fraction_nth_root
 
 
-@dataclass(frozen=True)
-class GKESpec:
-    """Equation data: the nonlinearity; the dispersion parameter is b."""
-    f: FunctionSpec
-
-
 def _branch(f: FunctionSpec) -> str:
     """"constant", "linear" (no u^2 or higher term), "logshift" or "abstract".
 
@@ -66,12 +60,12 @@ def _branch(f: FunctionSpec) -> str:
     return "abstract"
 
 
-def gke(spec: GKESpec) -> EvolutionEquation:
+def gke(spec: FunctionSpec) -> EvolutionEquation:
     """Build u_t = u_5x + b u_xxx + f(u) u_x with f specialized per spec."""
-    if _branch(spec.f) == "constant":
+    if _branch(spec) == "constant":
         raise ConstantF("f must be nonconstant (df/du != 0)")
-    rhs = u(5) + par("b") * u(3) + specialize_f(fn("f"), spec.f) * u(1)
-    return EvolutionEquation(rhs, spec.f)
+    rhs = u(5) + par("b") * u(3) + specialize_f(fn("f"), spec) * u(1)
+    return EvolutionEquation(rhs, spec)
 
 
 # -- quadratic normalization ---------------------------------------------------
@@ -94,16 +88,12 @@ class QuadraticNormalization:
 
     def apply_to_density(self, rho: JetExpr) -> JetExpr:
         """Transform a density expression through the u-shift and scaling."""
-        shifted = substitute(as_expr(rho), jet(0), u(0) / self.scale + self.u_shift)
-        return shifted
+        return substitute(as_expr(rho), jet(0), u(0) / self.scale + self.u_shift)
 
 
-def normalize_quadratic_f(spec: GKESpec) -> tuple[GKESpec, QuadraticNormalization]:
+def normalize_quadratic_f(f: FunctionSpec) -> tuple[FunctionSpec, QuadraticNormalization]:
     """Reduce a degree-2 polynomial nonlinearity to f = u^2."""
-    f = spec.f
-    if f.mode != "polynomial" or len(f.coeffs) < 3 or f.coeffs[2].is_zero:
-        raise NotQuadratic("f must be a polynomial of degree 2 in u")
-    if len(f.coeffs) > 3:
+    if f.mode != "polynomial" or len(f.coeffs) != 3 or f.coeffs[2].is_zero:
         raise NotQuadratic("f must be a polynomial of degree 2 in u")
     p0, p1, p2 = f.coeffs
     shift = -p1 / (2 * p2)
@@ -117,7 +107,7 @@ def normalize_quadratic_f(spec: GKESpec) -> tuple[GKESpec, QuadraticNormalizatio
         relation = (scale ** 2, p2)
     record = QuadraticNormalization(u_shift=shift, x_shift_rate=p0_tilde,
                                     scale=scale, scale_relation=relation)
-    return GKESpec(f=FunctionSpec.quadratic()), record
+    return FunctionSpec.quadratic(), record
 
 
 # -- the catalog ---------------------------------------------------------------
@@ -250,9 +240,9 @@ def verify_entry(entry, eq: EvolutionEquation) -> bool:
 def verify_catalog() -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair]]:
     """Verify every catalog entry in its own domain; fill fluxes and diffs."""
     syms, dens = catalog()
-    eqs = {"abstract": gke(GKESpec(FunctionSpec.abstract())),
-           "linear": gke(GKESpec(FunctionSpec.linear())),
-           "logshift": gke(GKESpec(FunctionSpec.log_shift()))}
+    eqs = {"abstract": gke(FunctionSpec.abstract()),
+           "linear": gke(FunctionSpec.linear()),
+           "logshift": gke(FunctionSpec.log_shift())}
     for entry in syms + dens:
         verify_entry(entry, eqs[entry.domain])
     return syms, dens
@@ -261,9 +251,9 @@ def verify_catalog() -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair
 # -- the case gate of the point-symmetry classification -------------------------
 
 
-def linear_dependence_gate(spec: GKESpec) -> bool:
+def linear_dependence_gate(spec: FunctionSpec) -> bool:
     """True when u f'(u), f'(u) and 1 are linearly dependent over constants."""
-    df = specialize_f(fn("f", 1), spec.f)
+    df = specialize_f(fn("f", 1), spec)
     cand = [u(0) * df, df, as_expr(1)]
     # dependence <=> the coefficient matrix over u-monomials has a nullspace
     matrix = _param_field_matrix(cand)
@@ -281,7 +271,7 @@ def point_symmetry_basis() -> list[JetExpr]:
 @dataclass
 class TheoremReport:
     theorem: int
-    spec: GKESpec
+    spec: FunctionSpec
     verified: bool
     details: list[str] = field(default_factory=list)
     symmetries: list[SymmetryCharacteristic] = field(default_factory=list)
@@ -290,10 +280,10 @@ class TheoremReport:
     scan: ScanReport | None = None
 
 
-def verify_theorem_1(spec: GKESpec) -> TheoremReport:
+def verify_theorem_1(spec: FunctionSpec) -> TheoremReport:
     """Residual checks for the applicable Q's plus the point-symmetry ansatz."""
     eq = gke(spec)
-    branch = _branch(spec.f)
+    branch = _branch(spec)
     syms, _ = catalog()
     report = TheoremReport(theorem=1, spec=spec, verified=True)
     dependent = linear_dependence_gate(spec)
@@ -318,10 +308,10 @@ def verify_theorem_1(spec: GKESpec) -> TheoremReport:
     return report
 
 
-def verify_theorem_2(spec: GKESpec) -> TheoremReport:
+def verify_theorem_2(spec: FunctionSpec) -> TheoremReport:
     """Density checks, flux reconstruction, characteristic order bounds."""
     eq = gke(spec)
-    branch = _branch(spec.f)
+    branch = _branch(spec)
     _, dens = catalog()
     report = TheoremReport(theorem=2, spec=spec, verified=True)
     for d in dens:
@@ -338,7 +328,7 @@ def verify_theorem_2(spec: GKESpec) -> TheoremReport:
     return report
 
 
-def verify_theorem_3(spec: GKESpec) -> TheoremReport:
+def verify_theorem_3(spec: FunctionSpec) -> TheoremReport:
     """Obstruction scan: no nontrivial formal symmetry of rank >= 13.
 
     One scan runs to rank 17; the rank-13 verdict is read from its prefix.
@@ -373,7 +363,7 @@ def verify_theorem_3(spec: GKESpec) -> TheoremReport:
     return report
 
 
-def verify_theorem(n: int, spec: GKESpec) -> TheoremReport:
+def verify_theorem(n: int, spec: FunctionSpec) -> TheoremReport:
     if n == 1:
         return verify_theorem_1(spec)
     if n == 2:

@@ -575,7 +575,7 @@ def _make_primitive(p: Poly) -> Poly:
 
 # -- squarefree factorization ---------------------------------------------
 
-# Distinct denominators are few (21 over Theorems 1-3 on the log branch), so
+# Distinct denominators are few (17 over Theorems 1-3 on the log branch), so
 # a small memo holds all of them.
 _FACTOR_MEMO_SIZE = 256
 
@@ -596,7 +596,8 @@ def squarefree_factors(p: Poly) -> tuple:
 
 
 def _coprime_squarefree(p: Poly) -> list:
-    """Content in each generator split off recursively, then Yun's algorithm.
+    """A monomial's generators at their exponents; otherwise content in each
+    generator split off recursively, then Yun's algorithm.
 
     Once p has constant content in every generator, each irreducible factor
     involves every generator of p, so Yun's squarefree decomposition in any
@@ -605,6 +606,9 @@ def _coprime_squarefree(p: Poly) -> list:
     p = _make_primitive(p)
     if p.is_const():
         return []
+    if len(p.terms) == 1:
+        (m,) = p.terms
+        return [(Poly.gen(g), e) for g, e in mono_factors(m)]
     degs = _var_degrees(p)
     gens = sorted(degs, key=lambda g: g.key)
     for w in gens:

@@ -3,28 +3,28 @@ from fractions import Fraction
 
 import pytest
 
-from jetcalc import EvolutionEquation, FunctionSpec, GKESpec, gke
+from jetcalc import EvolutionEquation, FunctionSpec, gke
 from jetcalc.expr import as_expr, fn, par, t, u, x
 
 
 @pytest.fixture(scope="session")
 def eq_abstract():
-    return gke(GKESpec(FunctionSpec.abstract()))
+    return gke(FunctionSpec.abstract())
 
 
 @pytest.fixture(scope="session")
 def eq_linear():
-    return gke(GKESpec(FunctionSpec.linear()))
+    return gke(FunctionSpec.linear())
 
 
 @pytest.fixture(scope="session")
 def eq_log():
-    return gke(GKESpec(FunctionSpec.log_shift()))
+    return gke(FunctionSpec.log_shift())
 
 
 @pytest.fixture(scope="session")
 def eq_quadratic():
-    return gke(GKESpec(FunctionSpec.quadratic()))
+    return gke(FunctionSpec.quadratic())
 
 
 DEFAULT_POOL = None

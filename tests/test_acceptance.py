@@ -12,7 +12,6 @@ import pytest
 
 from jetcalc import (
     FunctionSpec,
-    GKESpec,
     gke,
     verify_theorem,
 )
@@ -56,9 +55,9 @@ def _report(n, title):
 
 def test_criterion_1_theorem_1():
     """Symmetry residuals for Q1..Q4 and the exact point-ansatz spans."""
-    eq_a = gke(GKESpec(FunctionSpec.abstract()))
-    eq_l = gke(GKESpec(FunctionSpec.linear()))
-    eq_g = gke(GKESpec(FunctionSpec.log_shift()))
+    eq_a = gke(FunctionSpec.abstract())
+    eq_l = gke(FunctionSpec.linear())
+    eq_g = gke(FunctionSpec.log_shift())
     q1 = u(5) + b * u(3) + fn("f") * u(1)
     q2 = u(1)
     q3 = t() * u(1) + 1 / alpha
@@ -85,8 +84,8 @@ def test_criterion_2_theorem_2():
     for d in dens:
         assert d.verified, d.label
         assert d.flux_reconstructed
-        eq = gke(GKESpec(FunctionSpec.abstract() if d.domain == "abstract"
-                         else FunctionSpec.linear()))
+        eq = gke(FunctionSpec.abstract() if d.domain == "abstract"
+                 else FunctionSpec.linear())
         resid = total_t(d.rho, eq) - total_x(d.flux)
         assert resid.is_zero
         assert order(d.characteristic) <= 4
@@ -104,7 +103,7 @@ def test_criterion_3_theorem_3():
     """Obstruction scans at rank 13 for abstract f, f=u^3 and f=u^2."""
     K = u(5) + b * u(3) + fn("f") * u(1)
     # (a) abstract f: the xi^-3 constraint pair of the proof
-    eq = gke(GKESpec(FunctionSpec.abstract()))
+    eq = gke(FunctionSpec.abstract())
     rep = formal_symmetry_scan(eq, 13)
     assert rep.obstruction_index == -3 and rep.obstruction == "g = 0"
     last = rep.steps[-1]
@@ -119,11 +118,11 @@ def test_criterion_3_theorem_3():
                        for g in gens)
     # (b) f = u^3: g forced to zero at the xi^-3 step
     spec3 = FunctionSpec.polynomial([0, 0, 0, 1])
-    eq3 = gke(GKESpec(spec3))
+    eq3 = gke(spec3)
     rep3 = formal_symmetry_scan(eq3, 13)
     assert rep3.obstruction_index == -3 and rep3.obstruction == "g = 0"
     # (c) f = u^2: transcript milestones in order, terminal at xi^-7
-    eq2 = gke(GKESpec(FunctionSpec.quadratic()))
+    eq2 = gke(FunctionSpec.quadratic())
     rep2 = formal_symmetry_scan(eq2, 13)
     assert rep2.obstruction_index == -7 and rep2.obstruction == "g = 0"
     transcript = " | ".join(" ; ".join(s.forced) for s in rep2.steps)
@@ -136,7 +135,7 @@ def test_criterion_3_theorem_3():
 
 def test_criterion_4_lemma_2_ranks():
     """rank(hat D_Q) >= order + 4 for the verified catalog symmetries."""
-    eq = gke(GKESpec(FunctionSpec.abstract()))
+    eq = gke(FunctionSpec.abstract())
     q1 = u(5) + b * u(3) + fn("f") * u(1)
     for Q, s in ((q1, 5), (u(1), 1)):
         assert symmetry_residual(eq, Q).is_zero
@@ -150,12 +149,12 @@ def test_criterion_5_lemma_1_chain():
     syms, dens = verify_catalog()
     q1 = u(5) + b * u(3) + fn("f") * u(1)
     for d in dens:
-        eq = gke(GKESpec(FunctionSpec.abstract() if d.domain == "abstract"
-                         else FunctionSpec.linear()))
+        eq = gke(FunctionSpec.abstract() if d.domain == "abstract"
+                 else FunctionSpec.linear())
         Q = symmetry_from_density(eq, d.rho)
         assert symmetry_residual(eq, Q).is_zero, d.label
     rho3 = next(d for d in dens if d.label == "rho3")
-    eq = gke(GKESpec(FunctionSpec.abstract()))
+    eq = gke(FunctionSpec.abstract())
     assert (symmetry_from_density(eq, rho3.rho) - q1).is_zero
     _report(5, "Lemma 1 chain")
 
@@ -211,7 +210,7 @@ def test_criterion_6_property_suites():
         G = random_expr(rng)
         assert euler(total_x(G)).is_zero
     # D_x and D_t commute on the equation
-    eq = gke(GKESpec(FunctionSpec.abstract()))
+    eq = gke(FunctionSpec.abstract())
     rng = random.Random(106)
     for _ in range(200):
         e = random_expr(rng)

@@ -25,7 +25,7 @@ from jetcalc.analysis import (
 from jetcalc.calculus import EvolutionEquation, euler, frechet_hat, total_t, total_x
 from jetcalc.dsl import parse
 from jetcalc.expr import FunctionSpec, as_expr, fn, par, specialize_f, t, u, unk, x
-from jetcalc.series import PsdSeries
+from jetcalc.series import PsdSeries, nth_root
 
 from conftest import random_expr
 
@@ -172,6 +172,15 @@ def test_rank_of(eq_abstract):
     assert rc.unbounded
     rxi = rank_of(eq_abstract, PsdSeries.xi(1))
     assert rxi.value == 1 + 5 - 1
+
+
+def test_rank_of_window_verdict():
+    # on u_t = u_xxx the residual of the cube root of hat D_K vanishes through
+    # the whole window of a 6-slot root, so the rank is only bounded below
+    eq = EvolutionEquation(u(3))
+    r = rank_of(eq, nth_root(frechet_hat(eq.rhs), 3, slots=6))
+    assert (r.value, r.at_least, r.unbounded) == (6, True, False)
+    assert repr(r) == "rank(>=6)"
 
 
 def test_rank_of_insufficient_precision(eq_abstract):

@@ -187,6 +187,26 @@ def test_readme_command_lines_run(capsys, monkeypatch):
     assert stated == 2
 
 
+def test_readme_library_example_states_its_values():
+    # the README's Python block runs as shown, and the comment on each bare
+    # expression is the repr of its value, optionally followed by ": why"
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    stated = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expression = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        shown = repr(eval(expression, namespace))
+        comment = comment.strip()
+        assert comment == shown or comment.startswith(shown + ": "), (line, shown)
+        stated += 1
+    assert stated == 5
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "euler", "u_x + ")
     assert code == 2

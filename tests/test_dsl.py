@@ -51,6 +51,18 @@ def test_function_symbol_spellings():
     assert parse("ln(u+c)") == ln_shift()
 
 
+def test_derivatives_of_r_and_rhat_fold_into_the_chain():
+    assert parse("r'(u)") == fn("f")
+    assert parse("rhat'(u)") == fn("r")
+    assert parse("rhat''(u)") == fn("f")
+    assert parse("rhat'''(u)") == fn("f", 1)
+
+
+def test_chain_symbols_round_trip():
+    for e in [fn("f", k) for k in range(7)] + [fn("r"), fn("rhat"), ln_shift()]:
+        assert parse(repr(e)) == e
+
+
 def test_ln_argument_checked():
     with pytest.raises(DslSyntaxError):
         parse("ln(u)")

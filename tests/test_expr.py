@@ -6,7 +6,6 @@ import pytest
 from jetcalc import (
     DivisionByZero,
     FunctionSpec,
-    GKESpec,
     InconsistentJetSubstitution,
     NotAPointFunction,
     gke,
@@ -81,6 +80,14 @@ def test_partial_u_total_chain():
     assert partial_u_total(u(0) ** 3) == 3 * u(0) ** 2
     assert partial_u_total(fn("rhat")) == fn("r")
     assert partial_u_total(fn("r")) == fn("f")
+
+
+def test_fn_knows_only_the_chain():
+    assert fn("f", -1) == fn("r") and fn("f", -2) == fn("rhat")
+    with pytest.raises(ValueError, match="unknown function symbol 'g'"):
+        fn("g")
+    with pytest.raises(ValueError, match="depth -3"):
+        fn("rhat", -1)
 
 
 def test_partial_u_total_rejects_jets():
@@ -186,7 +193,7 @@ def test_log_scan_builds_only_canonical_expressions(monkeypatch):
     # throughout; a trial division that missed a factor of one would leave a
     # common factor behind, and structural equality would no longer be equality.
     # A fresh equation, so that no cache filled by another test hides the work
-    eq = gke(GKESpec(FunctionSpec.log_shift()))
+    eq = gke(FunctionSpec.log_shift())
     pairs = set()
     init = JetExpr.__init__
 

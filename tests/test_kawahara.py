@@ -13,7 +13,6 @@ from jetcalc.analysis import (
 from jetcalc.calculus import EvolutionEquation, euler, frechet_hat, order, total_x
 from jetcalc.expr import FunctionSpec, as_expr, fn, par, specialize_f, substitute, t, u, unk, x
 from jetcalc.kawahara import (
-    GKESpec,
     DensityFluxPair,
     catalog,
     gke,
@@ -30,7 +29,7 @@ b, alpha, beta, gamma, c = (par(n) for n in ("b", "alpha", "beta", "gamma", "c")
 
 
 def test_gke_construction():
-    eq = gke(GKESpec(FunctionSpec.abstract()))
+    eq = gke(FunctionSpec.abstract())
     assert eq.order == 5
     assert eq.rhs == u(5) + b * u(3) + fn("f") * u(1)
     S = frechet_hat(eq.rhs)
@@ -41,20 +40,20 @@ def test_gke_construction():
 
 
 def test_gke_linear_form():
-    eq = gke(GKESpec(FunctionSpec.linear()))
+    eq = gke(FunctionSpec.linear())
     assert eq.rhs == u(5) + b * u(3) + (alpha * u(0) + beta) * u(1)
 
 
 def test_gke_rejects_constant_f():
     with pytest.raises(ConstantF):
-        gke(GKESpec(FunctionSpec.polynomial([par("p0")])))
+        gke(FunctionSpec.polynomial([par("p0")]))
 
 
 def test_normalize_quadratic_generic():
     p0, p1, p2 = par("p0"), par("p1"), par("p2")
-    spec = GKESpec(FunctionSpec.polynomial([p0, p1, p2]))
+    spec = FunctionSpec.polynomial([p0, p1, p2])
     new_spec, rec = normalize_quadratic_f(spec)
-    assert new_spec.f == FunctionSpec.quadratic()
+    assert new_spec == FunctionSpec.quadratic()
     assert rec.u_shift == -p1 / (2 * p2)
     assert rec.x_shift_rate == p0 - p1 ** 2 / (4 * p2)
     assert rec.scale_relation is not None
@@ -63,19 +62,19 @@ def test_normalize_quadratic_generic():
 
 
 def test_normalize_quadratic_u2_plus_2u():
-    spec = GKESpec(FunctionSpec.polynomial([0, 2, 1]))
+    spec = FunctionSpec.polynomial([0, 2, 1])
     new_spec, rec = normalize_quadratic_f(spec)
     assert rec.u_shift == as_expr(-1)
     assert rec.x_shift_rate == as_expr(-1)
     assert rec.scale == as_expr(1)
     # shifting f by the recorded amount yields u^2 - 1
-    f = specialize_f(fn("f"), spec.f)
+    f = specialize_f(fn("f"), spec)
     shifted = substitute(f, jet(0), u(0) + rec.u_shift)
     assert shifted == u(0) ** 2 - 1
 
 
 def test_normalize_quadratic_identity():
-    spec = GKESpec(FunctionSpec.quadratic())
+    spec = FunctionSpec.quadratic()
     new_spec, rec = normalize_quadratic_f(spec)
     assert rec.u_shift.is_zero
     assert rec.x_shift_rate.is_zero
@@ -85,21 +84,21 @@ def test_normalize_quadratic_identity():
 def test_normalize_quadratic_exact_scale_of_a_large_square():
     big = 10 ** 17 + 3
     for p2, scale in ((big ** 2, big), (Fraction(big ** 2, 9), Fraction(big, 3))):
-        _, rec = normalize_quadratic_f(GKESpec(FunctionSpec.polynomial([0, 0, p2])))
+        _, rec = normalize_quadratic_f(FunctionSpec.polynomial([0, 0, p2]))
         assert rec.scale == as_expr(scale) and rec.scale_relation is None
     # no rational square root of a negative p2: the scale stays s with s^2 = p2
-    _, rec = normalize_quadratic_f(GKESpec(FunctionSpec.polynomial([0, 0, -4])))
+    _, rec = normalize_quadratic_f(FunctionSpec.polynomial([0, 0, -4]))
     assert rec.scale_relation == (par("s") ** 2, as_expr(-4))
 
 
 def test_normalize_quadratic_rejects_lower_degree():
     with pytest.raises(NotQuadratic):
-        normalize_quadratic_f(GKESpec(FunctionSpec.linear()))
+        normalize_quadratic_f(FunctionSpec.linear())
 
 
 def test_conjugation_of_rho2():
     # transforming the equation and the density commute for f = u^2 + 2u
-    spec = GKESpec(FunctionSpec.polynomial([0, 2, 1]))
+    spec = FunctionSpec.polynomial([0, 2, 1])
     eq1 = gke(spec)
     assert is_conserved_density(eq1, u(0) ** 2)
     new_spec, rec = normalize_quadratic_f(spec)
@@ -110,10 +109,10 @@ def test_conjugation_of_rho2():
 
 
 def test_linear_dependence_gate():
-    assert not linear_dependence_gate(GKESpec(FunctionSpec.abstract()))
-    assert linear_dependence_gate(GKESpec(FunctionSpec.linear()))
-    assert linear_dependence_gate(GKESpec(FunctionSpec.log_shift()))
-    assert not linear_dependence_gate(GKESpec(FunctionSpec.quadratic()))
+    assert not linear_dependence_gate(FunctionSpec.abstract())
+    assert linear_dependence_gate(FunctionSpec.linear())
+    assert linear_dependence_gate(FunctionSpec.log_shift())
+    assert not linear_dependence_gate(FunctionSpec.quadratic())
 
 
 def test_catalog_verifies():
@@ -170,28 +169,28 @@ def test_printed_rho4_fails_for_generic_beta(eq_linear):
     assert not is_conserved_density(eq_linear, rho4_printed)
     assert euler((eq_linear.dx_rhs(0) * 0) + rho4_printed) is not None  # smoke
     # with beta = 0 the published form is conserved
-    spec0 = GKESpec(FunctionSpec.polynomial([0, alpha]))
+    spec0 = FunctionSpec.polynomial([0, alpha])
     eq0 = gke(spec0)
     assert is_conserved_density(eq0, rho4_printed)
 
 
 def test_theorem1_all_branches():
-    rep = verify_theorem(1, GKESpec(FunctionSpec.abstract()))
+    rep = verify_theorem(1, FunctionSpec.abstract())
     assert rep.verified
     assert rep.extra_symmetries == [u(1)]
-    rep = verify_theorem(1, GKESpec(FunctionSpec.linear()))
+    rep = verify_theorem(1, FunctionSpec.linear())
     assert rep.verified
     assert set(rep.extra_symmetries) == {u(1), t() * u(1) + 1 / alpha}
-    rep = verify_theorem(1, GKESpec(FunctionSpec.log_shift()))
+    rep = verify_theorem(1, FunctionSpec.log_shift())
     assert rep.verified
     assert set(rep.extra_symmetries) == {u(1), t() * u(1) + (u(0) + c) / gamma}
 
 
 def test_theorem2_reports():
-    rep = verify_theorem(2, GKESpec(FunctionSpec.abstract()))
+    rep = verify_theorem(2, FunctionSpec.abstract())
     assert rep.verified
     assert [d.label for d in rep.densities] == ["rho1", "rho2", "rho3"]
-    rep = verify_theorem(2, GKESpec(FunctionSpec.linear()))
+    rep = verify_theorem(2, FunctionSpec.linear())
     assert rep.verified
     assert [d.label for d in rep.densities] == ["rho1", "rho2", "rho3", "rho4"]
     for d in rep.densities:
@@ -199,10 +198,10 @@ def test_theorem2_reports():
 
 
 def test_theorem3_abstract_and_quadratic():
-    rep = verify_theorem(3, GKESpec(FunctionSpec.abstract()))
+    rep = verify_theorem(3, FunctionSpec.abstract())
     assert rep.verified
     assert rep.scan.obstruction_index == -3
-    rep = verify_theorem(3, GKESpec(FunctionSpec.quadratic()))
+    rep = verify_theorem(3, FunctionSpec.quadratic())
     assert rep.verified
     assert rep.scan.obstruction_index == -7
 
@@ -210,7 +209,7 @@ def test_theorem3_abstract_and_quadratic():
 def test_theorem3_linear_branch_reports_survival():
     # the literal rank-13 claim fails on the linear branch; the verifier
     # reports the existing window and the deeper obstruction honestly
-    rep = verify_theorem(3, GKESpec(FunctionSpec.linear()))
+    rep = verify_theorem(3, FunctionSpec.linear())
     assert not rep.verified
     assert rep.scan.survived
     assert any("formal symmetries of rank 13 exist" in d for d in rep.details)
@@ -240,7 +239,7 @@ def test_point_basis_labels():
 
 def test_higher_degree_polynomial_f_takes_the_abstract_branch():
     # f = u^3 has no u^2 term but is not linear: no Q3, no rho4
-    spec = GKESpec(FunctionSpec.polynomial([0, 0, 0, 1]))
+    spec = FunctionSpec.polynomial([0, 0, 0, 1])
     rep = verify_theorem(1, spec)
     assert rep.verified
     assert [s.label for s in rep.symmetries] == ["Q1", "Q2"]
@@ -254,7 +253,7 @@ def test_catalog_entries_bind_the_spec_coefficients():
     # Q3, Q4 and rho4 are written in alpha, beta, gamma; they must take the
     # coefficients of the f actually given, swapped names included
     for alpha_value, beta_value in ((2, 3), (par("a"), par("b2")), (beta, alpha)):
-        spec = GKESpec(FunctionSpec.polynomial([beta_value, alpha_value]))
+        spec = FunctionSpec.polynomial([beta_value, alpha_value])
         rep = verify_theorem(1, spec)
         assert rep.verified
         q3 = rep.symmetries[-1]
@@ -267,7 +266,7 @@ def test_catalog_entries_bind_the_spec_coefficients():
                             + beta_value * t() * u(0))
         assert rho4.density_diff_vs_printed == beta_value * t() * u(0)
     for gamma_value, delta_value in ((2, 3), (par("delta"), gamma)):
-        rep = verify_theorem(1, GKESpec(FunctionSpec.log_shift(gamma_value, delta_value)))
+        rep = verify_theorem(1, FunctionSpec.log_shift(gamma_value, delta_value))
         assert rep.verified
         q4 = rep.symmetries[-1]
         assert q4.label == "Q4" and q4.Q == t() * u(1) + (u(0) + c) / gamma_value

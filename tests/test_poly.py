@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from jetcalc import ExponentOverflow, FunctionSpec, GKESpec, gke
+from jetcalc import ExponentOverflow, FunctionSpec, gke
 from jetcalc.analysis import formal_symmetry_scan
 from jetcalc.dsl import parse_series
 from jetcalc.poly import (
@@ -22,6 +22,7 @@ from jetcalc.poly import (
     mono_factors,
     monomial,
     param,
+    squarefree_factors,
     unknown_t,
 )
 from jetcalc.series import nth_root
@@ -121,7 +122,7 @@ def test_every_poly_of_a_scan_and_a_root_is_canonical(monkeypatch):
         built.append(den)
 
     monkeypatch.setattr(Poly, "__init__", checked_init)
-    formal_symmetry_scan(gke(GKESpec(FunctionSpec.log_shift())))
+    formal_symmetry_scan(gke(FunctionSpec.log_shift()))
     scan_polys = len(built)
     nth_root(parse_series("xi^5 + b*xi^3 + f(u)*xi + f'(u)*u_x"), 5, slots=12)
     assert scan_polys > 1000 and len(built) - scan_polys > 1000
@@ -183,3 +184,10 @@ def test_exponent_overflow_is_an_error():
         monomial([(jet(0), MAX_EXPONENT + 1)])
     with pytest.raises(ExponentOverflow):
         monomial([(jet(0), MAX_EXPONENT), (jet(0), 1)])
+
+
+def test_squarefree_factors_of_a_monomial():
+    # read off the exponents, not found by one Yun step per unit of them
+    u, b = Poly.gen(jet(0)), Poly.gen(param("b"))
+    assert squarefree_factors(u ** 30000 * b ** 2) == ((u, 30000, True), (b, 2, True))
+    assert squarefree_factors((u ** 3).scale(-6)) == ((u, 3, True),)
