@@ -4,12 +4,15 @@ Residual checks for generalized symmetries and conservation laws, density
 triviality, the density-to-symmetry map through the Hamiltonian operator
 D_x, the formal-symmetry rank test, the coefficient-extraction obstruction
 scan for evolution equations whose leading coefficient is a rational
-constant, and a linear-ansatz solver over the parameter field.
+constant, and ``linear_relations``, the one sparse elimination over the
+parameter field: it solves the linear ansatz (``solve_linear_ansatz``) and
+decides the case split of Theorem 1 (``kawahara.linear_dependence_gate``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .calculus import (
     NEG_INF,
@@ -31,6 +34,7 @@ from .poly import (
     KIND_X,
     ONE as POLY_ONE,
     Poly,
+    div_exact,
     jet,
     mono_sort_key,
 )
@@ -342,61 +346,52 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
     return report
 
 
-# -- linear ansatz solver ------------------------------------------------------
+# -- linear relations and the ansatz solver ------------------------------------
 
 
-def _param_field_matrix(residuals: list[JetExpr]) -> list[list[JetExpr]]:
-    """Rows (one per free monomial) of coefficients in Q(params) for the
-    linear system sum c_j residual_j = 0."""
-    den_prod = ONE_EXPR
-    for r in residuals:
-        den_prod = den_prod * JetExpr._reduce(r.den, POLY_ONE)
-    cleared = []
-    for r in residuals:
-        cleared.append(as_expr(r) * den_prod)
-    rows: dict[tuple, list[JetExpr]] = {}
-    n = len(residuals)
-    for j, r in enumerate(cleared):
-        free = {g for g in r.num.generators() if g.kind != KIND_PARAM}
-        for mono, coeff in r.num.split(free).items():
-            rows.setdefault(mono, [ZERO_EXPR] * n)[j] = JetExpr._reduce(coeff, POLY_ONE)
-    ordered = [rows[k] for k in sorted(rows, key=mono_sort_key, reverse=True)]
-    return ordered
+def linear_relations(exprs: list[JetExpr]) -> list[list[JetExpr]]:
+    """The linear relations sum c_j exprs_j = 0 with c_j in Q(params), as the
+    reduced-row-echelon nullspace basis: one relation per expression that
+    depends on the ones before it, 1 at that expression and nonzero only at
+    earlier independent ones.
+
+    Over a common denominator each expression is a sparse vector, packed
+    monomial in the non-parameter generators -> coefficient in Q(params).
+    It is reduced against the pivots of the earlier expressions, carrying
+    its combination of them; a vector reduced to zero leaves a relation.
+    """
+    exprs = [as_expr(e) for e in exprs]
+    den = prod({e.den for e in exprs}, start=POLY_ONE)  # a common multiple
+    pivots = []  # (monomial, row that is 1 there, combination giving the row)
+    relations = []
+    for j, e in enumerate(exprs):
+        num = e.num * div_exact(den, e.den)
+        free = {g for g in num.generators() if g.kind != KIND_PARAM}
+        row = {m: JetExpr(c, POLY_ONE) for m, c in num.split(free).items()}
+        comb = {j: ONE_EXPR}
+        for m, prow, pcomb in pivots:
+            c = row.get(m)
+            if c is not None:
+                _subtract(row, c, prow)
+                _subtract(comb, c, pcomb)
+        if row:
+            m = max(row, key=mono_sort_key)  # the leading monomial keeps fill-in low
+            lead = row[m]
+            pivots.append((m, {k: v / lead for k, v in row.items()},
+                           {k: v / lead for k, v in comb.items()}))
+        else:
+            relations.append([comb.get(i, ZERO_EXPR) for i in range(len(exprs))])
+    return relations
 
 
-def _nullspace(matrix: list[list[JetExpr]], n: int) -> list[list[JetExpr]]:
-    """Nullspace basis over the parameter field, deterministic RREF."""
-    rows = [list(r) for r in matrix]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(n):
-        sel = None
-        for i in range(rank, len(rows)):
-            if not rows[i][col].is_zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        piv = rows[rank][col]
-        rows[rank] = [v / piv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free_col in range(n):
-        if free_col in pivot_cols:
-            continue
-        vec = [ZERO_EXPR] * n
-        vec[free_col] = ONE_EXPR
-        for r, c in pivots:
-            vec[c] = -rows[r][free_col]
-        basis.append(vec)
-    return basis
+def _subtract(vec: dict, c: JetExpr, other: dict) -> None:
+    """vec -= c * other in place, dropping the entries that cancel."""
+    for k, v in other.items():
+        s = vec.get(k, ZERO_EXPR) - c * v
+        if s.is_zero:
+            vec.pop(k, None)
+        else:
+            vec[k] = s
 
 
 def solve_linear_ansatz(eq: EvolutionEquation, basis: list[JetExpr],
@@ -412,10 +407,8 @@ def solve_linear_ansatz(eq: EvolutionEquation, basis: list[JetExpr],
         residuals = [euler(total_t(b, eq)) for b in basis]
     else:
         raise ValueError("mode must be 'symmetry' or 'density'")
-    matrix = _param_field_matrix(residuals)
-    null = _nullspace(matrix, len(basis))
     out = []
-    for vec in null:
+    for vec in linear_relations(residuals):
         lead = next(v for v in vec if not v.is_zero)  # vec is 1 at its free column
         Q = ZERO_EXPR
         for c, b in zip(vec, basis):

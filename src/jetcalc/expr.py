@@ -472,11 +472,8 @@ class FunctionSpec:
         return cls("logshift", gamma=g, delta=d)
 
     def f_image(self, k: int) -> JetExpr:
-        """Image of the chain symbol at depth k under a concrete f.  f, r and
-        rhat are written out, r and rhat with zero integration constants;
-        each f^(k) is the u-derivative of the image one level up."""
-        if k > 0:
-            return derive(self.f_image(k - 1), u_image)
+        """Image of f (k = 0), r (k = -1) or rhat (k = -2) under a concrete
+        f, written out; r and rhat take zero integration constants."""
         if self.mode == "polynomial":
             return sum((c * Fraction(factorial(i), factorial(i - k)) * u() ** (i - k)
                         for i, c in enumerate(self.coeffs)), ZERO_EXPR)
@@ -491,9 +488,14 @@ class FunctionSpec:
 
 def specialize_f(e: JetExpr, spec: FunctionSpec) -> JetExpr:
     """Rewrite every chain symbol according to spec, then renormalize;
-    ln(u+c) stays opaque."""
+    ln(u+c) stays opaque.  Each f^(k), k >= 1, is the u-derivative of
+    f^(k-1), derived once per call."""
     e = as_expr(e)
-    if spec.mode == "abstract":
+    depths = {g: symbol_depth(g) for g in e.generators()
+              if g.kind == KIND_FN and g.name != LOG_FAMILY}
+    if spec.mode == "abstract" or not depths:
         return e
-    return substitute_map(e, {g: spec.f_image(symbol_depth(g)) for g in e.generators()
-                              if g.kind == KIND_FN and g.name != LOG_FAMILY})
+    images = {d: spec.f_image(d) for d in {*depths.values(), 0} if d <= 0}
+    for k in range(1, max(depths.values()) + 1):
+        images[k] = derive(images[k - 1], u_image)
+    return substitute_map(e, {g: images[d] for g, d in depths.items()})

@@ -17,11 +17,10 @@ from fractions import Fraction
 
 from .analysis import (
     ScanReport,
-    _nullspace,
-    _param_field_matrix,
     conservation_residual,
     formal_symmetry_scan,
     is_conserved_density,
+    linear_relations,
     reconstruct_flux,
     solve_linear_ansatz,
     symmetry_residual,
@@ -254,11 +253,7 @@ def verify_catalog() -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair
 def linear_dependence_gate(spec: FunctionSpec) -> bool:
     """True when u f'(u), f'(u) and 1 are linearly dependent over constants."""
     df = specialize_f(fn("f", 1), spec)
-    cand = [u(0) * df, df, as_expr(1)]
-    # dependence <=> the coefficient matrix over u-monomials has a nullspace
-    matrix = _param_field_matrix(cand)
-    null = _nullspace(matrix, len(cand))
-    return bool(null)
+    return bool(linear_relations([u(0) * df, df, as_expr(1)]))
 
 
 # -- theorem verifiers -----------------------------------------------------------

@@ -159,8 +159,9 @@ def mono_factors(m: int) -> tuple:
 
 def mono_sort_key(m: int):
     """Fixed total order on monomials: it picks leading terms, which set the
-    sign of a reduced denominator, and orders the scan's constraints and the
-    ansatz solver's rows.  The printer in dsl has an order of its own."""
+    sign of a reduced denominator and the pivots of ``linear_relations``,
+    and orders the scan's constraints.  The printer in dsl has an order of
+    its own."""
     factors = mono_factors(m)
     return (sum(e for _, e in factors), tuple((g.key, e) for g, e in factors))
 

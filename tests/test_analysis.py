@@ -15,6 +15,7 @@ from jetcalc.analysis import (
     is_conserved_density,
     is_trivial_density,
     characteristic_of_density,
+    linear_relations,
     rank_of,
     reconstruct_flux,
     solve_linear_ansatz,
@@ -385,6 +386,37 @@ def test_ansatz_density_abstract(eq_abstract):
 def test_ansatz_symmetry_linear_branch(eq_linear):
     got = solve_linear_ansatz(eq_linear, [t() * u(1), as_expr(1), u(1)], "symmetry")
     assert got == [t() * u(1) + 1 / alpha, u(1)] or got == [u(1), t() * u(1) + 1 / alpha]
+
+
+def test_linear_relations_reduced_echelon_convention():
+    # one relation per expression that depends on earlier ones: 1 there, and
+    # nonzero only at the earlier independent expressions
+    got = linear_relations([u(0), u(1), 2 * u(0), u(0) + b * u(1), as_expr(0)])
+    assert got == [[as_expr(-2), as_expr(0), as_expr(1), as_expr(0), as_expr(0)],
+                   [as_expr(-1), -b, as_expr(0), as_expr(1), as_expr(0)],
+                   [as_expr(0), as_expr(0), as_expr(0), as_expr(0), as_expr(1)]]
+    # denominators in the jets are cleared over a common multiple
+    assert linear_relations([1 / (u(0) + b), u(0) / (u(0) + b), as_expr(1)]) == \
+        [[-b, as_expr(-1), as_expr(1)]]
+
+
+def _jet_monomials(weight: int, lowest: int = 0) -> list:
+    """Every nonconstant monomial in u, u_x, u_xx, ... of weight <= weight,
+    u_i weighing 2 + i, from jets of index >= lowest."""
+    out = []
+    for i in range(lowest, weight - 1):
+        out.append(u(i))
+        out.extend(u(i) * m for m in _jet_monomials(weight - 2 - i, i))
+    return out
+
+
+def test_graded_ansatz_quadratic_branch(eq_quadratic):
+    # the graded classification in miniature: on f = u^2 the jet monomials
+    # of weight <= 11 span only the translations u_x and Q1
+    basis = _jet_monomials(11)
+    assert len(basis) == 55
+    got = solve_linear_ansatz(eq_quadratic, basis, "symmetry")
+    assert got == [u(1), u(5) + b * u(3) + u(0) ** 2 * u(1)]
 
 
 def test_scan_is_prefix_monotone_in_the_target_rank(eq_linear):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from jetcalc.cli import main, parse_f_spec
+from jetcalc.errors import JetCalcError
 from jetcalc.expr import FunctionSpec
 from jetcalc.poly import MAX_EXPONENT
 
@@ -323,8 +324,16 @@ def test_parse_f_spec():
     assert parse_f_spec("linear:alpha,beta") == FunctionSpec.linear()
     assert parse_f_spec("log:gamma,delta,c") == FunctionSpec.log_shift()
     assert parse_f_spec("poly:0,0,0,1") == FunctionSpec.polynomial([0, 0, 0, 1])
-    with pytest.raises(Exception):
-        parse_f_spec("log:gamma,delta,d")
+    for text, message in [
+        ("log:gamma,delta,d", "the logarithm shift must be the symbolic parameter c"),
+        ("linear:a", "linear spec needs two entries: linear:alpha,beta"),
+        ("log:a,b", "log spec needs three entries: log:gamma,delta,c"),
+        ("poly:", "poly spec needs coefficients: poly:c0,c1,..."),
+        ("cubic", "unknown f specification 'cubic'"),
+    ]:
+        with pytest.raises(JetCalcError) as err:
+            parse_f_spec(text)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("f", ["poly:0,0,0,1", "linear:2,3", "log:2,3,c"])

@@ -20,11 +20,27 @@ def test_parse_q3():
     assert got == t() * u(1) + 1 / par("alpha")
 
 
+# (text, message, line, column) of the parser's refusals
+PARSE_REFUSALS = [
+    ("u_x + ", "expected a value", 1, 7),
+    # the line and the column count from the last newline
+    ("u +\n  * u", "expected a value", 2, 3),
+    ("(u + 1", "expected ')'", 1, 7),
+    ("u u", "unexpected trailing input", 1, 3),
+    ("u^x", "expected an integer exponent", 1, 3),
+    ("f(x)", "function symbols take the argument (u)", 1, 2),
+    ("u'", "u takes no primes", 1, 1),
+    ("ln u", "ln requires the argument (u+c)", 1, 4),
+    ("alpha'", "primes are reserved for function symbols, got \"alpha'\"", 1, 1),
+]
+
+
 def test_parse_error_position():
-    with pytest.raises(DslSyntaxError) as err:
-        parse("u_x + ")
-    assert err.value.column == 7
-    assert err.value.line == 1
+    for text, message, line, column in PARSE_REFUSALS:
+        with pytest.raises(DslSyntaxError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column), text
+        assert str(err.value) == f"{message} (line {line}, column {column})"
 
 
 def test_parse_unknown_character():

@@ -25,6 +25,7 @@ from jetcalc.expr import (
 )
 from jetcalc.analysis import formal_symmetry_scan
 from jetcalc.calculus import total_x
+from jetcalc.dsl import parse
 from jetcalc.poly import ONE, fnsym, jet, param, poly_gcd
 
 from conftest import gen_pool, random_expr
@@ -150,6 +151,29 @@ def test_specialize_log_shift():
     # gamma/(u+c) * (u+c) - gamma == 0
     e = fn("f", 1) * (u(0) + c) - gamma
     assert specialize_f(e, log).is_zero
+
+
+@pytest.mark.parametrize("spec, f6_f3", [
+    # gamma * d^6/du^6 ln(u+c) times gamma * d^3/du^3 ln(u+c)
+    (FunctionSpec.log_shift(), -120 * par("gamma") / (u(0) + par("c")) ** 6
+     * 2 * par("gamma") / (u(0) + par("c")) ** 3),
+    (FunctionSpec.polynomial([0, 0, 0, 1]), as_expr(0)),
+])
+def test_specialize_derives_each_depth_once(monkeypatch, spec, f6_f3):
+    import jetcalc.expr as expr_module
+
+    derive = expr_module.derive
+    calls = []
+
+    def counting_derive(e, image):
+        calls.append(e)
+        return derive(e, image)
+
+    monkeypatch.setattr(expr_module, "derive", counting_derive)
+    got = specialize_f(parse("df^6*f'''(u) + rhat(u)"), spec)
+    # f', ..., f^(6) once each; f''' is on the way to f^(6)
+    assert len(calls) == 6
+    assert got == f6_f3 + spec.f_image(-2)
 
 
 def test_is_zero_examples():
