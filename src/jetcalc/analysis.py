@@ -7,6 +7,8 @@ scan for evolution equations whose leading coefficient is a rational
 constant, and ``linear_relations``, the one sparse elimination over the
 parameter field: it solves the linear ansatz (``solve_linear_ansatz``) and
 decides the case split of Theorem 1 (``kawahara.linear_dependence_gate``).
+The scan's forcings are one dict, ``ScanReport.zero_from`` (unknown -> lowest
+vanishing t-derivative order), and ``vanish`` imposes them by dropping terms.
 """
 
 from __future__ import annotations
@@ -25,15 +27,16 @@ from .calculus import (
     total_x,
 )
 from .errors import InsufficientPrecision, NotConserved, UnsupportedEquationShape
-from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr, partial, substitute_map, unk
+from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr, partial, unk
 from .poly import (
+    EMPTY_MONO,
     KIND_FN,
     KIND_JET,
     KIND_PARAM,
     KIND_UNKNOWN,
     KIND_X,
     ONE as POLY_ONE,
-    Poly,
+    ZERO as POLY_ZERO,
     div_exact,
     jet,
     mono_sort_key,
@@ -144,11 +147,10 @@ def rank_of(eq: EvolutionEquation, L: PsdSeries, require: int | None = None,
 
 
 def split_by_free_monomials(e: JetExpr,
-                            free_kinds=(KIND_X, KIND_JET, KIND_FN)) -> list[tuple[JetExpr, JetExpr]]:
-    """Decompose the numerator of e over monomials in the 'free' generators
-    (by default x, jets and function symbols); coefficients keep parameters
-    and the scan unknowns.  Returns (monomial, coefficient) pairs sorted by
-    the monomial order, with e == sum(m*c)/den.
+                            free_kinds=(KIND_X, KIND_JET, KIND_FN)) -> list[JetExpr]:
+    """The coefficients of e over the monomials in the 'free' generators (by
+    default x, jets and function symbols), in the monomial order; they keep
+    parameters and the scan unknowns.
 
     Identical vanishing of e as a differential function is equivalent to the
     vanishing of every coefficient, because the free generators are
@@ -156,32 +158,20 @@ def split_by_free_monomials(e: JetExpr,
     """
     e = as_expr(e)
     parts = e.num.split({g for g in e.num.generators() if g.kind in free_kinds})
-    out = []
-    for free_mono in sorted(parts, key=mono_sort_key, reverse=True):
-        coeff = JetExpr._reduce(parts[free_mono], e.den)
-        mono_expr = JetExpr._reduce(Poly({free_mono: 1}), POLY_ONE)
-        out.append((mono_expr, coeff))
-    return out
+    return [JetExpr._reduce(parts[m], e.den)
+            for m in sorted(parts, key=mono_sort_key, reverse=True)]
 
 
-@dataclass
-class Forcing:
-    """Vanishing conditions on the scan unknowns: name -> lowest zero
-    t-derivative order (0 means the whole function vanishes)."""
-    zero_from: dict[str, int] = field(default_factory=dict)
-
-    def require(self, name: str, k: int) -> bool:
-        cur = self.zero_from.get(name)
-        if cur is None or k < cur:
-            self.zero_from[name] = k
-            return True
-        return False
-
-    def apply(self, e: JetExpr) -> JetExpr:
-        zero_from = self.zero_from
-        return substitute_map(e, {g: ZERO_EXPR for g in as_expr(e).generators()
-                                  if g.kind == KIND_UNKNOWN and g.name in zero_from
-                                  and g.index >= zero_from[g.name]})
+def vanish(e: JetExpr, zero_from: dict[str, int]) -> JetExpr:
+    """e with d^k name/dt^k = 0 for every k >= zero_from[name]: the scan's
+    unknowns enter numerators only (it divides by no expression but the
+    rational constant n*a_n), so this drops the numerator terms holding one."""
+    e = as_expr(e)
+    gone = {g for g in e.num.generators() if g.kind == KIND_UNKNOWN
+            and g.name in zero_from and g.index >= zero_from[g.name]}
+    if not gone:
+        return e
+    return JetExpr._reduce(e.num.split(gone).get(EMPTY_MONO, POLY_ZERO), e.den)
 
 
 @dataclass
@@ -202,7 +192,8 @@ class ScanReport:
     obstruction: str = ""
     survived: bool = False
     coefficients: dict[int, JetExpr] = field(default_factory=dict)
-    forcing: Forcing | None = None
+    # forced unknown -> lowest t-derivative order that vanishes (0: itself)
+    zero_from: dict[str, int] = field(default_factory=dict)
 
     @property
     def verdict(self) -> str:
@@ -211,35 +202,27 @@ class ScanReport:
         return f"ObstructionFound(xi^{self.obstruction_index}: {self.obstruction})"
 
 
-def _force_from_constraint(coeff: JetExpr, forcing: Forcing) -> tuple[str, int] | None:
-    """Interpret a vanishing coefficient polynomial in the unknowns: the
-    (name, order) of the unknown it forces to zero, None when it already
-    vanishes.
+def _force_from_constraint(coeff: JetExpr) -> tuple[str, int] | None:
+    """The (name, order) of the unknown that a vanishing coefficient, free of
+    x, jets and function symbols, forces to zero; None when it is zero.
 
-    Supports the triangular shape the proof produces: a sum all of whose
-    monomials share exactly one unknown generator, which then must vanish,
-    parameters being transcendental.  Anything else is refused rather than
-    guessed.
+    Supports the triangular shape the proof produces: a sum whose monomials
+    share exactly one unknown, which then must vanish, parameters being
+    transcendental.  Anything else is refused rather than guessed.
     """
-    num = forcing.apply(coeff).num
-    if num.is_zero():
+    if coeff.is_zero:
         return None
-    per_mono = []
-    for mono, _ in num.items():
-        unknowns = [g for g, _e in mono if g.kind == KIND_UNKNOWN]
-        others = [g for g, _e in mono if g.kind not in (KIND_UNKNOWN, KIND_PARAM)]
-        if others:
-            raise UnsupportedEquationShape(
-                f"constraint coefficient {coeff!r} mixes free generators")
-        if not unknowns:
-            raise UnsupportedEquationShape(
-                f"inconsistent constraint: nonzero term of {coeff!r} has no unknown")
-        per_mono.append(set(unknowns))
-    common = set.intersection(*per_mono)
-    if len(common) == 1:
-        g = next(iter(common))
-        return g.name, g.index
-    raise UnsupportedEquationShape(f"constraint {coeff!r} couples several unknowns")
+    terms = [{g for g, _e in mono if g.kind != KIND_PARAM} for mono, _ in coeff.num.items()]
+    if any(g.kind != KIND_UNKNOWN for gens in terms for g in gens):
+        raise UnsupportedEquationShape(f"constraint coefficient {coeff!r} depends on t")
+    if not all(terms):
+        raise UnsupportedEquationShape(
+            f"inconsistent constraint: nonzero term of {coeff!r} has no unknown")
+    common = set.intersection(*terms)
+    if len(common) != 1:
+        raise UnsupportedEquationShape(f"constraint {coeff!r} couples several unknowns")
+    (g,) = common
+    return g.name, g.index
 
 
 def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanReport:
@@ -267,66 +250,58 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
     if target_rank < 13:
         raise UnsupportedEquationShape("scan supports target ranks >= 13")
     lead = n * a_n  # D_x(a_(m-n+1)) enters the xi^m coefficient times -lead
-    dk = frechet_hat(eq.rhs)
-    dx = dx_towers()
+    dk, dx = frechet_hat(eq.rhs), dx_towers()
     floor = n + 1 - target_rank  # lowest xi-index whose coefficient is equated to zero
     report = ScanReport(target_rank=target_rank)
-    forcing = Forcing()
-    report.forcing = forcing
-
+    zero_from = report.zero_from
     solved: dict[int, JetExpr] = {}
 
     for m in range(n, floor - 1, -1):
         new_idx = m - n + 1
         name = "g" if new_idx == 1 else f"l{-new_idx}"
-        F = forcing.apply(total_t(solved.get(m, ZERO_EXPR), eq)
-                          - product_coeff(dk, solved, m, dx)
-                          + product_coeff(solved, dk, m, dx))
+        F = vanish(total_t(solved.get(m, ZERO_EXPR), eq)
+                   - product_coeff(dk, solved, m, dx)
+                   + product_coeff(solved, dk, m, dx), zero_from)
         step = ScanStep(xi_index=m, coefficient_name=name)
         report.steps.append(step)
 
-        # exactness: the integrand F/lead must have vanishing variational
-        # derivative; constraint extraction on failure
+        # exactness: F/lead must have zero variational derivative; else constraints
         while True:
             obstruction_expr = euler(F / lead)
             if obstruction_expr.is_zero:
                 break
-            groups = split_by_free_monomials(obstruction_expr)
-            for _, coeff in split_by_free_monomials(obstruction_expr,
-                                                    free_kinds=(KIND_X, KIND_JET)):
+            for coeff in split_by_free_monomials(obstruction_expr, free_kinds=(KIND_X, KIND_JET)):
                 if coeff not in step.reduced_constraints:
                     step.reduced_constraints.append(coeff)
-            forced_any = False
-            for _, coeff in groups:
-                forced = _force_from_constraint(coeff, forcing)
-                if forced is not None and forcing.require(*forced):
-                    forced_any = True
+            forced_before = len(step.forced)
+            for coeff in split_by_free_monomials(obstruction_expr):
+                # vanish cleared every order >= zero_from, so a forcing lowers it
+                forced = _force_from_constraint(vanish(coeff, zero_from))
+                if forced is not None:
                     uname, uorder = forced
-                    if uorder == 0:
-                        step.forced.append(f"{uname} = 0")
-                    elif uorder == 1:
-                        step.forced.append(f"{uname} is constant")
-                    else:
-                        step.forced.append(f"{uname} is polynomial in t of degree < {uorder}")
-            if forcing.zero_from.get("g") == 0:
+                    zero_from[uname] = uorder
+                    step.forced.append(f"{uname} = 0" if uorder == 0 else
+                                       f"{uname} is constant" if uorder == 1 else
+                                       f"{uname} is polynomial in t of degree < {uorder}")
+            if zero_from.get("g") == 0:
                 report.obstruction_index = m
                 report.obstruction = "g = 0"
                 step.notes.append("g = 0 contradicts deg L = 1")
-                report.coefficients = {i: forcing.apply(c) for i, c in solved.items()}
+                report.coefficients = {i: vanish(c, zero_from) for i, c in solved.items()}
                 return report
-            if not forced_any:
+            if len(step.forced) == forced_before:
                 raise UnsupportedEquationShape(
                     "exactness constraints did not determine any unknown")
-            # apply the new forcings and retry
-            solved = {i: forcing.apply(c) for i, c in solved.items()}
-            F = forcing.apply(F)
+            # vanishing commutes with D_t and the ring operations, so F need
+            # not be recomputed from the forced coefficients
+            solved = {i: vanish(c, zero_from) for i, c in solved.items()}
+            F = vanish(F, zero_from)
 
         # normalization: a constant l0 is a trivial formal symmetry
-        if (forcing.zero_from.get("l0") == 1 and 0 in solved
-                and solved[0] == unk("l0")):
-            forcing.require("l0", 0)
-            solved = {i: forcing.apply(c) for i, c in solved.items()}
-            F = forcing.apply(F)
+        if zero_from.get("l0") == 1 and solved.get(0) == unk("l0"):
+            zero_from["l0"] = 0
+            solved = {i: vanish(c, zero_from) for i, c in solved.items()}
+            F = vanish(F, zero_from)
             step.notes.append("l0 set to 0 (constants are trivial formal symmetries)")
 
         # solve -lead D_x(a) = -F  i.e.  lead D_x(a) = F
@@ -334,8 +309,7 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
         if not res.is_zero:
             raise UnsupportedEquationShape(
                 f"irreducible residual {res!r} in the coefficient equation")
-        a_new = zeta / lead + unk(name)
-        a_new = forcing.apply(a_new)
+        a_new = zeta / lead + unk(name)  # F is vanished, so zeta holds no forced unknown
         solved[new_idx] = a_new
         if a_new == unk(name):
             step.notes.append(f"{name} is a function of t only")

@@ -9,6 +9,7 @@ from jetcalc import (
     UnsupportedEquationShape,
 )
 from jetcalc.analysis import (
+    _force_from_constraint,
     conservation_residual,
     formal_symmetry_residual,
     formal_symmetry_scan,
@@ -22,13 +23,17 @@ from jetcalc.analysis import (
     split_by_free_monomials,
     symmetry_from_density,
     symmetry_residual,
+    vanish,
 )
 from jetcalc.calculus import EvolutionEquation, euler, frechet_hat, total_t, total_x
 from jetcalc.dsl import parse
-from jetcalc.expr import FunctionSpec, as_expr, fn, par, specialize_f, t, u, unk, x
+from jetcalc.expr import (
+    ZERO_EXPR, FunctionSpec, as_expr, fn, par, specialize_f, substitute_map, t, u, unk, x,
+)
+from jetcalc.poly import KIND_JET, KIND_UNKNOWN, KIND_X
 from jetcalc.series import PsdSeries, nth_root
 
-from conftest import random_expr
+from conftest import gen_pool, random_expr
 
 b, alpha, beta = par("b"), par("alpha"), par("beta")
 
@@ -191,11 +196,12 @@ def test_rank_of_insufficient_precision(eq_abstract):
 
 
 def test_split_by_free_monomials():
+    # one coefficient per monomial in x, jets and f-symbols, in monomial order
     e = unk("g") * fn("f", 3) * u(1) + 3 * unk("g", 1) * par("b")
-    groups = split_by_free_monomials(e)
-    as_dict = {m: c for m, c in groups}
-    assert as_dict[fn("f", 3) * u(1)] == unk("g")
-    assert as_dict[as_expr(1)] == 3 * unk("g", 1) * par("b")
+    assert split_by_free_monomials(e) == [unk("g"), 3 * unk("g", 1) * par("b")]
+    # the narrative's split keeps f-symbols in the coefficients
+    assert split_by_free_monomials(e, free_kinds=(KIND_X, KIND_JET)) == \
+        [unk("g") * fn("f", 3), 3 * unk("g", 1) * par("b")]
 
 
 # -- the obstruction scan -------------------------------------------------------
@@ -258,18 +264,79 @@ def test_scan_quadratic_f(eq_quadratic):
     assert Fraction(6, 25) * unk("l0", 1) in by_index[-4].reduced_constraints
 
 
-def test_scan_soundness_quadratic(eq_quadratic):
-    # substituted-back coefficients annihilate the residual on every solved index
+@pytest.mark.parametrize("branch, slots", [
+    ("eq_abstract", 10), ("eq_quadratic", 40), ("eq_log", 10),
+], ids=["abstract", "quadratic", "log"])
+def test_scan_soundness(request, branch, slots):
+    # substituted-back coefficients annihilate the residual on every solved
+    # index; 10 slots reach below the abstract and log obstructions at xi^-3,
+    # and res.coeff refuses an index outside the window
     from jetcalc.series import commutator, dt_series
-    rep = formal_symmetry_scan(eq_quadratic, 13)
-    forcing = rep.forcing
-    L = PsdSeries.from_coeffs({i: forcing.apply(c)
+    eq = request.getfixturevalue(branch)
+    rep = formal_symmetry_scan(eq, 13)
+    L = PsdSeries.from_coeffs({i: vanish(c, rep.zero_from)
                                for i, c in rep.coefficients.items()}, exact=True)
-    dk = frechet_hat(eq_quadratic.rhs)
-    res = dt_series(L, eq_quadratic) - commutator(dk, L, slots=40)
+    dk = frechet_hat(eq.rhs)
+    res = dt_series(L, eq) - commutator(dk, L, slots=slots)
     # indices above the one that produced the obstruction must vanish
     for i in range(5, rep.obstruction_index, -1):
-        assert forcing.apply(res.coeff(i)).is_zero, f"residual at xi^{i}"
+        assert vanish(res.coeff(i), rep.zero_from).is_zero, f"residual at xi^{i}"
+
+
+def test_vanish_matches_substitution():
+    # dropping the terms that hold a forced unknown is setting it to 0, for
+    # unknowns in numerators over jets, the f-chain and (u+c)^k denominators
+    rng = random.Random(0)
+    c = par("c")
+    unknowns = [unk(name, k) for name in ("g", "l0") for k in range(4)]
+    pool = gen_pool() + [fn("r"), fn("f", 2)] + unknowns
+    changed = 0
+    for _ in range(80):
+        names = rng.sample(["g", "l0"], rng.randint(0, 2))
+        zero_from = {name: rng.randint(0, 3) for name in names}
+        den = (u(0) + c) ** rng.randint(0, 6) * rng.choice([as_expr(1), u(1), fn("f") + b])
+        e = (random_expr(rng, pool) * (u(0) + c) + random_expr(rng, pool)) / den
+        gone = {g: ZERO_EXPR for g in e.generators()
+                if g.kind == KIND_UNKNOWN and g.index >= zero_from.get(g.name, 4)}
+        got = vanish(e, zero_from)
+        assert got == substitute_map(e, gone)
+        changed += got != e
+    assert changed > 20
+
+
+@pytest.mark.parametrize("branch", ["abstract", "quadratic", "linear", "log", "kdv"])
+def test_scan_unknowns_stay_in_numerators(request, branch):
+    # vanish drops numerator terms, which is sound only while no unknown
+    # reaches a denominator: the scan divides by no expression but n*a_n
+    eq = (EvolutionEquation(parse("u_xxx + 6*u*u_x")) if branch == "kdv"
+          else request.getfixturevalue(f"eq_{branch}"))
+    rep = formal_symmetry_scan(eq, 17)
+    exprs = [c for s in rep.steps for c in s.reduced_constraints]
+    exprs += [s.solved_coefficient for s in rep.steps if s.solved_coefficient is not None]
+    exprs += rep.coefficients.values()
+    assert any(g.kind == KIND_UNKNOWN for e in exprs for g in e.num.generators())
+    assert not any(g.kind == KIND_UNKNOWN for e in exprs for g in e.den.generators())
+    if branch == "log":
+        assert any(not e.den.is_const() for e in exprs)
+
+
+def test_force_from_constraint_reads_the_shared_unknown():
+    assert _force_from_constraint(b * unk("g", 1) + 3 * unk("g", 1) * unk("l0")) == ("g", 1)
+    assert _force_from_constraint(ZERO_EXPR) is None
+
+
+@pytest.mark.parametrize("coeff, message", [
+    (unk("g") / 9 + t() * unk("g", 1) / 9,
+     "constraint coefficient 1/9*g + 1/9*t*dg/dt depends on t"),
+    (b * unk("g") + 1,
+     "inconsistent constraint: nonzero term of b*g + 1 has no unknown"),
+    (unk("g") + unk("l0"),
+     "constraint g + l0 couples several unknowns"),
+], ids=["t", "no-unknown", "several-unknowns"])
+def test_force_from_constraint_refusals(coeff, message):
+    with pytest.raises(UnsupportedEquationShape) as info:
+        _force_from_constraint(coeff)
+    assert str(info.value) == message
 
 
 def test_characteristic_identity_off_equation():
@@ -317,14 +384,13 @@ def test_scan_linear_branch_rank13_witness(eq_linear, rhs, rank):
     eq = eq_linear if rhs is None else EvolutionEquation(parse(rhs))
     rep = formal_symmetry_scan(eq, rank)
     assert rep.survived
-    forcing = rep.forcing
-    L = PsdSeries.from_coeffs({i: forcing.apply(c)
+    L = PsdSeries.from_coeffs({i: vanish(c, rep.zero_from)
                                for i, c in rep.coefficients.items()}, exact=True)
     dk = frechet_hat(eq.rhs)
     res = dt_series(L, eq) - commutator(dk, L, slots=40)
     n = eq.order
     for i in range(n, n - rank, -1):
-        assert forcing.apply(res.coeff(i)).is_zero, f"residual at xi^{i}"
+        assert vanish(res.coeff(i), rep.zero_from).is_zero, f"residual at xi^{i}"
 
 
 @pytest.mark.parametrize("rhs, index", [
@@ -342,7 +408,7 @@ def test_scan_obstructs_non_integrable_controls(rhs, index):
 def _recursion_obstruction(eq, rank):
     """Theorem 3 by a second route: the formal-symmetry recursion for
     L = xi + sum l_i xi^-i with every integration constant 0, sharing
-    neither Forcing nor the constraint solver with the scan.  Returns the
+    neither the forcings nor the constraint solver with the scan.  Returns the
     first xi-index whose coefficient equation has no local solution."""
     from jetcalc.calculus import formal_x_integrate
     from jetcalc.expr import ONE_EXPR, partial

@@ -158,8 +158,9 @@ def test_scan_refusals_exit_2_in_dsl_spelling(capsys, tmp_path):
     # a constraint that holds t is not one the scan can resolve
     explicit_t = tmp_path / "explicit_t.json"
     explicit_t.write_text(json.dumps({"rhs": "u_xxx + t*u*u_x"}))
-    code, out, _ = run(capsys, "scan", "--eq", str(explicit_t), "--rank", "13")
-    assert (code, out) == (2, "")
+    code, out, err = run(capsys, "scan", "--eq", str(explicit_t), "--rank", "13")
+    assert (code, out, err) == (
+        2, "", "error: constraint coefficient 1/9*g + 1/9*t*dg/dt depends on t\n")
 
 
 def test_kawahara_verify_exit_zero_on_obstruction(capsys):
@@ -373,6 +374,7 @@ PIN_CASES = {
     "scan": ["scan", "--eq", "data/gke_quadratic.json", "--rank", "13"],
     "scan_kdv": ["scan", "--eq", "data/kdv.json", "--rank", "13"],
     "kawahara_verify": ["kawahara", "verify", "--theorem", "3", "--f", "quadratic"],
+    "kawahara_verify_log": ["kawahara", "verify", "--theorem", "3", "--f", "log:gamma,delta,c"],
     "kawahara_not_verified": ["kawahara", "verify", "--theorem", "3", "--f", "linear:alpha,beta"],
     "usage_error": ["dt", "u"],
     "syntax_error": ["euler", "u_x + "],
