@@ -384,8 +384,5 @@ def solve_linear_ansatz(eq: EvolutionEquation, basis: list[JetExpr],
     out = []
     for vec in linear_relations(residuals):
         lead = next(v for v in vec if not v.is_zero)  # vec is 1 at its free column
-        Q = ZERO_EXPR
-        for c, b in zip(vec, basis):
-            Q = Q + (c / lead) * b
-        out.append(Q)
+        out.append(JetExpr.sum((c / lead) * b for c, b in zip(vec, basis)))
     return out

@@ -12,6 +12,7 @@ and the slope is integrated in the predecessor; ln(u+c) powers go by parts.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .errors import JetCalcError
 from .expr import (
@@ -142,15 +143,8 @@ def frechet(F: JetExpr, Q: JetExpr) -> JetExpr:
     n = order(F)
     if n is NEG_INF:
         return ZERO_EXPR
-    total = ZERO_EXPR
-    dq = Q
-    for j in range(0, n + 1):
-        c = du_coefficient(F, j)
-        if not c.is_zero:
-            total = total + c * dq
-        if j < n:
-            dq = total_x(dq)
-    return total
+    dq = accumulate(range(n), lambda d, _: total_x(d), initial=Q)  # D_x^j(Q), j = 0..n
+    return JetExpr.sum(du_coefficient(F, j) * d for j, d in enumerate(dq))
 
 
 def frechet_hat(F: JetExpr):
@@ -259,10 +253,7 @@ def _integrate_in(e: JetExpr, g: Generator) -> JetExpr | None:
     if coeffs is None:
         return None
     ge = JetExpr.from_gen(g)
-    total = ZERO_EXPR
-    for k, a in enumerate(coeffs):
-        total = total + a * ge ** (k + 1) / (k + 1)
-    return total
+    return JetExpr.sum(a * ge ** (k + 1) / (k + 1) for k, a in enumerate(coeffs))
 
 
 def _integrate_rational_u(R: JetExpr) -> JetExpr | None:
@@ -275,13 +266,8 @@ def _integrate_rational_u(R: JetExpr) -> JetExpr | None:
     if dec is None:
         return None
     uc = u() + par("c")
-    total = ZERO_EXPR
-    for q, a in dec.items():
-        if q == -1:
-            total = total + a * ln_shift()
-        else:
-            total = total + a * uc ** (q + 1) / (q + 1)
-    return total
+    return JetExpr.sum(a * ln_shift() if q == -1 else a * uc ** (q + 1) / (q + 1)
+                       for q, a in dec.items())
 
 
 def _uc_decomposition(R: JetExpr) -> dict[int, JetExpr] | None:
@@ -305,10 +291,9 @@ def _uc_decomposition(R: JetExpr) -> dict[int, JetExpr] | None:
     if coeffs is None:
         return None
     # expand each u^i as ((u+c) - c)^i by binomials
-    shifted = [ZERO_EXPR] * len(coeffs)
-    for i, a in enumerate(coeffs):
-        for j in range(0, i + 1):
-            shifted[j] = shifted[j] + a * math.comb(i, j) * (-c) ** (i - j)
+    shifted = [JetExpr.sum(coeffs[i] * math.comb(i, j) * (-c) ** (i - j)
+                           for i in range(j, len(coeffs)))
+               for j in range(len(coeffs))]
     out: dict[int, JetExpr] = {}
     for j, a in enumerate(shifted):
         if a.is_zero:

@@ -22,6 +22,14 @@ the product of the factors they share, at the lower multiplicity; and
 the factors of d that the derivation moves, where D(n)/d - (n/d) * D(d)/d
 would reduce over d^2.
 
+Reductions are spent only where they can cancel something.  ``JetExpr.sum``
+is the one summation of a list: it adds the numerators over each distinct
+denominator as one Poly, reduces each group once (a lone term is reduced
+already), and merges the groups over the lcm, so m terms over d
+denominators cost at most 2d - 1 reductions, not m.  A rational-constant factor or divisor scales the numerator and keeps the
+denominator: scaling cannot create a common factor, so there is nothing to
+reduce.
+
 The abstract function symbols form one derivation chain in u, indexed by
 depth (``CHAIN_DEPTH``):
 
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import DivisionByZero, InconsistentJetSubstitution, NotAPointFunction
 from .poly import (
@@ -83,15 +91,14 @@ class JetExpr:
 
     @staticmethod
     def _reduce(num: Poly, den: Poly) -> "JetExpr":
+        if den == ONE:
+            return JetExpr(num, ONE)
         if den.is_zero():
             raise DivisionByZero("denominator is identically zero")
         if num.is_zero():
             return ZERO_EXPR
         if den.is_const():
-            c = den.const_value()
-            if c == 1:
-                return JetExpr(num, ONE)
-            return JetExpr(num.scale(Fraction(1) / c), ONE)
+            return JetExpr(num.scale(1 / den.const_value()), ONE)
         cancelled = ONE
         for q, e, certified in squarefree_factors(den):
             if certified:
@@ -197,6 +204,23 @@ class JetExpr:
 
     __radd__ = __add__
 
+    @staticmethod
+    def sum(terms) -> "JetExpr":
+        """The sum of terms (JetExprs or rational constants): the numerators
+        over each distinct denominator are added as one Poly and reduced
+        once, a lone term being reduced already, and the groups are merged
+        over the lcm by ``__add__``."""
+        groups: dict[Poly, list] = {}  # den -> [sum of the numerators, number of terms]
+        for t in map(as_expr, terms):
+            if not t.is_zero:
+                group = groups.setdefault(t.den, [ZERO, 0])
+                group[0] += t.num
+                group[1] += 1
+        total = ZERO_EXPR
+        for den, (num, count) in groups.items():
+            total = total + (JetExpr(num, den) if count == 1 else JetExpr._reduce(num, den))
+        return total
+
     def __sub__(self, other) -> "JetExpr":
         return self + (-as_expr(other))
 
@@ -212,8 +236,9 @@ class JetExpr:
         other = as_expr(other)
         if self.is_zero or other.is_zero:
             return ZERO_EXPR
-        if self.den == ONE and other.den == ONE:
-            return JetExpr(self.num * other.num, ONE)
+        if other.den == ONE and (self.den == ONE or other.num.is_const()):
+            # a rational-constant factor leaves a reduced pair reduced
+            return JetExpr(self.num * other.num, self.den)
         return JetExpr._reduce(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -224,6 +249,8 @@ class JetExpr:
             raise DivisionByZero("division by zero expression")
         if self.is_zero:
             return self
+        if other.is_rational_const:
+            return JetExpr(self.num.scale(1 / other.const_value()), self.den)
         return JetExpr._reduce(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "JetExpr":
@@ -313,16 +340,9 @@ def partial(e: JetExpr, g: Generator) -> JetExpr:
 
 
 def _image_sum(parts: dict, images: dict) -> JetExpr:
-    """sum(parts[g] * images[g]); polynomial images stay in Poly arithmetic."""
-    poly = ZERO
-    total = ZERO_EXPR
-    for g, p in parts.items():
-        img = images[g]
-        if img.den == ONE:
-            poly = poly + p * img.num
-        else:
-            total = total + JetExpr._reduce(p * img.num, img.den)
-    return total + JetExpr._reduce(poly, ONE)
+    """sum(parts[g] * images[g]) for Poly parts."""
+    return JetExpr.sum(JetExpr._reduce(p * images[g].num, images[g].den)
+                       for g, p in parts.items())
 
 
 def derive(e: JetExpr, image) -> JetExpr:
@@ -356,9 +376,8 @@ def derive(e: JetExpr, image) -> JetExpr:
         if not dq.is_zero:
             moved.append((q, k, dq))
             s = s * q
-    dlog = ZERO_EXPR  # sum k*D(q)*s/q = s * D(d)/d
-    for q, k, dq in moved:
-        dlog = dlog + dq * JetExpr(div_exact(s, q).scale(k), ONE)
+    # sum k*D(q)*s/q = s * D(d)/d
+    dlog = JetExpr.sum(dq * JetExpr(div_exact(s, q).scale(k), ONE) for q, k, dq in moved)
     top = dn * JetExpr(s, ONE) - JetExpr(e.num, ONE) * dlog
     return top / JetExpr(e.den * s, ONE)
 
@@ -384,17 +403,11 @@ def partial_u_total(e: JetExpr) -> JetExpr:
 def _evaluate(p: Poly, mapping: dict) -> JetExpr:
     """p with the generators in mapping replaced by their values; each power
     g**e is formed once."""
-    total = None
-    powers: dict = {}
-    for mono, c in p.items():
-        term = JetExpr.from_const(c)
-        for g, e in mono:
-            v = powers.get((g, e))
-            if v is None:
-                v = powers[(g, e)] = mapping.get(g, JetExpr.from_gen(g)) ** e
-            term = term * v
-        total = term if total is None else total + term
-    return ZERO_EXPR if total is None else total
+    terms = list(p.items())
+    powers = {(g, e): mapping.get(g, JetExpr.from_gen(g)) ** e
+              for g, e in {ge for mono, _ in terms for ge in mono}}
+    # each term starts from its rational coefficient, which scales without a reduction
+    return JetExpr.sum(prod((powers[ge] for ge in mono), start=c) for mono, c in terms)
 
 
 def substitute_map(e: JetExpr, mapping: dict) -> JetExpr:
@@ -475,8 +488,8 @@ class FunctionSpec:
         """Image of f (k = 0), r (k = -1) or rhat (k = -2) under a concrete
         f, written out; r and rhat take zero integration constants."""
         if self.mode == "polynomial":
-            return sum((c * Fraction(factorial(i), factorial(i - k)) * u() ** (i - k)
-                        for i, c in enumerate(self.coeffs)), ZERO_EXPR)
+            return JetExpr.sum(c * Fraction(factorial(i), factorial(i - k)) * u() ** (i - k)
+                               for i, c in enumerate(self.coeffs))
         uc = u() + par("c")
         if k == -2:
             return (self.gamma * uc ** 2 / 2 * ln_shift()

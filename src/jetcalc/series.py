@@ -188,16 +188,12 @@ def product_coeff(A, B, m: int, dx) -> JetExpr:
     i + j - k = m, k >= 0, with dx from ``dx_towers()``.  A and B map
     xi-indices to coefficients (a PsdSeries or a dict); m must lie in the
     window that their listed coefficients fix."""
-    total = ZERO_EXPR
-    for i, a in A.items():
-        inner = ZERO_EXPR  # one product with a_i
-        for j, b in B.items():
-            k = i + j - m
-            # C(i,k) = 0 for 0 <= i < k
-            if k >= 0 and (i < 0 or k <= i) and not (d := dx(b, k)).is_zero:
-                inner = inner + binom_falling(i, k) * d
-        total = total + a * inner
-    return total
+    # one product with each a_i; C(i,k) = 0 for 0 <= i < k
+    return JetExpr.sum(
+        a * JetExpr.sum(binom_falling(i, k) * d for j, b in B.items()
+                        if (k := i + j - m) >= 0 and (i < 0 or k <= i)
+                        and not (d := dx(b, k)).is_zero)
+        for i, a in A.items())
 
 
 def _tail_below(A, B, floor: int, dx) -> bool:
@@ -248,8 +244,8 @@ def adjoint(A: PsdSeries, slots: int | None = None) -> PsdSeries:
     # one product (+-xi^i) o a_i per coefficient
     terms = [({i: as_expr(-1 if i % 2 else 1)}, {0: a}) for i, a in A.items()]
     acc = {m: c for m in range(top, floor - 1, -1)
-           if not (c := sum((product_coeff(sign, a, m, dx) for sign, a in terms),
-                            ZERO_EXPR)).is_zero}
+           if not (c := JetExpr.sum(product_coeff(sign, a, m, dx)
+                                    for sign, a in terms)).is_zero}
     truncated = not A.exact or any(_tail_below(sign, a, floor, dx) for sign, a in terms)
     return PsdSeries(acc, floor if truncated else None)
 

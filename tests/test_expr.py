@@ -153,6 +153,52 @@ def test_specialize_log_shift():
     assert specialize_f(e, log).is_zero
 
 
+def _count_reductions(monkeypatch) -> list:
+    """Patch a counter onto JetExpr._reduce; the list grows by one per call."""
+    calls = []
+    reduce = JetExpr._reduce
+
+    def counting_reduce(num, den):
+        calls.append(den)
+        return reduce(num, den)
+
+    monkeypatch.setattr(JetExpr, "_reduce", staticmethod(counting_reduce))
+    return calls
+
+
+def test_a_rational_constant_factor_or_divisor_keeps_the_denominator(monkeypatch):
+    e = u(1) / (u(0) + par("c")) ** 2
+    scaled = (3 * u(1)) / (2 * (u(0) + par("c")) ** 2)
+    halved = u(1) / (3 * (u(0) + par("c")) ** 2)
+    calls = _count_reductions(monkeypatch)
+    assert e * Fraction(3, 2) == scaled
+    assert Fraction(3, 2) * e == scaled
+    assert e / 3 == halved
+    assert e / as_expr(3) == halved
+    assert calls == []
+
+
+@pytest.mark.parametrize("lone", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sum_reduces_once_per_group_and_once_per_merge(monkeypatch, d, lone):
+    uc = u(0) + par("c")
+    # two or three terms over each of d distinct denominators, or one; no
+    # group and no partial sum vanishes
+    groups = [[u(0) / uc, par("b") / uc, Fraction(1, 2) / uc],
+              [u(1) / uc ** 2, x() / uc ** 2],
+              [u(0), Fraction(5), u(1) ** 2],
+              [par("b") / (u(0) ** 2 + 1), u(1) / (u(0) ** 2 + 1)]][:d]
+    terms = [term for group in groups for term in (group[:1] if lone else group)]
+    random.Random(d).shuffle(terms)
+    expected = as_expr(0)
+    for term in terms:
+        expected = expected + term
+    calls = _count_reductions(monkeypatch)
+    assert JetExpr.sum(terms) == expected
+    # a lone term is reduced already: only the d - 1 merges reduce
+    assert len(calls) == (d - 1 if lone else 2 * d - 1)
+
+
 @pytest.mark.parametrize("spec, f6_f3", [
     # gamma * d^6/du^6 ln(u+c) times gamma * d^3/du^3 ln(u+c)
     (FunctionSpec.log_shift(), -120 * par("gamma") / (u(0) + par("c")) ** 6

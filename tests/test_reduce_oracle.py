@@ -9,13 +9,15 @@ denominator's factors.  Everything is converted to sympy's sparse
 polynomial ring over QQ through ``Poly.items`` (never through the DSL);
 ``squarefree_factors`` is checked with sympy's ``factor_list``, and
 ``JetExpr._reduce``, sums and differences over the lcm of two factored
-denominators, and the one-step quotient rule of ``partial`` and ``total_x``
-with sympy's ``diff`` and ``cancel``.
+denominators, ``JetExpr.sum`` of lists of fractions, and the one-step
+quotient rule of ``partial`` and ``total_x`` with sympy's ``diff`` and
+``cancel``.
 """
 
 import inspect
 import random
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -65,9 +67,8 @@ def _random_poly(rng: random.Random, max_terms=3) -> Poly:
     return total
 
 
-def _planted(rng: random.Random) -> list:
+def _planted(rng: random.Random, pool=CERTIFIED + UNCERTIFIED) -> list:
     """(factor, exponent) pairs of distinct pool factors."""
-    pool = CERTIFIED + UNCERTIFIED
     picks = rng.sample(range(len(pool)), rng.randint(1, 3))
     return [(pool[i], rng.randint(1, 3)) for i in picks]
 
@@ -197,6 +198,75 @@ def test_sum_oracle_catches_an_undivided_cofactor(monkeypatch):
     monkeypatch.setattr(JetExpr, "__add__", namespace["__add__"])
     failures, _, _ = _sum_oracle(20)
     assert len(failures) > 10
+
+
+# the denominators of list sums: powers of u+c and of the coprime u-c, u^2+1
+# and c^2*u^2+1, and parameters.  u_x^2 + b^2*u^2 + 1 is left out: a gcd with
+# its cube beside other factors takes seconds, a cost of poly_gcd, not of the sum
+SUM_FACTORS = (u + c, u - c, u * u + ONE, c * c * u * u + ONE, gamma, b)
+
+
+def _sum_terms(rng: random.Random) -> list:
+    """2 to 6 fractions whose denominators are drawn from two planted
+    products, so that some terms share a denominator and others are coprime
+    or share only a factor.  In about a third of the cases every numerator
+    is over one product and the last one makes the total divisible by one of
+    its factors, which only the reduction of that one group can cancel."""
+    pools = [_planted(rng, SUM_FACTORS) for _ in range(2)]
+    count = rng.randint(2, 6)
+    if rng.random() < 0.35:
+        pairs = pools[0]
+        nums = [_random_poly(rng) for _ in range(count - 1)]
+        q, _ = rng.choice(pairs)
+        rest = ZERO
+        for n in nums:
+            rest = rest + n
+        nums.append(q * _random_poly(rng) - rest)
+        den = _product(pairs, _random_scale(rng))
+        return [JetExpr._reduce(n, den) for n in nums]
+    return [_rational(rng, rng.choice(pools)) for _ in range(count)]
+
+
+def _list_sum_oracle(cases) -> tuple:
+    """(failures, grouped, single): the cases whose JetExpr.sum disagrees
+    with sympy's cancel, and how many cases have a group of two or more
+    terms over one denominator, or a single such group."""
+    rng = random.Random(905)
+    failures = []
+    grouped = single = 0
+    for case in range(cases):
+        terms = _sum_terms(rng)
+        sizes = Counter(t.den for t in terms if not t.is_zero)
+        grouped += max(sizes.values(), default=0) >= 2
+        single += len(sizes) == 1 and len(terms) >= 2
+        n_s, d_s = R.zero, R.one
+        for t in terms:
+            tn, td = _to_ring(t.num), _to_ring(t.den)
+            n_s, d_s = (n_s * td + tn * d_s).cancel(d_s * td)
+        result = JetExpr.sum(terms)
+        try:
+            _assert_canonical(result, n_s, d_s, (case, terms, result))
+        except AssertionError:
+            failures.append(case)
+    return failures, grouped, single
+
+
+def test_list_sums_match_sympy_cancel():
+    failures, grouped, single = _list_sum_oracle(80)
+    assert failures == []
+    assert grouped > 40 and single > 15, (grouped, single)
+
+
+def test_list_sum_oracle_catches_an_unreduced_group(monkeypatch):
+    # a mutant of JetExpr.sum that merges each group's numerator sum unreduced
+    src = textwrap.dedent(inspect.getsource(JetExpr.sum))
+    mutant = src.replace("JetExpr._reduce(", "JetExpr(")
+    assert mutant != src
+    namespace = dict(vars(expr_module))
+    exec(mutant, namespace)
+    monkeypatch.setattr(JetExpr, "sum", namespace["sum"])
+    failures, _, _ = _list_sum_oracle(40)
+    assert len(failures) > 5
 
 
 def _check_derivatives(e: JetExpr, context):
