@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -329,7 +330,10 @@ def _add_command(sub, name, help_text, signature, handler):
         sp.add_argument(arg, **OPTIONS.get(arg, {}))
 
 
+@cache
 def build_parser() -> _ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it unchanged, a usage error included."""
     p = _ArgumentParser(prog="jetcalc",
                         description="exact jet calculus for scalar evolution equations")
     p.add_argument("--json", action="store_true", help="emit a JSON report")

@@ -22,13 +22,19 @@ the product of the factors they share, at the lower multiplicity; and
 the factors of d that the derivation moves, where D(n)/d - (n/d) * D(d)/d
 would reduce over d^2.
 
-Reductions are spent only where they can cancel something.  ``JetExpr.sum``
-is the one summation of a list: it adds the numerators over each distinct
-denominator as one Poly, reduces each group once (a lone term is reduced
-already), and merges the groups over the lcm, so m terms over d
-denominators cost at most 2d - 1 reductions, not m.  A rational-constant factor or divisor scales the numerator and keeps the
-denominator: scaling cannot create a common factor, so there is nothing to
-reduce.
+Reductions are spent only where they can cancel something.
+``JetExpr.combination`` is the one summation of a list, sum(c * t) for
+rational c, and ``JetExpr.sum`` is its case c = 1: the scaled numerators
+over each distinct denominator are added in place into one
+``poly.PolySum``, each group is reduced once (a lone term is reduced
+already), and the groups are merged over the lcm, so m terms over d
+denominators cost at most 2d - 1 reductions, not m.  ``derive`` groups the
+images of the generators by denominator the same way and folds
+sum(dp/dg * image(g)) into one PolySum per group in a single pass over the
+monomials of p, with no partial derivative built.  A rational-constant
+factor on either side, or a rational divisor, scales the numerator and
+keeps the denominator: scaling cannot create a common factor, so there is
+nothing to reduce.
 
 The abstract function symbols form one derivation chain in u, indexed by
 depth (``CHAIN_DEPTH``):
@@ -59,6 +65,7 @@ from .poly import (
     ZERO,
     Generator,
     Poly,
+    PolySum,
     div_exact,
     fnsym,
     jet,
@@ -205,21 +212,32 @@ class JetExpr:
     __radd__ = __add__
 
     @staticmethod
-    def sum(terms) -> "JetExpr":
-        """The sum of terms (JetExprs or rational constants): the numerators
-        over each distinct denominator are added as one Poly and reduced
-        once, a lone term being reduced already, and the groups are merged
-        over the lcm by ``__add__``."""
-        groups: dict[Poly, list] = {}  # den -> [sum of the numerators, number of terms]
-        for t in map(as_expr, terms):
-            if not t.is_zero:
-                group = groups.setdefault(t.den, [ZERO, 0])
-                group[0] += t.num
+    def combination(pairs) -> "JetExpr":
+        """sum(c * t) over (c, t) pairs, c an int or Fraction and t a JetExpr
+        or a rational constant: the scaled numerators over each distinct
+        denominator go into one PolySum and are reduced once, a lone term
+        being reduced already, and the groups are merged over the lcm by
+        ``__add__``."""
+        groups: dict[Poly, list] = {}  # den -> [PolySum of the numerators, number of terms]
+        for c, t in pairs:
+            t = as_expr(t)
+            if c and not t.is_zero:
+                group = groups.get(t.den)
+                if group is None:
+                    group = groups[t.den] = [PolySum(), 0]
+                group[0].add(t.num, c.numerator, c.denominator)
                 group[1] += 1
         total = ZERO_EXPR
-        for den, (num, count) in groups.items():
+        for den, (acc, count) in groups.items():
+            num = acc.value()
             total = total + (JetExpr(num, den) if count == 1 else JetExpr._reduce(num, den))
         return total
+
+    @staticmethod
+    def sum(terms) -> "JetExpr":
+        """The sum of terms (JetExprs or rational constants): ``combination``
+        with every coefficient 1."""
+        return JetExpr.combination((1, t) for t in terms)
 
     def __sub__(self, other) -> "JetExpr":
         return self + (-as_expr(other))
@@ -236,6 +254,8 @@ class JetExpr:
         other = as_expr(other)
         if self.is_zero or other.is_zero:
             return ZERO_EXPR
+        if self.den == ONE and self.num.is_const():
+            self, other = other, self
         if other.den == ONE and (self.den == ONE or other.num.is_const()):
             # a rational-constant factor leaves a reduced pair reduced
             return JetExpr(self.num * other.num, self.den)
@@ -339,45 +359,50 @@ def partial(e: JetExpr, g: Generator) -> JetExpr:
     return derive(e, lambda h: ONE_EXPR if h is g else None)
 
 
-def _image_sum(parts: dict, images: dict) -> JetExpr:
-    """sum(parts[g] * images[g]) for Poly parts."""
-    return JetExpr.sum(JetExpr._reduce(p * images[g].num, images[g].den)
-                       for g, p in parts.items())
+def _image_sum(p: Poly, groups: dict) -> JetExpr:
+    """sum(dp/dg * image(g)) for the images grouped as {denominator:
+    [(g, numerator)]}: one pass over p and one reduction per group."""
+    parts = []
+    for den, pairs in groups.items():
+        acc = PolySum()
+        acc.add_derivation(p, pairs)
+        parts.append(JetExpr._reduce(acc.value(), den))
+    return parts[0] if len(parts) == 1 else JetExpr.sum(parts)
 
 
 def derive(e: JetExpr, image) -> JetExpr:
     """The derivation that maps each generator g of e to image(g).
 
     image(g) is None for generators the derivation annihilates.  D(num) and
-    each D(q) are sums of partials times images, each found in one pass over
-    the monomials.  With d = const * prod q^k over the squarefree factors of
-    the denominator and s = prod q over those with D(q) != 0, the quotient
-    rule is applied once:
+    each D(q) are sums of partials times images, each accumulated in one
+    pass over the monomials and reduced once per image denominator.  With
+    d = const * prod q^k over the squarefree factors of the denominator and
+    s = prod q over those with D(q) != 0, the quotient rule is applied once:
 
         D(n/d) = (D(n)*s - n * sum k*D(q)*s/q) / (d*s),
 
     a single reduction over d*s instead of d^2.
     """
     e = as_expr(e)
-    images = {}
-    for g in e.generators():
+    groups: dict[Poly, list] = {}  # in key order, so that every sum repeats exactly
+    for g in sorted(e.generators(), key=lambda g: g.key):
         img = image(g)
-        if img is not None:
-            images[g] = img
-    if not images:
+        if img is not None and not img.is_zero:
+            groups.setdefault(img.den, []).append((g, img.num))
+    if not groups:
         return ZERO_EXPR
-    dn = _image_sum(e.num.partials(images), images)
+    dn = _image_sum(e.num, groups)
     if e.den == ONE:
         return dn
     moved = []  # the factors q with D(q) != 0; the others stay out of s
     s = ONE
     for q, k, _ in squarefree_factors(e.den):
-        dq = _image_sum(q.partials(images), images)
+        dq = _image_sum(q, groups)
         if not dq.is_zero:
             moved.append((q, k, dq))
             s = s * q
     # sum k*D(q)*s/q = s * D(d)/d
-    dlog = JetExpr.sum(dq * JetExpr(div_exact(s, q).scale(k), ONE) for q, k, dq in moved)
+    dlog = JetExpr.combination((k, dq * JetExpr(div_exact(s, q), ONE)) for q, k, dq in moved)
     top = dn * JetExpr(s, ONE) - JetExpr(e.num, ONE) * dlog
     return top / JetExpr(e.den * s, ONE)
 

@@ -5,7 +5,9 @@ coordinates of the jet space (x, t, u and its x-derivatives), abstract
 function symbols, undetermined functions of t and named parameters.  A
 polynomial is a dict mapping monomials to int coefficients over one positive
 int denominator, as in FLINT's fmpq_poly, so the arithmetic runs on ints and
-Fractions appear only where a single coefficient leaves the layer.
+Fractions appear only where a single coefficient leaves the layer.  A sum
+of many terms, or a derivation, folds them into one mutable dict in place
+(``PolySum``) and builds a single Poly at the end.
 
 A monomial is one non-negative int that packs its exponent vector (Bachmann
 & Schoenemann, ISSAC 1998; Monagan & Pearce, ASCM 2012): every generator
@@ -344,23 +346,6 @@ class Poly:
             buckets.setdefault(outer, {})[m - outer] = c
         return {m: _normalized(terms, self.den) for m, terms in buckets.items()}
 
-    def partials(self, gens) -> dict:
-        """{g: d self/d g} for the generators g in gens that occur, in key
-        order, so that sums over the partials repeat exactly; each partial
-        is nonzero."""
-        res: dict = {}
-        for g in sorted(gens, key=lambda g: g.key):
-            shift, bit = g.shift, g.bit
-            terms = {}
-            for m, c in self.terms.items():
-                e = (m >> shift) & _FIELD_MASK
-                if e:
-                    # distinct monomials give distinct m - bit: no collisions
-                    terms[m - bit] = c * e
-            if terms:
-                res[g] = _normalized(terms, self.den)
-        return res
-
     def leading(self):
         """(monomial, coeff) maximal in the canonical monomial order."""
         if not self.terms:
@@ -391,6 +376,84 @@ def _normalized(terms: dict, den: int) -> Poly:
             terms = {m: c // g for m, c in terms.items()}
             den //= g
     return Poly(terms, den)
+
+
+class PolySum:
+    """A sum of Poly terms added in place: a mutable dict of packed monomials
+    over one running int denominator, the lcm of the terms' (Monagan &
+    Pearce, CASC 2007).  A term is folded into the dict as it comes, with no
+    intermediate Poly; ``value`` drops the cancelled monomials and normalizes
+    once.  An accumulator lives inside one call: ``value`` ends its use.
+    """
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self):
+        self.terms: dict = {}
+        self.den = 1
+
+    def _over(self, den: int) -> int:
+        """Bring the sum over lcm(self.den, den); the factor that takes a
+        numerator over den to the new common denominator."""
+        g = _int_gcd(self.den, den)
+        f = den // g
+        if f != 1:
+            terms = self.terms
+            for m in terms:
+                terms[m] *= f
+            self.den *= f
+        return self.den // den
+
+    def add(self, p: Poly, num: int = 1, den: int = 1) -> None:
+        """self += p * num/den, for ints num and den > 0."""
+        if not p.terms or not num:
+            return
+        k = num * self._over(p.den * den)
+        terms = self.terms
+        if not terms:
+            self.terms = {m: c * k for m, c in p.terms.items()} if k != 1 else dict(p.terms)
+            return
+        get = terms.get
+        for m, c in p.terms.items():
+            terms[m] = get(m, 0) + c * k
+
+    def add_derivation(self, p: Poly, pairs) -> None:
+        """self += sum(dp/dg * img for g, img in pairs), for a sequence of
+        (generator, Poly image) pairs, in one pass over the monomials of p;
+        no partial derivative is built."""
+        if not p.terms:
+            return
+        # over p.den * lcm of the image denominators, each image scaled to it
+        img_den = reduce(_int_lcm, (img.den for _, img in pairs), 1)
+        f = self._over(p.den * img_den)
+        scaled = []
+        for g, img in pairs:
+            k = f * (img_den // img.den)
+            scaled.append((g.shift, g.bit, [(m, c * k) for m, c in img.terms.items()]))
+        terms = self.terms
+        get = terms.get
+        for m, c in p.terms.items():
+            for shift, bit, img in scaled:
+                e = (m >> shift) & _FIELD_MASK
+                if e:
+                    base = m - bit
+                    ce = c * e
+                    for m2, c2 in img:
+                        mm = base + m2
+                        terms[mm] = get(mm, 0) + ce * c2
+        # as in Poly.__mul__: an exponent past MAX_EXPONENT shows as a guard bit
+        overflow = reduce(or_, terms, 0) & _GUARDS
+        if overflow:
+            raise _overflow(overflow)
+
+    def value(self) -> Poly:
+        """The canonical Poly of the sum."""
+        terms = self.terms
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
+        if not terms:
+            return ZERO
+        return _normalized(terms, self.den)
 
 
 # -- exact division and gcd ---------------------------------------------
@@ -637,4 +700,6 @@ def _coprime_squarefree(p: Poly) -> list:
 
 
 def _d(p: Poly, v: Generator) -> Poly:
-    return p.partials((v,)).get(v, ZERO)
+    acc = PolySum()
+    acc.add_derivation(p, ((v, ONE),))
+    return acc.value()

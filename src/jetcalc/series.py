@@ -190,9 +190,9 @@ def product_coeff(A, B, m: int, dx) -> JetExpr:
     window that their listed coefficients fix."""
     # one product with each a_i; C(i,k) = 0 for 0 <= i < k
     return JetExpr.sum(
-        a * JetExpr.sum(binom_falling(i, k) * d for j, b in B.items()
-                        if (k := i + j - m) >= 0 and (i < 0 or k <= i)
-                        and not (d := dx(b, k)).is_zero)
+        a * JetExpr.combination((binom_falling(i, k), d) for j, b in B.items()
+                                if (k := i + j - m) >= 0 and (i < 0 or k <= i)
+                                and not (d := dx(b, k)).is_zero)
         for i, a in A.items())
 
 

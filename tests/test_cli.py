@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from jetcalc.cli import main, parse_f_spec
+from jetcalc.cli import build_parser, main, parse_f_spec
 from jetcalc.errors import JetCalcError
 from jetcalc.expr import FunctionSpec
 from jetcalc.poly import MAX_EXPONENT
@@ -263,6 +263,21 @@ def test_nonpositive_counts_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error: argument --") and "positive" in err
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys):
+    # one parser serves every command of a process, so a failed parse must
+    # not change what the next command parses to
+    assert build_parser() is build_parser()
+    for argv in (["dx"], ["kawahara", "verify", "--theorem", "4"], ["root", "xi^5", "--n", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("usage error: "), argv
+    code, out, _ = run(capsys, "dx", "x*u")
+    assert code == 0
+    assert "result: x*u_x + u" in out
+    code, out, _ = run(capsys, "root", "xi^2", "--n", "2")
+    assert code == 0
+    assert "result: xi" in out
 
 
 @pytest.mark.parametrize("content, message", [

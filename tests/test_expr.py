@@ -173,6 +173,8 @@ def test_a_rational_constant_factor_or_divisor_keeps_the_denominator(monkeypatch
     calls = _count_reductions(monkeypatch)
     assert e * Fraction(3, 2) == scaled
     assert Fraction(3, 2) * e == scaled
+    # a JetExpr constant on the left, as a_i in a * JetExpr.sum(...)
+    assert as_expr(Fraction(3, 2)) * e == scaled
     assert e / 3 == halved
     assert e / as_expr(3) == halved
     assert calls == []

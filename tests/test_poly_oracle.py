@@ -2,24 +2,32 @@
 
 Seeded random polynomials over Q in x, u..u_xxx, b, c, ln(u+c) and f(u) are
 converted to sympy's sparse polynomial ring over QQ through ``Poly.items``
-(never through the DSL).  The ring operations, ``content``, ``partials``,
-``split``, ``div_exact`` and ``poly_gcd`` are recomputed there.  Values are
-compared through the conversion, and the canonical form by structural
-equality with a Poly rebuilt one term at a time from sympy's answer.
+(never through the DSL).  The ring operations, ``content``, partial
+derivatives, ``split``, the in-place sums of ``PolySum``, ``div_exact`` and
+``poly_gcd`` are recomputed there.  Values are compared through the
+conversion, and the canonical form by structural equality with a Poly
+rebuilt one term at a time from sympy's answer.
 """
 
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
+import jetcalc.poly as poly_module  # noqa: E402
+from jetcalc import ExponentOverflow  # noqa: E402
 from jetcalc.poly import (  # noqa: E402
+    MAX_EXPONENT,
     ONE,
     X,
     ZERO,
     Poly,
+    PolySum,
+    _d,
     div_exact,
     fnsym,
     jet,
@@ -27,6 +35,7 @@ from jetcalc.poly import (  # noqa: E402
     param,
     poly_gcd,
 )
+from test_poly import _assert_canonical  # noqa: E402
 
 GENS = (X, jet(0), jet(1), jet(2), jet(3), param("b"), param("c"), fnsym("lnuc", 0),
         fnsym("f", 0))
@@ -116,17 +125,75 @@ def test_content_matches_sympy():
 
 
 def test_partials_match_sympy():
+    # a partial derivative is the derivation with the one image (g, 1)
     rng = random.Random(703)
     for case in range(300):
         p = _random_poly(rng, max_exp=3)
-        gens = set(rng.sample(GENS, rng.randint(1, 4)))
-        parts = p.partials(gens)
-        assert set(parts) <= gens
         s = _to_ring(p)
-        for g in gens:
-            expected = s.diff(SYMS[INDEX[g]])
-            assert (g in parts) == bool(expected), (case, p, g)
-            _check(parts.get(g, ZERO), expected, case, p, g)
+        for g in rng.sample(GENS, rng.randint(1, 4)):
+            _check(_d(p, g), s.diff(SYMS[INDEX[g]]), case, p, g)
+
+
+def _accumulator_oracle(cases) -> list:
+    """The cases in which a PolySum disagrees with sympy or is not canonical.
+
+    Each case adds rational multiples of Polys over mixed denominators, then
+    a derivation with 1 to 4 images, themselves over mixed denominators,
+    and checks the value after each step: against the sum of the c_k * p_k
+    expanded in sympy's ring, then with sum(diff(p, g) * image) added."""
+    rng = random.Random(710)
+    failures = []
+    for case in range(cases):
+        acc = PolySum()
+        expected = R.zero
+        for _ in range(rng.randint(1, 5)):
+            p, c = _random_poly(rng), _random_scalar(rng)
+            acc.add(p, c.numerator, c.denominator)
+            expected += _to_ring(p) * sympy.QQ(c.numerator, c.denominator)
+        steps = [("add", acc.value(), expected)]
+        acc = PolySum()
+        acc.add(_from_ring(expected))
+        p = _random_poly(rng, max_exp=3)
+        pairs = [(g, _random_poly(rng, max_terms=3)) for g in rng.sample(GENS, rng.randint(1, 4))]
+        acc.add_derivation(p, pairs)
+        s = _to_ring(p)
+        for g, img in pairs:
+            expected += s.diff(SYMS[INDEX[g]]) * _to_ring(img)
+        steps.append(("add_derivation", acc.value(), expected))
+        try:
+            for name, result, expected_s in steps:
+                _assert_canonical(result)
+                _check(result, expected_s, case, name, p, pairs)
+        except AssertionError:
+            failures.append(case)
+    return failures
+
+
+def test_poly_sum_matches_sympy():
+    assert _accumulator_oracle(300) == []
+
+
+def test_poly_sum_oracle_catches_an_unnormalized_value(monkeypatch):
+    # a mutant of PolySum.value that keeps the running denominator as it is
+    src = textwrap.dedent(inspect.getsource(PolySum.value))
+    mutant = src.replace("_normalized(terms, self.den)", "Poly(terms, self.den)")
+    assert mutant != src
+    namespace = dict(vars(poly_module))
+    exec(mutant, namespace)
+    monkeypatch.setattr(PolySum, "value", namespace["value"])
+    assert len(_accumulator_oracle(100)) > 20
+
+
+def test_a_derivation_past_max_exponent_is_an_overflow():
+    u, ux = Poly.gen(jet(0)), Poly.gen(jet(1))
+    p = u ** MAX_EXPONENT * ux
+    # d/du keeps u at MAX_EXPONENT, and so does d/du_x with an image free of u
+    acc = PolySum()
+    acc.add_derivation(p, ((jet(0), u), (jet(1), ux)))
+    _check(acc.value(), _to_ring(p) * (MAX_EXPONENT + 1))
+    # the image u of u_x raises the exponent of u past MAX_EXPONENT
+    with pytest.raises(ExponentOverflow, match=f"exponent of u exceeds {MAX_EXPONENT}"):
+        PolySum().add_derivation(p, ((jet(1), u),))
 
 
 def test_split_matches_sympy():

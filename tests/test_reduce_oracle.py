@@ -258,13 +258,14 @@ def test_list_sums_match_sympy_cancel():
 
 
 def test_list_sum_oracle_catches_an_unreduced_group(monkeypatch):
-    # a mutant of JetExpr.sum that merges each group's numerator sum unreduced
-    src = textwrap.dedent(inspect.getsource(JetExpr.sum))
+    # a mutant of JetExpr.combination, which JetExpr.sum wraps, that merges
+    # each group's numerator sum unreduced
+    src = textwrap.dedent(inspect.getsource(JetExpr.combination))
     mutant = src.replace("JetExpr._reduce(", "JetExpr(")
     assert mutant != src
     namespace = dict(vars(expr_module))
     exec(mutant, namespace)
-    monkeypatch.setattr(JetExpr, "sum", namespace["sum"])
+    monkeypatch.setattr(JetExpr, "combination", namespace["combination"])
     failures, _, _ = _list_sum_oracle(40)
     assert len(failures) > 5
 
