@@ -286,7 +286,19 @@ def test_a_usage_error_leaves_the_parser_usable(capsys):
     ('{"f": "abstract"}', 'a JSON object with a string "rhs"'),
     ('{"rhs": "u_5x + f(u)*u_x", "f": ["abstract"]}', '"f" must be a string'),
     (b"\xc3\x28", "can't decode"),
-], ids=["list", "rhs-not-a-string", "no-rhs", "f-not-a-string", "not-utf8"])
+    ('{"rhs": "u_xxx + 6*u*u_x", "precision": -3, "params": ["zzz"]}', '"precision"'),
+    ('{"rhs": "u_xxx + 6*u*u_x", "precision": 0}', '"precision" must be a positive integer'),
+    ('{"rhs": "u_xxx + 6*u*u_x", "precision": "20"}', '"precision" must be a positive integer'),
+    ('{"rhs": "u_xxx + 6*u*u_x", "precision": true}', '"precision" must be a positive integer'),
+    ('{"rhs": "u_xxx + 6*u*u_x", "params": ["zzz"]}', '"params" ["zzz"] differs'),
+    ('{"rhs": "u_xxx + b*u*u_x", "params": "b"}', '"params" must be a list of strings'),
+    ('{"rhs": "u_xxx + b*u*u_x", "params": ["b", "b"]}', '"params" ["b", "b"] differs'),
+    # ln(u+c) carries the parameter c
+    ('{"rhs": "u_5x + f(u)*u_x", "params": ["gamma", "delta"], "f": "log:gamma,delta,c"}',
+     'differs from the parameters of "rhs": ["c", "delta", "gamma"]'),
+], ids=["list", "rhs-not-a-string", "no-rhs", "f-not-a-string", "not-utf8",
+        "precision-negative", "precision-zero", "precision-string", "precision-bool",
+        "params-unused", "params-not-a-list", "params-repeated", "params-missing-c"])
 def test_malformed_equation_file_is_an_input_error(capsys, tmp_path, content, message):
     path = tmp_path / "eq.json"
     if isinstance(content, bytes):
