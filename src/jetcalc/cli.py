@@ -30,8 +30,9 @@ from .analysis import (
 from .calculus import EvolutionEquation, euler, order, order_text, total_t, total_x, frechet
 from .dsl import parse, parse_series, print_expr, print_series
 from .errors import DslSyntaxError, JetCalcError, NotConserved
-from .expr import FunctionSpec, specialize_f
+from .expr import LOG_FAMILY, FunctionSpec, specialize_f
 from .kawahara import verify_theorem
+from .poly import KIND_FN, KIND_PARAM
 from .series import adjoint, commutator, compose, nth_root, positive_int
 
 
@@ -126,8 +127,25 @@ def load_equation(path: str, report: Report) -> EvolutionEquation:
     f = doc.get("f", "abstract")
     if not isinstance(f, str):
         raise JetCalcError(f"{path}: \"f\" must be a string")
+    # no command with an equation file has a series window, so a valid
+    # precision changes no report
+    precision = doc.get("precision", 1)
+    if type(precision) is not int or precision < 1:  # bool is not a precision
+        raise JetCalcError(f"{path}: \"precision\" must be a positive integer")
     fspec = parse_f_spec(f)
-    return EvolutionEquation(specialize_f(parse(doc["rhs"]), fspec), fspec)
+    rhs = specialize_f(parse(doc["rhs"]), fspec)
+    if "params" in doc:
+        listed = doc["params"]
+        if not isinstance(listed, list) or not all(isinstance(n, str) for n in listed):
+            raise JetCalcError(f"{path}: \"params\" must be a list of strings")
+        gens = rhs.generators()
+        # ln(u+c) carries the parameter c
+        found = sorted({g.name for g in gens if g.kind == KIND_PARAM}
+                       | {"c" for g in gens if g.kind == KIND_FN and g.name == LOG_FAMILY})
+        if sorted(listed) != found:
+            raise JetCalcError(f"{path}: \"params\" {json.dumps(listed)} differs from the "
+                               f"parameters of \"rhs\": {json.dumps(found)}")
+    return EvolutionEquation(rhs, fspec)
 
 
 # -- subcommands ----------------------------------------------------------------

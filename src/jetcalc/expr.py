@@ -13,7 +13,10 @@ e that carries the degree-one certificate (degree 1 in some generator, with
 coprime coefficients there) is irreducible, so the common part is q^k for
 the k <= e trial divisions of the numerator by q that succeed; any other
 factor costs one poly_gcd(num, q^e).  The factors are pairwise coprime, so
-the product of these common parts is gcd(num, den).
+the product of these common parts is gcd(num, den).  The cancelled
+denominator is then divided by its unit, the content with the sign of the
+leading coefficient in the canonical order; that unit is memoized per
+denominator Poly (``_den_unit``), like the factors.
 
 The same factorizations keep the denominators small before reduction.  A
 sum goes over the lcm of the two denominators, a.den * (b.den / g) with g
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from .errors import DivisionByZero, InconsistentJetSubstitution, NotAPointFunction
@@ -81,6 +85,16 @@ _NAME_AT_DEPTH = {d: name for name, d in CHAIN_DEPTH.items()}
 
 # The family of the opaque ln(u+c), the one function symbol off the chain.
 LOG_FAMILY = "lnuc"
+
+
+# Distinct reduced denominators are few, as for poly.squarefree_factors.
+@lru_cache(maxsize=256)
+def _den_unit(den: Poly) -> Fraction:
+    """The rational unit c with den/c canonical: content 1 and a positive
+    coefficient on the leading monomial of the canonical order."""
+    c = den.content()
+    _, lead = den.leading()
+    return -c if lead < 0 else c
 
 
 class JetExpr:
@@ -123,10 +137,7 @@ class JetExpr:
                     cancelled = cancelled * g
         if cancelled is not ONE:
             den = div_exact(den, cancelled)
-        c = den.content()
-        _, lead = den.leading()
-        if lead < 0:
-            c = -c
+        c = _den_unit(den)
         if c != 1:
             den = den.scale(Fraction(1) / c)
             num = num.scale(Fraction(1) / c)

@@ -21,6 +21,14 @@ next field.  (generator, exponent) pairs sorted by generator key appear only
 where a monomial leaves the layer: ``Poly.items``, ``mono_factors`` and
 ``mono_sort_key``, so no printed order depends on the order of interning.
 
+Exact division (``div_exact``) is sparse heap division on packed monomials,
+in the order of the packed ints themselves: lex in field order, a monomial
+order because no field carries.  It divides by the primitive part of the
+divisor, so by Gauss's lemma every quotient coefficient is an integer, and
+it fails at the first remainder term whose monomial or integer coefficient
+the divisor's leading term does not divide.  That order only steers the
+work: a quotient is unique, so no result depends on it.
+
 Two invariants carry this: generators are interned, so object identity is
 their equality and their hash; and a polynomial is canonical (no zero
 coefficient, and the denominator is coprime with the coefficients), so
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import or_
 
@@ -458,10 +467,6 @@ class PolySum:
 
 # -- exact division and gcd ---------------------------------------------
 
-def _main_var(p: Poly) -> Generator | None:
-    return max(p.generators(), key=lambda g: g.key, default=None)
-
-
 def _to_univariate(p: Poly, v: Generator) -> list[Poly]:
     """Dense coefficient list in v, ascending powers."""
     shift = v.shift
@@ -485,34 +490,73 @@ def _from_univariate(coeffs: list[Poly], v: Generator) -> Poly:
 def div_exact(a: Poly, b: Poly) -> Poly | None:
     """Exact quotient a/b, or None when b does not divide a.
 
-    Long division in the main variable v of b, one quotient degree at a time
-    from the highest, each quotient coefficient an exact quotient of the
-    leading coefficients in v.
+    Sparse division with a heap (Johnson, SIGSAM Bull. 8(3), 1974; Monagan &
+    Pearce, J. Symbolic Comput. 46(7), 2011) in the order of the packed ints:
+    the integer numerator of a is divided by b', the integer numerator of b
+    over its content g.  b' is primitive, so by Gauss's lemma an exact
+    quotient has integer coefficients.  The remainder is a dict with a
+    max-heap of its monomials.  Its largest monomial m is popped, and the
+    division fails as soon as the leading monomial of b' does not divide m
+    or the leading coefficient of b' does not divide m's coefficient;
+    otherwise the quotient term cancels m, and its products with the other
+    terms of b' are subtracted.  Each of those is smaller than m, so no
+    popped monomial comes back.  A monomial b takes one pass over a and no
+    heap.  The quotient is normalized once.
     """
-    if b.is_zero():
+    bt = b.terms
+    if not bt:
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
+    if not a.terms:
         return ZERO
-    if b.is_const():
-        return a.scale(Fraction(1) / b.const_value())
-    v = _main_var(b)
-    rem = _to_univariate(a, v)
-    bc = _to_univariate(b, v)
-    db = len(bc) - 1
-    quot = [ZERO] * max(len(rem) - db, 0)
-    for k in reversed(range(len(quot))):
-        if not rem[k + db].terms:
-            continue
-        q = div_exact(rem[k + db], bc[-1])
-        if q is None:
-            return None
-        quot[k] = q
-        # the slot k + db cancels exactly and is never read again
-        for i in range(db):
-            rem[k + i] = rem[k + i] - q * bc[i]
-    if any(c.terms for c in rem[:db]):
-        return None
-    return _from_univariate(quot, v)
+    g = _int_gcd(*bt.values())
+    lm = max(bt)
+    lc = bt[lm] // g
+    # lm divides m iff every guard bit survives (m | guards) - lm, the
+    # fieldwise test of _fields_at_least
+    guards = _GUARDS
+    quot = {}
+    if len(bt) == 1:
+        # lc is +-1
+        for m, c in a.terms.items():
+            if ((m | guards) - lm) & guards != guards:
+                return None
+            quot[m - lm] = c * lc
+    else:
+        # the other terms of b', negated: each step adds their products
+        rest = [(m, -c // g) for m, c in bt.items() if m != lm]
+        # t times them forms an exponent past MAX_EXPONENT exactly where
+        # t + top, with top their fieldwise maximum, sets a guard bit
+        top = reduce(_mono_max, (m for m, _ in rest))
+        rem = dict(a.terms)
+        heap = [-m for m in rem]
+        heapify(heap)
+        get = rem.get
+        while heap:
+            m = -heappop(heap)
+            c = rem.pop(m)
+            if not c:
+                continue
+            if ((m | guards) - lm) & guards != guards:
+                return None
+            qc, r = divmod(c, lc)
+            if r:
+                return None
+            t = m - lm
+            quot[t] = qc
+            if (t + top) & guards:
+                raise _overflow(t + top)
+            for mb, cb in rest:
+                mm = t + mb
+                old = get(mm)
+                if old is None:
+                    rem[mm] = qc * cb
+                    heappush(heap, -mm)
+                else:
+                    rem[mm] = old + qc * cb
+    # a/b = quot * b.den / (a.den * g)
+    if b.den != 1:
+        quot = {m: c * b.den for m, c in quot.items()}
+    return _normalized(quot, a.den * g)
 
 
 def _prem(a: list[Poly], b: list[Poly]) -> list[Poly]:

@@ -26,7 +26,8 @@ from jetcalc.expr import (
 from jetcalc.analysis import formal_symmetry_scan
 from jetcalc.calculus import total_x
 from jetcalc.dsl import parse
-from jetcalc.poly import ONE, fnsym, jet, param, poly_gcd
+import jetcalc.poly as poly_module
+from jetcalc.poly import ONE, Poly, fnsym, jet, param, poly_gcd, squarefree_factors
 
 from conftest import gen_pool, random_expr
 
@@ -164,6 +165,41 @@ def _count_reductions(monkeypatch) -> list:
 
     monkeypatch.setattr(JetExpr, "_reduce", staticmethod(counting_reduce))
     return calls
+
+
+def test_reduce_over_certified_factors_splits_no_divisor(monkeypatch):
+    # over (u+c)^3 * gamma^2 every cancellation is a trial division by u+c or
+    # gamma, which runs on packed monomials and splits no polynomial into
+    # coefficients in one generator; the unit that makes the cancelled
+    # denominator canonical is memoized, so a second pass over the same
+    # denominators computes no leading term
+    uc, gamma = u(0).num + par("c").num, par("gamma").num
+    den = uc ** 3 * gamma ** 2
+    squarefree_factors(den)     # the factorization itself splits; memoized
+    rng = random.Random(31)
+    nums = []
+    for _ in range(40):
+        base = random_expr(rng, pool=[u(0), u(1), par("b"), par("c"), par("gamma")]).num
+        nums.append(uc ** rng.randint(0, 4) * gamma ** rng.randint(0, 3) * base)
+
+    def refuse(*args):
+        raise AssertionError("a coefficient split in a trial division")
+
+    monkeypatch.setattr(poly_module, "_to_univariate", refuse)
+    first = [JetExpr._reduce(n, den) for n in nums]
+    for n, e in zip(nums, first):
+        assert e.num * den == n * e.den, n
+    assert len({e.den for e in first}) > 5
+    calls = []
+    leading = Poly.leading
+
+    def counting_leading(self):
+        calls.append(self)
+        return leading(self)
+
+    monkeypatch.setattr(Poly, "leading", counting_leading)
+    assert [JetExpr._reduce(n, den) for n in nums] == first
+    assert calls == []
 
 
 def test_a_rational_constant_factor_or_divisor_keeps_the_denominator(monkeypatch):

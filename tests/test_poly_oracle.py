@@ -6,7 +6,10 @@ converted to sympy's sparse polynomial ring over QQ through ``Poly.items``
 derivatives, ``split``, the in-place sums of ``PolySum``, ``div_exact`` and
 ``poly_gcd`` are recomputed there.  Values are compared through the
 conversion, and the canonical form by structural equality with a Poly
-rebuilt one term at a time from sympy's answer.
+rebuilt one term at a time from sympy's answer.  ``div_exact`` also runs on
+divisors of set shapes (monomials, non-unit leading coefficients, products
+of the reduction oracle's factors, gamma among them), and mutants of its
+fail-fast tests must fail that oracle.
 """
 
 import inspect
@@ -36,16 +39,19 @@ from jetcalc.poly import (  # noqa: E402
     poly_gcd,
 )
 from test_poly import _assert_canonical  # noqa: E402
+from test_reduce_oracle import CERTIFIED, UNCERTIFIED  # noqa: E402
 
 GENS = (X, jet(0), jet(1), jet(2), jet(3), param("b"), param("c"), fnsym("lnuc", 0),
         fnsym("f", 0))
-INDEX = {g: i for i, g in enumerate(GENS)}
-R, *SYMS = sympy.ring("x,u0:4,b,c,L,f", sympy.QQ)
+# gamma enters only through the divisors of the reduction oracle's pools
+RING_GENS = GENS + (param("gamma"),)
+INDEX = {g: i for i, g in enumerate(RING_GENS)}
+R, *SYMS = sympy.ring("x,u0:4,b,c,L,f,gamma", sympy.QQ)
 RZ = R.clone(domain=sympy.ZZ)
 
 
 def _exps(mono) -> tuple:
-    exps = [0] * len(GENS)
+    exps = [0] * len(RING_GENS)
     for g, e in mono:
         exps[INDEX[g]] = e
     return tuple(exps)
@@ -59,7 +65,7 @@ def _from_ring(s) -> Poly:
     total = ZERO
     for exps, c in s.items():
         term = Poly.const(Fraction(int(c.numerator), int(c.denominator)))
-        for g, e in zip(GENS, exps):
+        for g, e in zip(RING_GENS, exps):
             if e:
                 term = term * Poly.gen(g) ** e
         total = total + term
@@ -214,13 +220,14 @@ def test_split_matches_sympy():
 
 
 def _main_gen(p: Poly):
-    # the variable div_exact divides in: the largest generator of the divisor
+    # the divisor's largest-key generator: a dividend of lower degree in it
+    # cannot be a multiple of the divisor
     return max(p.generators(), key=lambda g: g.key)
 
 
-def _check_division(a: Poly, b: Poly, *context) -> bool:
+def _check_division(a: Poly, b: Poly, *context, divide=div_exact) -> bool:
     q_s, r_s = _to_ring(a).div(_to_ring(b))
-    q = div_exact(a, b)
+    q = divide(a, b)
     if r_s:
         assert q is None, context
         return False
@@ -283,6 +290,98 @@ def test_div_exact_gapped_dividend_matches_sympy():
         assert _main_gen(b) is v and b.degree_in(v) >= 2, (case, b)
         exact += _check_division(a, b, case, a, b)
     assert 50 < exact < 200
+
+
+def _division_divisor(rng: random.Random, case: int) -> Poly:
+    """A divisor of one of the shapes the division oracle cycles through."""
+    x, u, ux, b, c, gamma = (Poly.gen(g) for g in (X, jet(0), jet(1), param("b"), param("c"),
+                                                   param("gamma")))
+    shape = case % 4
+    if shape == 0:      # a monomial
+        return rng.choice((gamma ** rng.randint(1, 3), u * u * b, u ** 3, Poly.const(-2)))
+    if shape == 1:
+        # a leading coefficient in the packed order (lex in field order) that
+        # is negative or not a unit; for all but the first, whichever of
+        # their generators owns the higher field
+        return rng.choice((u.scale(-2) + c, (c * u * u).scale(3) + ONE, u.scale(2) + c.scale(3),
+                           ux.scale(2) + (b * u).scale(3), (gamma * u).scale(-3) + x.scale(2)))
+    if shape == 2:      # three generators, products of the reduction pools
+        while True:
+            d = ONE
+            for q in rng.sample(CERTIFIED + UNCERTIFIED, rng.randint(1, 2)):
+                d = d * q
+            if len(d.generators()) == 3:
+                return d
+    return _random_nonzero(rng, max_terms=3, gens=RING_GENS)
+
+
+def _division_oracle(cases: int, divide=div_exact) -> list:
+    """The cases in which ``divide`` disagrees with sympy's ``div``.
+
+    Each case divides b * q, or b * q + r, by a divisor b of one of four
+    shapes, over denominators other than 1 in half of the cases without an
+    r or with a random one."""
+    rng = random.Random(711)
+    failures = []
+    for case in range(cases):
+        b = _division_divisor(rng, case)
+        q = _random_nonzero(rng, max_terms=3, gens=RING_GENS)
+        kind = case % 8
+        if kind in (4, 5):
+            # r = LM(b) * t, LM in the packed order: the leading-monomial test
+            # passes it, and with integer operands its coefficient 1 is left
+            # to the integer-remainder test when lc(b) is not a unit
+            t = _random_nonzero(rng, max_terms=1, gens=RING_GENS)
+            q, r = Poly(q.terms), Poly({max(b.terms) + m: 1 for m in t.terms})
+        else:
+            if rng.random() < 0.5:
+                b = b.scale(Fraction(rng.choice((-3, 1, 2, 5)), rng.choice((2, 3, 4))))
+                q = q.scale(Fraction(rng.choice((-1, 1, 7)), rng.choice((3, 5))))
+            r = _random_nonzero(rng, max_terms=2, gens=RING_GENS) if kind >= 6 else ZERO
+        a = b * q + r
+        try:
+            _check_division(a, b, case, a, b, divide=divide)
+        except (AssertionError, ExponentOverflow):
+            failures.append(case)
+    return failures
+
+
+def test_division_shapes_match_sympy():
+    assert _division_oracle(400) == []
+
+
+def _div_exact_without(test: str):
+    """A mutant of div_exact that never takes ``if <test>:``.  Its namespace
+    copies the guard bits, so build it after interning every generator it
+    will meet."""
+    src = textwrap.dedent(inspect.getsource(div_exact))
+    mutant = src.replace(f"if {test}:", "if False:")
+    assert mutant != src
+    namespace = dict(vars(poly_module))
+    exec(mutant, namespace)
+    return namespace["div_exact"]
+
+
+@pytest.mark.parametrize("test", [
+    "((m | guards) - lm) & guards != guards",     # the leading-monomial test
+    "r",                                         # the integer-remainder test
+], ids=["leading-monomial", "integer-remainder"])
+def test_division_oracle_catches_a_kernel_without_a_test(test):
+    assert len(_division_oracle(400, _div_exact_without(test))) > 10
+
+
+def test_a_division_past_max_exponent_is_an_overflow():
+    # two fresh parameters: the later one owns the higher field, so it leads
+    # hi + lo^2 in the packed order, and each step of hi^20000 / (hi + lo^2)
+    # raises the exponent of lo in the remainder by 2
+    lo, hi = param("div_overflow_lo"), param("div_overflow_hi")
+    assert lo.shift < hi.shift
+    a, b = Poly.gen(hi) ** 20000, Poly.gen(hi) + Poly.gen(lo) ** 2
+    with pytest.raises(ExponentOverflow, match=f"exponent of div_overflow_lo exceeds {MAX_EXPONENT}"):
+        div_exact(a, b)
+    # without the guard check the exponent of lo runs to 40000 and the
+    # division fails without an error
+    assert _div_exact_without("(t + top) & guards")(a, b) is None
 
 
 def _check_gcd(a: Poly, b: Poly, *context) -> Poly:
