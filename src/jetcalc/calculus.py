@@ -12,6 +12,7 @@ and the slope is integrated in the predecessor; ln(u+c) powers go by parts.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import accumulate
 
 from .errors import JetCalcError
@@ -88,6 +89,7 @@ class EvolutionEquation:
         return f"EvolutionEquation(u_t = {self.rhs!r})"
 
 
+@cache  # generators are interned: one image per generator and process
 def _dx_image(g: Generator) -> JetExpr | None:
     if g.kind == KIND_X:
         return ONE_EXPR

@@ -10,7 +10,6 @@ maps an obstruction onto "theorem verified", exit 0.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -79,6 +78,8 @@ class Report:
 
 
 def _digest(data: bytes) -> str:
+    import hashlib  # only an equation file is digested; kept off start-up
+
     return hashlib.sha256(data).hexdigest()[:16]
 
 

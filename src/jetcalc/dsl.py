@@ -18,6 +18,8 @@ only printer: the repr of a generator, Poly, JetExpr and PsdSeries calls it.
 from __future__ import annotations
 
 import re
+from functools import cache
+from math import gcd
 
 from .errors import DslSyntaxError
 from .expr import CHAIN_DEPTH, JetExpr, as_expr, fn, ln_shift, par, u, x as x_atom, t as t_atom
@@ -30,6 +32,7 @@ from .poly import (
     KIND_X,
     ONE as POLY_ONE,
     Poly,
+    _unpack,
     mono_factors,
     param,
 )
@@ -336,47 +339,57 @@ def gen_name(g) -> str:
 _PRINT_RANK = {KIND_JET: 0, KIND_FN: 1, KIND_UNKNOWN: 2, KIND_X: 3, KIND_T: 4,
                KIND_PARAM: 5}
 
-
-def _dominance_key(mono: tuple):
-    if not mono:
-        return (1, ())  # pure constants print last
-    parts = []
-    for g, e in mono:
-        if g.kind == KIND_JET:
-            parts.append(((0, -g.index, "", 0), -e))
-        else:
-            parts.append(((1, _PRINT_RANK[g.kind], g.name, g.index), -e))
-    parts.sort()
-    return (0, tuple(parts))
-
-
 # factor order inside a product: parameters, x, t, unknowns, symbols, jets
 _FACTOR_RANK = {KIND_PARAM: 0, KIND_X: 1, KIND_T: 2, KIND_UNKNOWN: 3,
                 KIND_FN: 4, KIND_JET: 5}
 
 
+@cache  # generators are interned: computed once per generator and process
+def _print_data(g) -> tuple:
+    """(spelling, dominance key, factor key) of one generator."""
+    if g.kind == KIND_JET:
+        dominance = (0, -g.index, "", 0)
+    else:
+        dominance = (1, _PRINT_RANK[g.kind], g.name, g.index)
+    return gen_name(g), dominance, (_FACTOR_RANK[g.kind], g.name, g.index)
+
+
+def _print_term(mono: int) -> tuple:
+    """(dominance key, product body) of a packed monomial.  The key sorts
+    the (dominance, -exponent) pairs of its factors, so higher jets, then
+    higher powers, print first; the body spells the factors in factor
+    order."""
+    if not mono:
+        return (1, ()), ""  # pure constants print last
+    factors = [(_print_data(g), e) for g, e in _unpack(mono)]
+    key = (0, tuple(sorted((data[1], -e) for data, e in factors)))
+    factors.sort(key=lambda de: de[0][2])
+    body = "*".join(data[0] if e == 1 else f"{data[0]}^{e}" for data, e in factors)
+    return key, body
+
+
 def print_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    terms = sorted(p.items(), key=lambda kv: _dominance_key(kv[0]))
+    den = p.den
+    terms = sorted(((*_print_term(m), c) for m, c in p.terms.items()), key=lambda t: t[0])
     parts = []
-    for idx, (mono, coeff) in enumerate(terms):
-        factors = sorted(mono, key=lambda ge: (_FACTOR_RANK[ge[0].kind],
-                                               ge[0].name, ge[0].index))
-        body = "*".join(
-            f"{gen_name(g)}^{e}" if e != 1 else gen_name(g)
-            for g, e in factors)
-        mag = abs(coeff)
+    for _, body, c in terms:
+        num, d = abs(c), den
+        if d > 1:
+            g = gcd(num, d)
+            num, d = num // g, d // g
+        mag = f"{num}/{d}" if d > 1 else str(num)
         if not body:
-            text = str(mag)
-        elif mag == 1:
+            text = mag
+        elif mag == "1":
             text = body
         else:
             text = f"{mag}*{body}"
-        if idx == 0:
-            parts.append(text if coeff > 0 else f"-{text}")
+        if not parts:
+            parts.append(text if c > 0 else f"-{text}")
         else:
-            parts.append(f" + {text}" if coeff > 0 else f" - {text}")
+            parts.append(f" + {text}" if c > 0 else f" - {text}")
     return "".join(parts)
 
 

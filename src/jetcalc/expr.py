@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, prod
 
 from .errors import DivisionByZero, InconsistentJetSubstitution, NotAPointFunction
@@ -418,6 +418,7 @@ def derive(e: JetExpr, image) -> JetExpr:
     return top / JetExpr(e.den * s, ONE)
 
 
+@cache  # generators are interned: one image per generator and process
 def u_image(g: Generator) -> JetExpr | None:
     """Image of g under d/du: 1 on u, 1/(u+c) on ln(u+c), and on a chain
     symbol the symbol one level deeper."""

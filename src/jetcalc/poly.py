@@ -19,7 +19,9 @@ guard bit that no stored monomial sets, so a product whose exponent would
 exceed MAX_EXPONENT raises ExponentOverflow instead of carrying into the
 next field.  (generator, exponent) pairs sorted by generator key appear only
 where a monomial leaves the layer: ``Poly.items``, ``mono_factors`` and
-``mono_sort_key``, so no printed order depends on the order of interning.
+``mono_sort_key``; the printer unpacks monomials itself and sorts their
+factors by keys of its own, so no printed order depends on the order of
+interning.
 
 Exact division (``div_exact``) is sparse heap division on packed monomials,
 in the order of the packed ints themselves: lex in field order, a monomial

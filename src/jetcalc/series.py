@@ -183,17 +183,22 @@ def dx_towers():
     return dx
 
 
+def _leibniz_sum(i: int, B, m: int, dx) -> JetExpr:
+    """The factor of a_i in the xi^m coefficient of a_i xi^i o B: the sum of
+    C(i,k) D_x^k(b_j) over i + j - k = m, k >= 0, in B's order."""
+    # C(i,k) = 0 for 0 <= i < k
+    return JetExpr.combination((binom_falling(i, k), d) for j, b in B.items()
+                               if (k := i + j - m) >= 0 and (i < 0 or k <= i)
+                               and not (d := dx(b, k)).is_zero)
+
+
 def product_coeff(A, B, m: int, dx) -> JetExpr:
     """The xi^m coefficient of A o B, the sum of a_i C(i,k) D_x^k(b_j) over
     i + j - k = m, k >= 0, with dx from ``dx_towers()``.  A and B map
     xi-indices to coefficients (a PsdSeries or a dict); m must lie in the
     window that their listed coefficients fix."""
-    # one product with each a_i; C(i,k) = 0 for 0 <= i < k
-    return JetExpr.sum(
-        a * JetExpr.combination((binom_falling(i, k), d) for j, b in B.items()
-                                if (k := i + j - m) >= 0 and (i < 0 or k <= i)
-                                and not (d := dx(b, k)).is_zero)
-        for i, a in A.items())
+    # one product with each a_i
+    return JetExpr.sum(a * _leibniz_sum(i, B, m, dx) for i, a in A.items())
 
 
 def _tail_below(A, B, floor: int, dx) -> bool:
@@ -279,16 +284,33 @@ def nth_root(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
     # xi^(n-s) coefficient of R^n.  Every power R^k, k <= n, keeps its known
     # coefficients: the xi^(k-s) one is R^(k-1) o R taken with r_(1-s) = 0,
     # and r_(1-s) enters it linearly as k*root^(k-1)*r_(1-s).
+    # The factor of a_i in a xi^m coefficient o R is the Leibniz sum over the
+    # r_j with j >= m - i; R's keys run without gaps from 1 down, so it is
+    # fixed by (i, m) and its lowest j, max(2 - s, m - i).  Step s + 1 reads
+    # the xi^m coefficients of the next power up, so each sum is built once
+    # and serves every power until r_(1-s) enters it; step n - m is the last
+    # to read xi^m, and its sums are dropped after it.
     R = {1: JetExpr.from_const(root)}
     powers = [None, R] + [{k: JetExpr.from_const(root ** k)} for k in range(2, n + 1)]
     dx = dx_towers()
+    sums: dict[int, dict] = {}  # m -> {(i, lowest j): Leibniz sum}
     for s in range(1, slots):
         for k in range(2, n + 1):
-            powers[k][k - s] = product_coeff(powers[k - 1], R, k - s, dx)
+            m = k - s
+            known = sums.setdefault(m, {})
+            terms = []
+            for i, a in powers[k - 1].items():
+                key = (i, max(2 - s, m - i))
+                inner = known.get(key)
+                if inner is None:
+                    inner = known[key] = _leibniz_sum(i, R, m, dx)
+                terms.append(a * inner)
+            powers[k][m] = JetExpr.sum(terms)
         r = (A.coeff(n - s) - powers[n].get(n - s, ZERO_EXPR)) / (n * root ** (n - 1))
         R[1 - s] = r
         for k in range(2, n + 1):
             powers[k][k - s] = powers[k][k - s] + k * root ** (k - 1) * r
+        sums.pop(n - s, None)
     return PsdSeries.from_coeffs(R, exact=False, bottom=1 - slots + 1)
 
 

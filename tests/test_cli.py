@@ -490,3 +490,14 @@ def test_reports_do_not_depend_on_interning_order(monkeypatch):
     (code, out), = reports["theorem1_log"]
     assert code == 0
     assert out == (Path(__file__).parent / "golden" / "theorem1_log.txt").read_text()
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # only the equation-file digest uses hashlib, so start-up does not pay for it
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import sys; loaded = 'hashlib' in sys.modules; import jetcalc.cli; "
+              "print(loaded or 'hashlib' not in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "True\n"

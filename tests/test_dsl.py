@@ -4,9 +4,26 @@ from fractions import Fraction
 import pytest
 
 from jetcalc import DslSyntaxError
-from jetcalc.dsl import parse, parse_series, print_expr, print_series
+from jetcalc.dsl import gen_name, parse, parse_series, print_expr, print_poly, print_series
 from jetcalc.expr import as_expr, fn, ln_shift, par, t, u, x
 from jetcalc.kawahara import catalog, verify_catalog
+from jetcalc.poly import (
+    KIND_FN,
+    KIND_JET,
+    KIND_PARAM,
+    KIND_T,
+    KIND_UNKNOWN,
+    KIND_X,
+    ONE as POLY_ONE,
+    T,
+    X,
+    ZERO,
+    Poly,
+    fnsym,
+    jet,
+    param,
+    unknown_t,
+)
 from jetcalc.series import PsdSeries
 
 
@@ -178,6 +195,73 @@ def test_print_parse_roundtrip_series():
         text = print_series(S)
         assert parse_series(text) == S, text
         assert repr(S) == text
+
+
+# The printer as it stood before it cached per-generator print data and
+# unpacked monomials itself: the oracle of the test below.
+_ORACLE_PRINT_RANK = {KIND_JET: 0, KIND_FN: 1, KIND_UNKNOWN: 2, KIND_X: 3, KIND_T: 4,
+                      KIND_PARAM: 5}
+_ORACLE_FACTOR_RANK = {KIND_PARAM: 0, KIND_X: 1, KIND_T: 2, KIND_UNKNOWN: 3,
+                       KIND_FN: 4, KIND_JET: 5}
+
+
+def _oracle_dominance_key(mono: tuple):
+    if not mono:
+        return (1, ())
+    parts = []
+    for g, e in mono:
+        if g.kind == KIND_JET:
+            parts.append(((0, -g.index, "", 0), -e))
+        else:
+            parts.append(((1, _ORACLE_PRINT_RANK[g.kind], g.name, g.index), -e))
+    parts.sort()
+    return (0, tuple(parts))
+
+
+def _oracle_print_poly(p: Poly) -> str:
+    if p.is_zero():
+        return "0"
+    terms = sorted(p.items(), key=lambda kv: _oracle_dominance_key(kv[0]))
+    parts = []
+    for idx, (mono, coeff) in enumerate(terms):
+        factors = sorted(mono, key=lambda ge: (_ORACLE_FACTOR_RANK[ge[0].kind],
+                                               ge[0].name, ge[0].index))
+        body = "*".join(
+            f"{gen_name(g)}^{e}" if e != 1 else gen_name(g)
+            for g, e in factors)
+        mag = abs(coeff)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if idx == 0:
+            parts.append(text if coeff > 0 else f"-{text}")
+        else:
+            parts.append(f" + {text}" if coeff > 0 else f" - {text}")
+    return "".join(parts)
+
+
+def test_print_poly_matches_the_oracle_printer():
+    gens = [X, T, *(jet(i) for i in (0, 1, 2, 3, 4, 11)),
+            *(fnsym("f", k) for k in (0, 1, 2, 3, 4, 7)), fnsym("r"), fnsym("rhat"),
+            fnsym("lnuc"), *(unknown_t("h", k) for k in (0, 1, 2, 3)), unknown_t("a0"),
+            param("b"), param("c"), param("gamma"), param("xi")]
+    rng = random.Random(91)
+    polys = [ZERO, POLY_ONE, Poly.const(Fraction(-7, 4)), *(Poly.gen(g) for g in gens)]
+    while len(polys) < 400:
+        p = ZERO
+        for _ in range(rng.randint(1, 6)):
+            term = Poly.const(Fraction(rng.choice((-12, -3, -1, 1, 2, 5, 18)),
+                                       rng.choice((1, 1, 2, 3, 6, 35))))
+            for g in rng.sample(gens, rng.randint(0, 4)):
+                term = term * Poly.gen(g) ** rng.randint(1, 3)
+            p = p + term
+        polys.append(p)
+    assert any(p.den > 1 for p in polys)
+    for p in polys:
+        assert print_poly(p) == _oracle_print_poly(p)
 
 
 def test_whitespace_normalization():

@@ -5,7 +5,7 @@ import pytest
 
 from jetcalc import NEG_INF, RootNotInClass
 from jetcalc.calculus import frechet_hat, total_x
-from jetcalc.expr import as_expr, fn, par, partial, u
+from jetcalc.expr import JetExpr, as_expr, fn, par, partial, u
 from jetcalc.poly import jet
 from jetcalc.series import (
     PsdSeries,
@@ -234,6 +234,66 @@ def test_nth_root_roundtrip_randomized_degrees():
     R = nth_root(A, 2)
     assert R.floor == A.floor - 1
     assert series_power(R, 2, slots=6).agrees_with(A)
+
+
+def test_nth_root_builds_each_leibniz_sum_once(monkeypatch):
+    # At step s the xi^(k-s) coefficient of R^k takes, from each a_i of
+    # R^(k-1), the Leibniz sum over the r_j of R with j >= (k-s) - i; R is
+    # known from 1 down to 2 - s, so the sum is fixed by (i, m = k - s) and its
+    # lowest j.  Polynomial coefficients, so D_x builds no sums, and every
+    # JetExpr.combination call is an inner sum or a coefficient's outer sum.
+    n, slots = 5, 12
+    A = dk_abstract()
+    sums = set()
+    for s in range(1, slots):
+        for k in range(2, n + 1):
+            m = k - s
+            # R^(k-1) is known from xi^(k-1) down: to xi^(k-1-s) once this
+            # step has reached it, to xi^(2-s) for R itself
+            low = 2 - s if k == 2 else k - 1 - s
+            sums |= {(i, m, max(2 - s, m - i)) for i in range(low, k)}
+    calls = [0]
+    combination = JetExpr.combination
+
+    def counted(pairs):
+        calls[0] += 1
+        return combination(pairs)
+
+    monkeypatch.setattr(JetExpr, "combination", staticmethod(counted))
+    R = nth_root(A, n, slots=slots)
+    assert calls[0] <= len(sums) + (slots - 1) * (n - 1), (calls[0], len(sums))
+    monkeypatch.undo()
+    assert series_power(R, n, slots=slots).agrees_with(A)
+
+
+def test_nth_root_roundtrip_rational_randomized():
+    # series_power composes through product_coeff alone, so it shares no code
+    # with the memo of Leibniz sums inside nth_root
+    rng = random.Random(71)
+    uc = u(0) + par("c")
+    plain = [as_expr(Fraction(2, 3)), u(0), u(1), par("b"), fn("f")]
+    over_uc = [1 / uc, u(1) / uc ** 2, par("b") * u(0) / uc ** 3]
+    for n, lead, slots in ((3, 1, 12), (3, Fraction(-27, 8), 11), (5, 32, 10),
+                           (5, Fraction(1, 32), 10), (5, -1, 10)):
+        # one coefficient over a power of u+c among the three below the lead
+        lower = [rng.choice(over_uc), rng.choice(plain), rng.choice(plain + over_uc)]
+        rng.shuffle(lower)
+        coeffs = {n: as_expr(lead)}
+        for i, c in zip(range(n - 1, n - 4, -1), lower):
+            coeffs[i] = c * Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+        A = PsdSeries.from_coeffs(coeffs, exact=True)
+        R = nth_root(A, n, slots=slots)
+        assert R.floor == 2 - slots
+        assert series_power(R, n, slots=slots).agrees_with(A), (n, lead)
+    # an inexact input, the cube of a truncated series B: its root is B
+    B = PsdSeries.from_coeffs({1: as_expr(2), 0: u(0) / uc, -1: par("b"), -2: u(1) / uc ** 2},
+                              exact=False, bottom=-3)
+    A = series_power(B, 3, slots=12)
+    assert not A.exact
+    R = nth_root(A, 3, slots=12)
+    assert R.floor == A.floor - 2
+    assert R.agrees_with(B)
+    assert series_power(R, 3, slots=12).agrees_with(A)
 
 
 def test_jacobi_identity_randomized():
