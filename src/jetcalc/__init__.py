@@ -12,7 +12,6 @@ from .analysis import (
     formal_symmetry_scan,
     is_conserved_density,
     is_trivial_density,
-    characteristic_of_density,
     rank_of,
     reconstruct_flux,
     solve_linear_ansatz,

@@ -80,11 +80,6 @@ def reconstruct_flux(eq: EvolutionEquation, rho: JetExpr) -> JetExpr:
     return zeta
 
 
-def characteristic_of_density(rho: JetExpr) -> JetExpr:
-    """Equivalent conservation laws share this Euler characteristic."""
-    return euler(as_expr(rho))
-
-
 def is_trivial_density(rho: JetExpr) -> bool:
     """True when rho itself is a total x-derivative (equivalent to zero),
     i.e. when its variational derivative vanishes."""

@@ -28,6 +28,7 @@ from .expr import (
     par,
     partial,
     partial_u_total,
+    substitute_map,
     symbol_at_depth,
     symbol_depth,
     u,
@@ -39,11 +40,16 @@ from .poly import (
     KIND_T,
     KIND_UNKNOWN,
     KIND_X,
+    ONE,
     X,
     Generator,
+    Poly,
+    PolySum,
     _to_univariate,
+    div_exact,
     fnsym,
     jet,
+    monomial,
     squarefree_factors,
     unknown_t,
 )
@@ -199,7 +205,7 @@ def _affine_piece(rem: JetExpr, H: Generator, pred: Generator) -> JetExpr | None
     In pred = u it runs over the f-chain and ln(u+c), and all or nothing."""
     if H in rem.den.generators() or rem.num.degree_in(H) != 1:
         return None
-    slope = partial(rem, H)
+    slope = JetExpr._reduce(_to_univariate(rem.num, H)[1], rem.den)  # drem/dH
     if pred is not jet(0):
         return _integrate_in(slope, pred)
     zeta, left = _strip(slope, partial_u_total, _u_piece)
@@ -236,26 +242,24 @@ def _u_piece(rem: JetExpr) -> JetExpr | None:
             return None  # nothing integrates to rhat
         return _affine_piece(rem, H, symbol_at_depth(d - 1))
     if fns:
-        coeffs = _poly_in_gen(rem, fnsym(LOG_FAMILY, 0))
-        return _integrate_lnuc_power(coeffs[-1], len(coeffs) - 1)
+        coeffs = _to_univariate(rem.num, fnsym(LOG_FAMILY, 0))
+        return _integrate_lnuc_power(JetExpr._reduce(coeffs[-1], rem.den), len(coeffs) - 1)
     return _integrate_rational_u(rem)
 
 
-def _poly_in_gen(e: JetExpr, g: Generator) -> list[JetExpr] | None:
-    """Coefficient list of e in powers of g, or None when g divides the
-    denominator (rational dependence)."""
+def _integrate_in(e: JetExpr, g: Generator) -> JetExpr | None:
+    """Antiderivative in g of e, or None when e is not polynomial in g.  The
+    numerator is integrated term by term over the same denominator, free of
+    g, with no reduction: a factor free of g divides a polynomial iff it
+    divides each of its coefficients in g."""
     if g in e.den.generators():
         return None
-    return [JetExpr._reduce(c, e.den) for c in _to_univariate(e.num, g)]
-
-
-def _integrate_in(e: JetExpr, g: Generator) -> JetExpr | None:
-    """Antiderivative in g of e, or None when e is not polynomial in g."""
-    coeffs = _poly_in_gen(e, g)
-    if coeffs is None:
-        return None
-    ge = JetExpr.from_gen(g)
-    return JetExpr.sum(a * ge ** (k + 1) / (k + 1) for k, a in enumerate(coeffs))
+    acc = PolySum()
+    for k, a in enumerate(_to_univariate(e.num, g), 1):
+        if a.terms:
+            # monomial raises ExponentOverflow for k > MAX_EXPONENT
+            acc.add(a * Poly({monomial(((g, k),)): 1}), 1, k)
+    return JetExpr(acc.value(), e.den)
 
 
 def _integrate_rational_u(R: JetExpr) -> JetExpr | None:
@@ -278,7 +282,8 @@ def _uc_decomposition(R: JetExpr) -> dict[int, JetExpr] | None:
     The power k of u+c in R's denominator is read off its squarefree
     factorization: the only factor involving u must be u+c itself (both are
     primitive with a positive leading coefficient), else there is no such sum.
-    R*(u+c)^k is then a polynomial in u, Taylor-shifted to powers of u+c.
+    With R = P/((u+c)^k * D), the numerator is Taylor-shifted once, P(u - c)
+    = sum p_j u^j, and a_{j-k} = p_j/D is reduced once per coefficient.
     """
     ugen = jet(0)
     c = par("c")
@@ -289,17 +294,13 @@ def _uc_decomposition(R: JetExpr) -> dict[int, JetExpr] | None:
             if q != uc.num:
                 return None
             k = e
-    coeffs = _poly_in_gen(R * uc ** k, ugen)
-    if coeffs is None:
-        return None
-    # expand each u^i as ((u+c) - c)^i by binomials
-    shifted = [JetExpr.sum(coeffs[i] * math.comb(i, j) * (-c) ** (i - j)
-                           for i in range(j, len(coeffs)))
-               for j in range(len(coeffs))]
+    D = div_exact(R.den, uc.num ** k)
+    shifted = substitute_map(JetExpr(R.num, ONE), {ugen: u() - c}).num
     out: dict[int, JetExpr] = {}
-    for j, a in enumerate(shifted):
-        if a.is_zero:
+    for j, p in enumerate(_to_univariate(shifted, ugen)):
+        if not p.terms:
             continue
+        a = JetExpr._reduce(p, D)
         if any(g.kind in (KIND_JET, KIND_FN) for g in a.generators()):
             return None
         out[j - k] = a

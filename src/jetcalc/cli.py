@@ -3,8 +3,9 @@
 Every subcommand wraps one library operation and prints a deterministic
 report (text by default, JSON with --json).  Exit codes: 0 for a verified /
 zero-residual outcome, 1 for a nonzero residual or obstruction (still a
-successful run), 2 for usage, parse and input errors.  ``kawahara verify``
-maps an obstruction onto "theorem verified", exit 0.
+successful run), 2 for usage, parse and input errors, 3 for an internal
+error.  ``kawahara verify`` maps an obstruction onto "theorem verified",
+exit 0.
 """
 
 from __future__ import annotations
@@ -380,10 +381,12 @@ def main(argv: list[str] | None = None) -> int:
     except DslSyntaxError as exc:
         sys.stderr.write(f"syntax error: {exc}\n")
         return 2
-    except (JetCalcError, OSError, json.JSONDecodeError, UnicodeDecodeError,
-            KeyError) as exc:
+    except (JetCalcError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a defect, not a bad input; KeyboardInterrupt propagates
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     text = report.render_json() if args.json else report.render_text()
     sys.stdout.write(text)
     return report.exit_code

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from jetcalc import EvolutionEquation, JetCalcError, NEG_INF
+from jetcalc import EvolutionEquation, ExponentOverflow, JetCalcError, NEG_INF
 from jetcalc.calculus import (
     du_coefficient,
     euler,
@@ -222,6 +222,17 @@ def test_formal_x_integrate_f_chain_beside_log():
     z, r = formal_x_integrate(F)
     assert r.is_zero and not z.is_zero
     assert total_x(z) == F
+
+
+@pytest.mark.parametrize("F", [
+    par("b") * x() ** 32767,  # integrated in x
+    u(1) * u(0) ** 32767,  # its slope integrated in u, with a constant coefficient
+], ids=["in_x", "in_u"])
+def test_formal_x_integrate_refuses_an_exponent_past_the_maximum(F):
+    # the antiderivative's exponent 32768 does not fit a packed field; it must
+    # not carry into the next field as a corrupt x^32768 or u^32768 term
+    with pytest.raises(ExponentOverflow):
+        formal_x_integrate(F)
 
 
 def test_formal_x_integrate_roundtrip_randomized():

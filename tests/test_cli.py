@@ -346,6 +346,16 @@ def test_invalid_precision_env_is_an_input_error(capsys, monkeypatch, value):
     assert err == f"error: JETCALC_PRECISION must be a positive integer, got {value!r}\n"
 
 
+def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    # exit 1 is a nonzero residual, so a crash must not end there with a traceback
+    def crash(theorem, fspec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("jetcalc.cli.verify_theorem", crash)
+    code, out, err = run(capsys, "kawahara", "verify", "--theorem", "2", "--f", "abstract")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
+
+
 def test_parse_f_spec():
     assert parse_f_spec("abstract").mode == "abstract"
     assert parse_f_spec("quadratic") == FunctionSpec.quadratic()

@@ -138,7 +138,21 @@ def test_formal_x_integrate_matches_sympy():
     for case in range(120):
         e = _random_expr(rng, EULER_GENS, POINT_GENS)
         integrands.append(total_x(e) if case % 2 else e)
-    for case, integrand in enumerate(integrands):
+    # then D_x(G) inside the integrator's class, which must leave no residual:
+    # G = sum a_q (u+c)^q ln(u+c)^p with a_q in Q[b, c], so that powers
+    # (u+c)^k with k >= 2 and the by-parts path, which the random
+    # denominators above never aim at, are taken
+    uc = u(0) + JetExpr.from_gen(param("c"))
+    ln = JetExpr.from_gen(LN)
+    exact = []
+    rng = random.Random(405)
+    for _ in range(60):
+        G = JetExpr.sum(JetExpr(_random_poly(rng, (param("b"), param("c")), 2), ONE)
+                        * uc ** rng.randint(-3, 3) * ln ** rng.randint(0, 2)
+                        for _ in range(rng.randint(1, 3)))
+        exact.append(total_x(G))
+    for case, integrand in enumerate(integrands + exact):
         zeta, residual = formal_x_integrate(integrand)
         got = _derive(_to_sympy(zeta), DX) + _to_sympy(residual)
         assert _same(got, _to_sympy(integrand)), (case, integrand)
+        assert case < len(integrands) or residual.is_zero, (case, integrand, residual)
