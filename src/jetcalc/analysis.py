@@ -74,7 +74,7 @@ def reconstruct_flux(eq: EvolutionEquation, rho: JetExpr) -> JetExpr:
     rho = u on the log branch.
     """
     dt_rho = total_t(as_expr(rho), eq)
-    zeta, residual = formal_x_integrate(dt_rho)
+    zeta, residual = formal_x_integrate(dt_rho, eq.fspec.shifted)
     if not residual.is_zero:
         raise NotConserved("not conserved, or its flux lies outside the integrator's class")
     return zeta
@@ -237,7 +237,12 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
     that only sets where the scan stops, at xi-index n + 1 - target_rank (one
     step per rank; indices 5 .. -7 for the Kawahara equation at rank 13, the
     proof's step count).
+
+    An equation written in w = u + c (``FunctionSpec.in_w``) is scanned in w.
+    The constraints and forcings are read off monomials in u, and the report
+    holds expressions in u, so both are translated back first.
     """
+    user = eq.fspec.from_coordinate
     n = eq.order
     a_n = partial(eq.rhs, jet(n))
     if not a_n.is_rational_const:
@@ -265,6 +270,7 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
             obstruction_expr = euler(F / lead)
             if obstruction_expr.is_zero:
                 break
+            obstruction_expr = user(obstruction_expr)
             for coeff in split_by_free_monomials(obstruction_expr, free_kinds=(KIND_X, KIND_JET)):
                 if coeff not in step.reduced_constraints:
                     step.reduced_constraints.append(coeff)
@@ -282,7 +288,7 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
                 report.obstruction_index = m
                 report.obstruction = "g = 0"
                 step.notes.append("g = 0 contradicts deg L = 1")
-                report.coefficients = {i: vanish(c, zero_from) for i, c in solved.items()}
+                report.coefficients = {i: user(vanish(c, zero_from)) for i, c in solved.items()}
                 return report
             if len(step.forced) == forced_before:
                 raise UnsupportedEquationShape(
@@ -300,18 +306,18 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
             step.notes.append("l0 set to 0 (constants are trivial formal symmetries)")
 
         # solve -lead D_x(a) = -F  i.e.  lead D_x(a) = F
-        zeta, res = formal_x_integrate(F)
+        zeta, res = formal_x_integrate(F, eq.fspec.shifted)
         if not res.is_zero:
             raise UnsupportedEquationShape(
-                f"irreducible residual {res!r} in the coefficient equation")
+                f"irreducible residual {user(res)!r} in the coefficient equation")
         a_new = zeta / lead + unk(name)  # F is vanished, so zeta holds no forced unknown
         solved[new_idx] = a_new
         if a_new == unk(name):
             step.notes.append(f"{name} is a function of t only")
-        step.solved_coefficient = a_new
+        step.solved_coefficient = user(a_new)
 
     report.survived = True
-    report.coefficients = dict(solved)
+    report.coefficients = {i: user(c) for i, c in solved.items()}
     return report
 
 

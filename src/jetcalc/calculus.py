@@ -7,6 +7,9 @@ reports an irreducible residual instead of failing.  One stripping loop runs
 over both chains: u -> u_x -> u_xx -> ... under D_x, and rhat -> r -> f ->
 f' -> ... under d/du, where an exact expression is affine in its top symbol
 and the slope is integrated in the predecessor; ln(u+c) powers go by parts.
+It also runs in the log branch's coordinate w = u + c (``shifted``), with the
+same antiderivatives: those built on powers of u + c are built on powers of
+w, and those built on powers of u still vanish at u = 0, that is at w = c.
 """
 
 from __future__ import annotations
@@ -17,18 +20,18 @@ from itertools import accumulate
 
 from .errors import JetCalcError
 from .expr import (
+    CHAIN_DEPTH,
     FunctionSpec,
     JetExpr,
-    LOG_FAMILY,
     ONE_EXPR,
     ZERO_EXPR,
     as_expr,
     derive,
     ln_shift,
+    ln_w,
     par,
     partial,
     partial_u_total,
-    substitute_map,
     symbol_at_depth,
     symbol_depth,
     u,
@@ -40,17 +43,18 @@ from .poly import (
     KIND_T,
     KIND_UNKNOWN,
     KIND_X,
-    ONE,
     X,
     Generator,
     Poly,
     PolySum,
     _to_univariate,
     div_exact,
-    fnsym,
+    horner,
     jet,
     monomial,
+    param,
     squarefree_factors,
+    taylor_shift,
     unknown_t,
 )
 
@@ -200,39 +204,46 @@ def _strip(F: JetExpr, derivation, piece) -> tuple[JetExpr, JetExpr]:
     return zeta, rem
 
 
-def _affine_piece(rem: JetExpr, H: Generator, pred: Generator) -> JetExpr | None:
+def _affine_piece(rem: JetExpr, H: Generator, pred: Generator, shifted: bool) -> JetExpr | None:
     """Antiderivative in pred of drem/dH when rem is affine in H, else None.
-    In pred = u it runs over the f-chain and ln(u+c), and all or nothing."""
+    In pred = u it runs over the f-chain and the logarithm, and all or nothing."""
     if H in rem.den.generators() or rem.num.degree_in(H) != 1:
         return None
     slope = JetExpr._reduce(_to_univariate(rem.num, H)[1], rem.den)  # drem/dH
     if pred is not jet(0):
         return _integrate_in(slope, pred)
-    zeta, left = _strip(slope, partial_u_total, _u_piece)
+    zeta, left = _strip(slope, partial_u_total, lambda r: _u_piece(r, shifted))
     return zeta if left.is_zero else None
 
 
-def _x_piece(rem: JetExpr) -> JetExpr | None:
+def _x_piece(rem: JetExpr, shifted: bool) -> JetExpr | None:
     """Antiderivative in x of the top-jet part of rem, whose slope is
     integrated in u when the top jet is u_x.  A remainder free of jets and
     function symbols is integrated in x outright."""
     m = rem.top_jet()
     if m:
-        return _affine_piece(rem, jet(m), jet(m - 1))
+        return _affine_piece(rem, jet(m), jet(m - 1), shifted)
     if any(g.kind in (KIND_JET, KIND_FN) for g in rem.generators()):
         return None  # u-dependence cannot be integrated in x
     return _integrate_in(rem, X)
 
 
-def _u_piece(rem: JetExpr) -> JetExpr | None:
+@cache
+def _pole_and_log(shifted: bool) -> tuple[JetExpr, JetExpr]:
+    """u + c and ln(u+c), or in w = u + c, w and ln(w)."""
+    return (u(), ln_w()) if shifted else (u() + par("c"), ln_shift())
+
+
+def _u_piece(rem: JetExpr, shifted: bool) -> JetExpr | None:
     """Antiderivative in u of the part of rem in its deepest chain symbol,
-    else of its top power of ln(u+c), else of rem itself.  None outside the
-    class: a symbol in the denominator, the chain beside u in the
-    denominator, or rhat as the deepest symbol."""
+    else of its top power of the logarithm, else of rem itself.  None outside
+    the class: a symbol in the denominator, the chain beside u in the
+    denominator, rhat as the deepest symbol, or the logarithm of the other
+    coordinate."""
     if any(g.kind == KIND_FN for g in rem.den.generators()):
         return None
     fns = [g for g in rem.generators() if g.kind == KIND_FN]
-    chain = [g for g in fns if g.name != LOG_FAMILY]
+    chain = [g for g in fns if g.name in CHAIN_DEPTH]
     if chain:
         if jet(0) in rem.den.generators():
             return None
@@ -240,11 +251,14 @@ def _u_piece(rem: JetExpr) -> JetExpr | None:
         d = symbol_depth(H)
         if d <= -2:
             return None  # nothing integrates to rhat
-        return _affine_piece(rem, H, symbol_at_depth(d - 1))
+        return _affine_piece(rem, H, symbol_at_depth(d - 1), shifted)
     if fns:
-        coeffs = _to_univariate(rem.num, fnsym(LOG_FAMILY, 0))
-        return _integrate_lnuc_power(JetExpr._reduce(coeffs[-1], rem.den), len(coeffs) - 1)
-    return _integrate_rational_u(rem)
+        if set(fns) != _pole_and_log(shifted)[1].generators():
+            return None
+        coeffs = _to_univariate(rem.num, fns[0])
+        return _integrate_log_power(JetExpr._reduce(coeffs[-1], rem.den), len(coeffs) - 1,
+                                    shifted)
+    return _integrate_rational_u(rem, shifted)
 
 
 def _integrate_in(e: JetExpr, g: Generator) -> JetExpr | None:
@@ -262,42 +276,50 @@ def _integrate_in(e: JetExpr, g: Generator) -> JetExpr | None:
     return JetExpr(acc.value(), e.den)
 
 
-def _integrate_rational_u(R: JetExpr) -> JetExpr | None:
+def _integrate_rational_u(R: JetExpr, shifted: bool) -> JetExpr | None:
     """Antiderivative in u of a symbol-free rational function whose
-    denominator is a power of (u+c); the residue slot produces ln(u+c)."""
+    denominator is a power of the pole u+c; the residue slot produces the
+    logarithm.  A denominator free of u gives the antiderivative on powers
+    of u that vanishes at u = 0, which in w is at w = c."""
     ugen = jet(0)
     if ugen not in R.den.generators():
-        return _integrate_in(R, ugen)
-    dec = _uc_decomposition(R)
+        zeta = _integrate_in(R, ugen)
+        if shifted and not zeta.is_zero:
+            # less its value at w = c, a part free of w: the pair stays reduced
+            at_c = horner(zeta.num, ugen, Poly.gen(param("c")))
+            zeta = JetExpr(zeta.num - at_c, zeta.den)
+        return zeta
+    dec = _uc_decomposition(R, shifted)
     if dec is None:
         return None
-    uc = u() + par("c")
-    return JetExpr.sum(a * ln_shift() if q == -1 else a * uc ** (q + 1) / (q + 1)
+    pole, log = _pole_and_log(shifted)
+    return JetExpr.sum(a * log if q == -1 else a * pole ** (q + 1) / (q + 1)
                        for q, a in dec.items())
 
 
-def _uc_decomposition(R: JetExpr) -> dict[int, JetExpr] | None:
+def _uc_decomposition(R: JetExpr, shifted: bool) -> dict[int, JetExpr] | None:
     """Write R as sum a_q (u+c)^q with u-free coefficients, or None.
 
-    The power k of u+c in R's denominator is read off its squarefree
-    factorization: the only factor involving u must be u+c itself (both are
-    primitive with a positive leading coefficient), else there is no such sum.
-    With R = P/((u+c)^k * D), the numerator is Taylor-shifted once, P(u - c)
-    = sum p_j u^j, and a_{j-k} = p_j/D is reduced once per coefficient.
+    The power k of the pole u+c in R's denominator is read off its
+    squarefree factorization: the only factor involving u must be the pole
+    itself (both are primitive with a positive leading coefficient), else
+    there is no such sum.  With R = P/((u+c)^k * D), the a_{j-k} = p_j/D are
+    reduced once per coefficient, p_j the coefficients of P in u+c.  In
+    w = u + c the pole is the generator w, so the p_j are P's own
+    coefficients; in u they are those of the Taylor shift P(u - c).
     """
     ugen = jet(0)
-    c = par("c")
-    uc = u() + c
+    pole = _pole_and_log(shifted)[0].num
     k = 0
     for q, e, _ in squarefree_factors(R.den):
         if ugen in q.generators():
-            if q != uc.num:
+            if q != pole:
                 return None
             k = e
-    D = div_exact(R.den, uc.num ** k)
-    shifted = substitute_map(JetExpr(R.num, ONE), {ugen: u() - c}).num
+    D = div_exact(R.den, pole ** k)
+    num = R.num if shifted else taylor_shift(R.num, ugen, -Poly.gen(param("c")))
     out: dict[int, JetExpr] = {}
-    for j, p in enumerate(_to_univariate(shifted, ugen)):
+    for j, p in enumerate(_to_univariate(num, ugen)):
         if not p.terms:
             continue
         a = JetExpr._reduce(p, D)
@@ -307,36 +329,37 @@ def _uc_decomposition(R: JetExpr) -> dict[int, JetExpr] | None:
     return out
 
 
-def _integrate_lnuc_power(R: JetExpr, p: int) -> JetExpr | None:
+def _integrate_log_power(R: JetExpr, p: int, shifted: bool) -> JetExpr | None:
     """Integral of R(u) * ln(u+c)^p du for rational R, by parts on p."""
     if R.is_zero:
         return ZERO_EXPR
     if p == 0:
-        return _integrate_rational_u(R)
-    uc = u() + par("c")
-    Le = ln_shift()
+        return _integrate_rational_u(R, shifted)
+    pole, log = _pole_and_log(shifted)
     residue = ZERO_EXPR
     if jet(0) in R.den.generators():
-        dec = _uc_decomposition(R)
+        dec = _uc_decomposition(R, shifted)
         if dec is None:
             return None
         residue = dec.get(-1, ZERO_EXPR)
-    rest = R - residue / uc
-    total = residue * Le ** (p + 1) / (p + 1)
-    IR = _integrate_rational_u(rest)
+    rest = R - residue / pole
+    total = residue * log ** (p + 1) / (p + 1)
+    IR = _integrate_rational_u(rest, shifted)
     if IR is None:
-        return None  # rest has no residue, so IR is free of ln(u+c)
-    tail = _integrate_lnuc_power(IR / uc, p - 1)
+        return None  # rest has no residue, so IR is free of the logarithm
+    tail = _integrate_log_power(IR / pole, p - 1, shifted)
     if tail is None:
         return None
-    return total + IR * Le ** p - p * tail
+    return total + IR * log ** p - p * tail
 
 
-def formal_x_integrate(F: JetExpr) -> tuple[JetExpr, JetExpr]:
+def formal_x_integrate(F: JetExpr, shifted: bool = False) -> tuple[JetExpr, JetExpr]:
     """Split F = D_x(zeta) + residual by repeated top-order stripping.
 
     The residual is irreducible for the stripping algorithm.  A remainder
     free of jets and function symbols is integrated in x outright, so an
     element h of ker D_x (a function of t and parameters) gives x*h.
+    ``shifted``: F is written in w = u + c (``expr.to_w``), and so are zeta
+    and the residual, each the image of the one computed in u.
     """
-    return _strip(as_expr(F), total_x, _x_piece)
+    return _strip(as_expr(F), total_x, lambda rem: _x_piece(rem, shifted))

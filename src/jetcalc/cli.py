@@ -33,7 +33,7 @@ from .errors import DslSyntaxError, JetCalcError, NotConserved
 from .expr import LOG_FAMILY, FunctionSpec, specialize_f
 from .kawahara import verify_theorem
 from .poly import KIND_FN, KIND_PARAM
-from .series import adjoint, commutator, compose, nth_root, positive_int
+from .series import MAX_SLOTS, adjoint, commutator, compose, nth_root, positive_int
 
 
 class Report:
@@ -320,9 +320,21 @@ COMMANDS = (
     ("scan", "formal-symmetry obstruction scan", "--eq --rank", _scan),
 )
 
+
+def _slots(text: str) -> int:
+    """The --prec window: a positive integer of at most MAX_SLOTS."""
+    try:
+        value = positive_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}") from None
+    if value > MAX_SLOTS:
+        raise argparse.ArgumentTypeError(f"{value} slots exceed the maximum window of {MAX_SLOTS}")
+    return value
+
+
 OPTIONS = {
     "--eq": dict(required=True),
-    "--prec": dict(type=positive_int),
+    "--prec": dict(type=_slots),
     "--n": dict(type=positive_int, required=True),
     "--flux": dict(action="store_true"),
     "--rank": dict(type=int, default=13),

@@ -48,11 +48,20 @@ depth (``CHAIN_DEPTH``):
 together with the opaque logarithm ``lnuc`` = ln(u+c) whose u-derivative is
 1/(u+c).  The chain is what makes the antiderivative symbols of the energy
 density work without a general integration operator.
+
+The log branch computes in the coordinate w = u + c (``to_w``, ``from_w``).
+u -> w - c is a ring automorphism that commutes with D_x, D_t and every
+d/du_k, and there each power of u + c is the monomial w^k, so numerators stay
+sparse and cancelling a power of u + c is a test on monomials.  In w, jet(0)
+stands for w and ln(u+c) is the generator ``lnw`` = ln(w), whose u-derivative
+is 1/w; being a generator of its own, it gets its own memoized image.
+Translating back is a Taylor shift of numerator and denominator, with no gcd:
+an automorphism keeps a reduced pair reduced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial, prod
@@ -75,7 +84,9 @@ from .poly import (
     jet,
     param,
     poly_gcd,
+    rename,
     squarefree_factors,
+    taylor_shift,
     unknown_t,
 )
 
@@ -83,8 +94,10 @@ from .poly import (
 CHAIN_DEPTH = {"rhat": -2, "r": -1, "f": 0}
 _NAME_AT_DEPTH = {d: name for name, d in CHAIN_DEPTH.items()}
 
-# The family of the opaque ln(u+c), the one function symbol off the chain.
+# The family of the opaque ln(u+c), the one function symbol off the chain,
+# and of the same logarithm in the coordinate w = u + c, ln(w).
 LOG_FAMILY = "lnuc"
+LOG_W_FAMILY = "lnw"
 
 
 # Distinct reduced denominators are few, as for poly.squarefree_factors.
@@ -351,6 +364,11 @@ def ln_shift() -> JetExpr:
     return JetExpr.from_gen(fnsym(LOG_FAMILY, 0))
 
 
+def ln_w() -> JetExpr:
+    """The opaque generator ln(w) of the coordinate w = u + c."""
+    return JetExpr.from_gen(fnsym(LOG_W_FAMILY, 0))
+
+
 def symbol_depth(g: Generator) -> int:
     """Depth of a chain symbol: rhat -2, r -1, f^(k) k."""
     return CHAIN_DEPTH[g.name] + g.index
@@ -420,11 +438,14 @@ def derive(e: JetExpr, image) -> JetExpr:
 
 @cache  # generators are interned: one image per generator and process
 def u_image(g: Generator) -> JetExpr | None:
-    """Image of g under d/du: 1 on u, 1/(u+c) on ln(u+c), and on a chain
-    symbol the symbol one level deeper."""
+    """Image of g under d/du: 1 on u, 1/(u+c) on ln(u+c), 1/w on ln(w) with
+    jet(0) standing for w, and on a chain symbol the symbol one level
+    deeper."""
     if g.kind == KIND_FN:
         if g.name == LOG_FAMILY:
             return ONE_EXPR / (u() + par("c"))
+        if g.name == LOG_W_FAMILY:
+            return ONE_EXPR / u()
         return JetExpr.from_gen(symbol_at_depth(symbol_depth(g) + 1))
     return ONE_EXPR if g is jet(0) else None
 
@@ -455,6 +476,40 @@ def substitute_map(e: JetExpr, mapping: dict) -> JetExpr:
     if not relevant:
         return e
     return _evaluate(e.num, relevant) / _evaluate(e.den, relevant)
+
+
+def holds_log(e: JetExpr) -> bool:
+    """True when e holds ln(u+c)."""
+    return any(g.kind == KIND_FN and g.name == LOG_FAMILY for g in e.generators())
+
+
+def _translate(e: JetExpr, sign: int, old: str, new: str) -> JetExpr:
+    """e with u -> u + sign*c and the logarithm family old renamed to new:
+    numerator and denominator are Taylor-shifted once, and only the unit of
+    the denominator is renewed, since the map is a ring automorphism."""
+    e = as_expr(e)
+    a = Poly({param("c").bit: sign})
+    ugen, old, new = jet(0), fnsym(old, 0), fnsym(new, 0)
+    num = rename(taylor_shift(e.num, ugen, a), old, new)
+    if e.den == ONE:
+        return JetExpr(num, ONE)
+    den = rename(taylor_shift(e.den, ugen, a), old, new)
+    c = _den_unit(den)
+    if c != 1:
+        den = den.scale(1 / c)
+        num = num.scale(1 / c)
+    return JetExpr(num, den)
+
+
+def to_w(e: JetExpr) -> JetExpr:
+    """e in the coordinate w = u + c: u -> w - c and ln(u+c) -> ln(w), with
+    jet(0) standing for w."""
+    return _translate(e, -1, LOG_FAMILY, LOG_W_FAMILY)
+
+
+def from_w(e: JetExpr) -> JetExpr:
+    """e translated back from w = u + c: w -> u + c and ln(w) -> ln(u+c)."""
+    return _translate(e, 1, LOG_W_FAMILY, LOG_FAMILY)
 
 
 def substitute(e: JetExpr, g: Generator, v) -> JetExpr:
@@ -490,12 +545,16 @@ class FunctionSpec:
     mode "polynomial"  : f = sum(coeffs[i] * u**i); the antiderivative
                          symbols get their closed forms with zero constants.
     mode "logshift"    : f = gamma*ln(u+c) + delta via the opaque lnuc symbol.
+
+    ``shifted`` (log mode only): the images are written in w = u + c, where
+    f = gamma*ln(w) + delta; see ``in_w``.
     """
 
     mode: str = "abstract"
     coeffs: tuple | None = None
     gamma: JetExpr | None = None
     delta: JetExpr | None = None
+    shifted: bool = False
 
     @classmethod
     def abstract(cls) -> "FunctionSpec":
@@ -521,28 +580,45 @@ class FunctionSpec:
         d = par(delta) if isinstance(delta, str) else as_expr(delta)
         return cls("logshift", gamma=g, delta=d)
 
+    def in_w(self) -> "FunctionSpec":
+        """This log spec with its images in w = u + c (jet(0) standing for
+        w): an equation built with it computes in w."""
+        return replace(self, shifted=True)
+
+    def to_coordinate(self, e: JetExpr) -> JetExpr:
+        """e, given in u, in the coordinate of this spec's images."""
+        return to_w(e) if self.shifted else as_expr(e)
+
+    def from_coordinate(self, e: JetExpr) -> JetExpr:
+        """e, given in the coordinate of this spec's images, in u."""
+        return from_w(e) if self.shifted else as_expr(e)
+
     def f_image(self, k: int) -> JetExpr:
         """Image of f (k = 0), r (k = -1) or rhat (k = -2) under a concrete
-        f, written out; r and rhat take zero integration constants."""
+        f, written out; r and rhat take zero integration constants.  Written
+        in w (``shifted``), they are the same functions of u."""
         if self.mode == "polynomial":
             return JetExpr.sum(c * Fraction(factorial(i), factorial(i - k)) * u() ** (i - k)
                                for i, c in enumerate(self.coeffs))
-        uc = u() + par("c")
+        if self.shifted:
+            uc, uu, ln = u(), u() - par("c"), ln_w()
+        else:
+            uc, uu, ln = u() + par("c"), u(), ln_shift()
         if k == -2:
-            return (self.gamma * uc ** 2 / 2 * ln_shift()
-                    - 3 * self.gamma * uc ** 2 / 4 + self.delta * u() ** 2 / 2)
+            return (self.gamma * uc ** 2 / 2 * ln
+                    - 3 * self.gamma * uc ** 2 / 4 + self.delta * uu ** 2 / 2)
         if k == -1:
-            return self.gamma * (uc * ln_shift() - uc) + self.delta * u()
-        return self.gamma * ln_shift() + self.delta
+            return self.gamma * (uc * ln - uc) + self.delta * uu
+        return self.gamma * ln + self.delta
 
 
 def specialize_f(e: JetExpr, spec: FunctionSpec) -> JetExpr:
     """Rewrite every chain symbol according to spec, then renormalize;
-    ln(u+c) stays opaque.  Each f^(k), k >= 1, is the u-derivative of
+    the logarithm stays opaque.  Each f^(k), k >= 1, is the u-derivative of
     f^(k-1), derived once per call."""
     e = as_expr(e)
     depths = {g: symbol_depth(g) for g in e.generators()
-              if g.kind == KIND_FN and g.name != LOG_FAMILY}
+              if g.kind == KIND_FN and g.name in CHAIN_DEPTH}
     if spec.mode == "abstract" or not depths:
         return e
     images = {d: spec.f_image(d) for d in {*depths.values(), 0} if d <= 0}

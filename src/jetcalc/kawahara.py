@@ -8,6 +8,10 @@ The published table of fluxes (and the case-2 density) contains typos; the
 catalog therefore carries the *verified* objects, reconstructs every flux
 from its density, and reports a structured diff against the published
 expressions instead of asserting them.
+
+The verifiers compute the log branch in w = u + c (``FunctionSpec.in_w``):
+each catalog entry and ansatz basis element is translated in once, and
+every expression a report holds is translated back, so reports are in u.
 """
 
 from __future__ import annotations
@@ -17,16 +21,21 @@ from fractions import Fraction
 
 from .analysis import (
     ScanReport,
-    conservation_residual,
     formal_symmetry_scan,
-    is_conserved_density,
     linear_relations,
-    reconstruct_flux,
     solve_linear_ansatz,
     symmetry_residual,
 )
-from .calculus import EvolutionEquation, euler, order, order_text
-from .errors import ConstantF, NotConserved, NotQuadratic
+from .calculus import (
+    EvolutionEquation,
+    euler,
+    formal_x_integrate,
+    order,
+    order_text,
+    total_t,
+    total_x,
+)
+from .errors import ConstantF, NotQuadratic
 from .expr import (
     FunctionSpec,
     JetExpr,
@@ -196,44 +205,60 @@ def _catalog_binding(f: FunctionSpec) -> dict:
     return {param(name): v for name, v in values.items() if v != par(name)}
 
 
+# the fields of a catalog entry that hold expressions, translated back to u
+_EXPR_FIELDS = ("Q", "rho", "printed_flux", "printed_density", "flux", "characteristic",
+                "flux_diff_vs_printed", "density_diff_vs_printed")
+
+
 def verify_entry(entry, eq: EvolutionEquation) -> bool:
     """Bind a catalog entry to eq's f and verify it in place.
 
-    A symmetry gets its residual checked; a density gets the Euler
-    conservation test, the reconstructed flux (itself checked; when it lies
-    outside the integrator's class ``flux_reconstructed`` stays False), the
-    diffs against the printed forms and its characteristic.
+    A symmetry gets its residual checked.  A density gets D_t(rho) once and
+    its formal x-integral: with a zero residual the flux is reconstructed and
+    conservation is the exact check D_t(rho) - D_x(flux) = 0; otherwise the
+    Euler test decides (Olver, Thm 4.7), and a conserved density keeps
+    ``flux_reconstructed`` False, its flux lying outside the integrator's
+    class.  Then come the diffs against the printed forms and the
+    characteristic.  For an equation in w = u + c the entry is bound in w and
+    its fields are translated back.
     """
-    binding = _catalog_binding(eq.fspec)
+    spec = eq.fspec
+    binding = _catalog_binding(spec)
 
     def bind(e: JetExpr) -> JetExpr:
         # rename before specializing, so f's own parameters are left alone
-        return specialize_f(substitute_map(e, binding) if binding else e, eq.fspec)
+        return specialize_f(spec.to_coordinate(substitute_map(e, binding) if binding else e),
+                            spec)
 
     if isinstance(entry, SymmetryCharacteristic):
         entry.Q = bind(entry.Q)
         entry.verified = symmetry_residual(eq, entry.Q).is_zero
-        return entry.verified
-    d = entry
+    else:
+        _verify_density(entry, eq, bind)
+    for name in _EXPR_FIELDS:
+        value = getattr(entry, name, None)
+        if value is not None:
+            setattr(entry, name, spec.from_coordinate(value))
+    return entry.verified
+
+
+def _verify_density(d: DensityFluxPair, eq: EvolutionEquation, bind) -> None:
     d.rho = bind(d.rho)
     if d.printed_flux is not None:
         d.printed_flux = bind(d.printed_flux)
     if d.printed_density is not None:
         d.printed_density = bind(d.printed_density)
         d.density_diff_vs_printed = d.rho - d.printed_density
-    d.verified = is_conserved_density(eq, d.rho)
-    if d.verified:
-        try:
-            d.flux = reconstruct_flux(eq, d.rho)
-        except NotConserved:
-            pass  # conserved, but the flux lies outside the integrator's class
-        else:
-            d.flux_reconstructed = True
-            d.verified = conservation_residual(eq, d.rho, d.flux).is_zero
-            if d.printed_flux is not None:
-                d.flux_diff_vs_printed = d.printed_flux - d.flux
+    dt_rho = total_t(d.rho, eq)
+    zeta, residual = formal_x_integrate(dt_rho, eq.fspec.shifted)
+    if residual.is_zero:
+        d.flux, d.flux_reconstructed = zeta, True
+        d.verified = (dt_rho - total_x(zeta)).is_zero
+        if d.printed_flux is not None:
+            d.flux_diff_vs_printed = d.printed_flux - d.flux
+    else:
+        d.verified = euler(dt_rho).is_zero
     d.characteristic = euler(d.rho)
-    return d.verified
 
 
 def verify_catalog() -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair]]:
@@ -263,6 +288,12 @@ def point_symmetry_basis() -> list[JetExpr]:
     return [u(1), t() * u(1), as_expr(1), u(0), t() * u(0)]
 
 
+def _equation(spec: FunctionSpec) -> EvolutionEquation:
+    """The equation a verifier computes with: in w = u + c on the log
+    branch, where each power of u + c is a monomial; else gke(spec)."""
+    return gke(spec.in_w() if spec.mode == "logshift" else spec)
+
+
 @dataclass
 class TheoremReport:
     theorem: int
@@ -277,7 +308,7 @@ class TheoremReport:
 
 def verify_theorem_1(spec: FunctionSpec) -> TheoremReport:
     """Residual checks for the applicable Q's plus the point-symmetry ansatz."""
-    eq = gke(spec)
+    eq = _equation(spec)
     branch = _branch(spec)
     syms, _ = catalog()
     report = TheoremReport(theorem=1, spec=spec, verified=True)
@@ -293,7 +324,9 @@ def verify_theorem_1(spec: FunctionSpec) -> TheoremReport:
         report.details.append(f"{s.label}: residual {'zero' if ok else 'NONZERO'}")
         report.verified = report.verified and ok
     # generalized symmetries among point characteristics, beyond Q1
-    span = solve_linear_ansatz(eq, point_symmetry_basis(), mode="symmetry")
+    basis = [eq.fspec.to_coordinate(b) for b in point_symmetry_basis()]
+    span = [eq.fspec.from_coordinate(q)
+            for q in solve_linear_ansatz(eq, basis, mode="symmetry")]
     report.extra_symmetries = span
     expected = 1 if branch == "abstract" else 2
     ok = len(span) == expected
@@ -305,7 +338,7 @@ def verify_theorem_1(spec: FunctionSpec) -> TheoremReport:
 
 def verify_theorem_2(spec: FunctionSpec) -> TheoremReport:
     """Density checks, flux reconstruction, characteristic order bounds."""
-    eq = gke(spec)
+    eq = _equation(spec)
     branch = _branch(spec)
     _, dens = catalog()
     report = TheoremReport(theorem=2, spec=spec, verified=True)
@@ -334,7 +367,7 @@ def verify_theorem_3(spec: FunctionSpec) -> TheoremReport:
     exist and leaves the literal rank-13 claim unverified.
     """
     target_rank, escalate_to = 13, 17
-    eq = gke(spec)
+    eq = _equation(spec)
     deep = formal_symmetry_scan(eq, escalate_to)
     # a scan takes one step per rank and no step depends on the target: the
     # target scan is the first target_rank steps (when it survives, the deeper

@@ -489,6 +489,37 @@ def _from_univariate(coeffs: list[Poly], v: Generator) -> Poly:
     return total
 
 
+def horner(p: Poly, v: Generator, a: Poly) -> Poly:
+    """p with v replaced by a: Horner's rule on the coefficients of p in v,
+    in Poly arithmetic."""
+    coeffs = _to_univariate(p, v)
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * a + c
+    return acc
+
+
+def taylor_shift(p: Poly, v: Generator, a: Poly) -> Poly:
+    """p(v + a) for a free of v, by Horner's rule with no reductions: the
+    baseline of von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts
+    and certain difference equations" (ISSAC 1997), and the method of choice
+    at degrees of about 20."""
+    return horner(p, v, Poly.gen(v) + a)
+
+
+def rename(p: Poly, old: Generator, new: Generator) -> Poly:
+    """p with the generator old renamed to new, which p does not hold: each
+    exponent moves from old's field to new's, so no two terms meet."""
+    shift = old.shift
+    if not reduce(or_, p.terms, 0) >> shift & _FIELD_MASK:
+        return p
+    terms = {}
+    for m, c in p.terms.items():
+        e = m >> shift & _FIELD_MASK
+        terms[m - (e << shift) + (e << new.shift)] = c
+    return Poly(terms, p.den)
+
+
 def div_exact(a: Poly, b: Poly) -> Poly | None:
     """Exact quotient a/b, or None when b does not divide a.
 

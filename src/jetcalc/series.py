@@ -18,9 +18,16 @@ from fractions import Fraction
 
 from .calculus import NEG_INF, order_text, total_t, total_x
 from .errors import JetCalcError, RootNotInClass
-from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr
+from .expr import JetExpr, ONE_EXPR, ZERO_EXPR, as_expr, from_w, holds_log, to_w
 
 DEFAULT_SLOTS = 20
+
+# The largest window that --prec and JETCALC_PRECISION accept; the library
+# takes any ``slots``.  Cost grows far faster than the window (2 vCPUs,
+# Python 3.11): root "xi^5+u" --n 5 takes 0.65 s at 40 slots, 2.7 s at 50,
+# 9.4 s at 60 and more than 100 s at 80, and the README root takes 11.6 s at
+# 30.
+MAX_SLOTS = 50
 
 
 def positive_int(text: str) -> int:
@@ -36,10 +43,13 @@ def default_slots() -> int:
     if not env:
         return DEFAULT_SLOTS
     try:
-        return positive_int(env)
+        value = positive_int(env)
     except ValueError:
         raise JetCalcError("JETCALC_PRECISION must be a positive integer, "
                            f"got {env!r}") from None
+    if value > MAX_SLOTS:
+        raise JetCalcError(f"JETCALC_PRECISION must be at most {MAX_SLOTS}, got {env!r}")
+    return value
 
 
 def binom_falling(i: int, k: int) -> Fraction:
@@ -264,7 +274,9 @@ def series_power(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
 
 def nth_root(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
     """The n-th root R, led by the rational root of A's lead, with R^n = A up
-    to the guaranteed window."""
+    to the guaranteed window.  When a coefficient of A holds ln(u+c), the
+    root is computed in w = u + c, where each power of u + c is a monomial,
+    and translated back coefficient by coefficient."""
     if n <= 0:
         raise ValueError("root index must be positive")
     if A.degree() != n:
@@ -280,6 +292,9 @@ def nth_root(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
         slots = default_slots()
     if not A.exact:
         slots = min(slots, n - A.floor + 1)
+    shifted = any(holds_log(c) for c in A.terms.values())
+    if shifted:
+        A = PsdSeries({i: to_w(c) for i, c in A.terms.items()}, A.floor)
     # R = root*xi + r_0 + r_{-1} xi^-1 + ...; step s fixes r_(1-s) from the
     # xi^(n-s) coefficient of R^n.  Every power R^k, k <= n, keeps its known
     # coefficients: the xi^(k-s) one is R^(k-1) o R taken with r_(1-s) = 0,
@@ -311,6 +326,8 @@ def nth_root(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
         for k in range(2, n + 1):
             powers[k][k - s] = powers[k][k - s] + k * root ** (k - 1) * r
         sums.pop(n - s, None)
+    if shifted:
+        R = {i: from_w(r) for i, r in R.items()}
     return PsdSeries.from_coeffs(R, exact=False, bottom=1 - slots + 1)
 
 

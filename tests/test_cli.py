@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import jetcalc.series as series
 from jetcalc.cli import build_parser, main, parse_f_spec
 from jetcalc.errors import JetCalcError
 from jetcalc.expr import FunctionSpec
@@ -344,6 +345,30 @@ def test_invalid_precision_env_is_an_input_error(capsys, monkeypatch, value):
     assert code == 2
     assert out == ""
     assert err == f"error: JETCALC_PRECISION must be a positive integer, got {value!r}\n"
+
+
+def test_a_window_past_the_maximum_is_a_usage_error(capsys, monkeypatch):
+    # refused before any series is built: root "xi^5+u" takes about 3 s at
+    # the maximum window and minutes a few dozen slots beyond it
+    def refuse():
+        raise AssertionError("a refused window started a run")
+
+    monkeypatch.setattr(series, "dx_towers", refuse)
+    too_many = str(series.MAX_SLOTS + 1)
+    code, out, err = run(capsys, "root", "xi^5+u", "--n", "5", "--prec", too_many)
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: argument --prec: {too_many} slots exceed "
+                   f"the maximum window of {series.MAX_SLOTS}\n")
+    monkeypatch.setenv("JETCALC_PRECISION", too_many)
+    code, out, err = run(capsys, "root", "xi^5+u", "--n", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: JETCALC_PRECISION must be at most {series.MAX_SLOTS}, got {too_many!r}\n"
+    # the maximum itself is a window like any other
+    monkeypatch.undo()
+    monkeypatch.setenv("JETCALC_PRECISION", str(series.MAX_SLOTS))
+    for prec in ([], ["--prec", str(series.MAX_SLOTS)]):
+        code, out, _ = run(capsys, "compose", "xi^(-1)", "u", *prec)
+        assert code == 0 and f"O(xi^-{series.MAX_SLOTS + 1})" in out
 
 
 def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import jetcalc.analysis as analysis
+import jetcalc.kawahara as kawahara
 from jetcalc import ConstantF, NotQuadratic
 from jetcalc.analysis import (
     conservation_residual,
@@ -10,7 +12,7 @@ from jetcalc.analysis import (
     symmetry_from_density,
     symmetry_residual,
 )
-from jetcalc.calculus import EvolutionEquation, euler, frechet_hat, order, total_x
+from jetcalc.calculus import EvolutionEquation, euler, frechet_hat, order, total_t, total_x
 from jetcalc.expr import FunctionSpec, as_expr, fn, par, specialize_f, substitute, t, u, unk, x
 from jetcalc.kawahara import (
     DensityFluxPair,
@@ -195,6 +197,23 @@ def test_theorem2_reports():
     assert [d.label for d in rep.densities] == ["rho1", "rho2", "rho3", "rho4"]
     for d in rep.densities:
         assert conservation_residual(gke(rep.spec), d.rho, d.flux).is_zero
+
+
+def test_theorem2_takes_one_time_derivative_per_density(monkeypatch):
+    # D_t(rho) feeds the integrator, the exact residual check and, only when
+    # the integrator leaves a residual, the Euler test: one D_t per density,
+    # not one in each of them
+    calls = []
+
+    def counting(e, eq):
+        calls.append(e)
+        return total_t(e, eq)
+
+    monkeypatch.setattr(analysis, "total_t", counting)
+    monkeypatch.setattr(kawahara, "total_t", counting)
+    rep = verify_theorem(2, FunctionSpec.abstract())
+    assert rep.verified and all(d.flux_reconstructed for d in rep.densities)
+    assert calls == [d.rho for d in rep.densities] and len(calls) == 3
 
 
 def test_theorem3_abstract_and_quadratic():
