@@ -7,6 +7,7 @@ from .analysis import (
     RankResult,
     ScanReport,
     ScanStep,
+    check_density,
     conservation_residual,
     formal_symmetry_residual,
     formal_symmetry_scan,

@@ -1,8 +1,8 @@
 """Symmetry and conservation-law machinery.
 
-Residual checks for generalized symmetries and conservation laws, density
-triviality, the density-to-symmetry map through the Hamiltonian operator
-D_x, the formal-symmetry rank test, the coefficient-extraction obstruction
+Residual checks for generalized symmetries, the one density verdict
+(``check_density``), density triviality, the density-to-symmetry map through
+the Hamiltonian operator D_x, the formal-symmetry rank test, the coefficient-extraction obstruction
 scan for evolution equations whose leading coefficient is a rational
 constant, and ``linear_relations``, the one sparse elimination over the
 parameter field: it solves the linear ansatz (``solve_linear_ansatz``) and
@@ -58,14 +58,13 @@ def conservation_residual(eq: EvolutionEquation, rho: JetExpr, sigma: JetExpr) -
     return total_t(as_expr(rho), eq) - total_x(as_expr(sigma))
 
 
-def is_conserved_density(eq: EvolutionEquation, rho: JetExpr) -> bool:
-    """Euler exactness test: D_t(rho) is a total x-derivative iff its
-    variational derivative vanishes (Olver, Thm 4.7)."""
-    return euler(total_t(as_expr(rho), eq)).is_zero
+def check_density(eq: EvolutionEquation, rho: JetExpr) -> tuple:
+    """Is D_t(rho), taken once, a total x-derivative, and what is its flux?
 
-
-def reconstruct_flux(eq: EvolutionEquation, rho: JetExpr) -> JetExpr:
-    """The flux sigma with D_t(rho) = D_x(sigma) that formal_x_integrate builds.
+    Returns (conserved, sigma, D_t(rho) - D_x(sigma)).  With a zero residual
+    from ``formal_x_integrate`` the antiderivative is the flux sigma and the
+    verdict is that exact check; otherwise the Euler test decides (Olver,
+    Thm 4.7), and sigma and the check are None.
 
     sigma is fixed up to ker D_x by the integrator's choices: antiderivatives
     in u are built on powers of u, or on powers of u+c where u+c divides the
@@ -74,10 +73,25 @@ def reconstruct_flux(eq: EvolutionEquation, rho: JetExpr) -> JetExpr:
     rho = u on the log branch.
     """
     dt_rho = total_t(as_expr(rho), eq)
-    zeta, residual = formal_x_integrate(dt_rho, eq.fspec.shifted)
-    if not residual.is_zero:
+    zeta, rest = formal_x_integrate(dt_rho, eq.fspec.shifted)
+    if rest.is_zero:
+        residual = dt_rho - total_x(zeta)
+        return residual.is_zero, zeta, residual
+    return euler(dt_rho).is_zero, None, None
+
+
+def is_conserved_density(eq: EvolutionEquation, rho: JetExpr) -> bool:
+    """True when D_t(rho) is a total x-derivative (``check_density``)."""
+    conserved, _, _ = check_density(eq, rho)
+    return conserved
+
+
+def reconstruct_flux(eq: EvolutionEquation, rho: JetExpr) -> JetExpr:
+    """The flux sigma with D_t(rho) = D_x(sigma) of ``check_density``."""
+    _, flux, _ = check_density(eq, rho)
+    if flux is None:
         raise NotConserved("not conserved, or its flux lies outside the integrator's class")
-    return zeta
+    return flux
 
 
 def is_trivial_density(rho: JetExpr) -> bool:

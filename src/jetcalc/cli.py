@@ -19,20 +19,18 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    conservation_residual,
+    check_density,
     formal_symmetry_scan,
-    is_conserved_density,
     is_trivial_density,
-    reconstruct_flux,
     symmetry_from_density,
     symmetry_residual,
 )
 from .calculus import EvolutionEquation, euler, order, order_text, total_t, total_x, frechet
 from .dsl import parse, parse_series, print_expr, print_series
-from .errors import DslSyntaxError, JetCalcError, NotConserved
-from .expr import LOG_FAMILY, FunctionSpec, specialize_f
+from .errors import DslSyntaxError, JetCalcError
+from .expr import FunctionSpec, holds_log, specialize_f
 from .kawahara import verify_theorem
-from .poly import KIND_FN, KIND_PARAM
+from .poly import KIND_PARAM
 from .series import MAX_SLOTS, adjoint, commutator, compose, nth_root, positive_int
 
 
@@ -140,10 +138,9 @@ def load_equation(path: str, report: Report) -> EvolutionEquation:
         listed = doc["params"]
         if not isinstance(listed, list) or not all(isinstance(n, str) for n in listed):
             raise JetCalcError(f"{path}: \"params\" must be a list of strings")
-        gens = rhs.generators()
         # ln(u+c) carries the parameter c
-        found = sorted({g.name for g in gens if g.kind == KIND_PARAM}
-                       | {"c" for g in gens if g.kind == KIND_FN and g.name == LOG_FAMILY})
+        found = sorted({g.name for g in rhs.generators() if g.kind == KIND_PARAM}
+                       | ({"c"} if holds_log(rhs) else set()))
         if sorted(listed) != found:
             raise JetCalcError(f"{path}: \"params\" {json.dumps(listed)} differs from the "
                                f"parameters of \"rhs\": {json.dumps(found)}")
@@ -195,18 +192,14 @@ def _symmetry(args, report, eq):
 
 
 def _density(args, report, eq):
-    rho = _operand(args, report, "rho", eq)
-    conserved = is_conserved_density(eq, rho)
+    conserved, flux, residual = check_density(eq, _operand(args, report, "rho", eq))
     if conserved and args.flux:
-        try:
-            sigma = reconstruct_flux(eq, rho)
-        except NotConserved:
+        if flux is None:
             report.add(FLUX_NOT_RECONSTRUCTED)
             report.set("flux_reconstructed", False)
         else:
-            _result(report, print_expr(sigma), "flux", "flux")
-            _result(report, print_expr(conservation_residual(eq, rho, sigma)),
-                    "conservation residual", "residual")
+            _result(report, print_expr(flux), "flux", "flux")
+            _result(report, print_expr(residual), "conservation residual", "residual")
     _verdict(report, conserved, "conserved density", "not a conserved density")
 
 

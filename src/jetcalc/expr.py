@@ -15,8 +15,8 @@ the k <= e trial divisions of the numerator by q that succeed; any other
 factor costs one poly_gcd(num, q^e).  The factors are pairwise coprime, so
 the product of these common parts is gcd(num, den).  The cancelled
 denominator is then divided by its unit, the content with the sign of the
-leading coefficient in the canonical order; that unit is memoized per
-denominator Poly (``_den_unit``), like the factors.
+leading coefficient in the canonical order (``Poly.unit``); that unit is
+memoized per denominator Poly (``_den_unit``), like the factors.
 
 The same factorizations keep the denominators small before reduction.  A
 sum goes over the lcm of the two denominators, a.den * (b.den / g) with g
@@ -101,13 +101,16 @@ LOG_W_FAMILY = "lnw"
 
 
 # Distinct reduced denominators are few, as for poly.squarefree_factors.
-@lru_cache(maxsize=256)
-def _den_unit(den: Poly) -> Fraction:
-    """The rational unit c with den/c canonical: content 1 and a positive
-    coefficient on the leading monomial of the canonical order."""
-    c = den.content()
-    _, lead = den.leading()
-    return -c if lead < 0 else c
+_den_unit = lru_cache(maxsize=256)(Poly.unit)
+
+
+def _over_unit(num: Poly, den: Poly) -> "JetExpr":
+    """num/den over the unit of den, which makes den canonical."""
+    c = _den_unit(den)
+    if c != 1:
+        den = den.scale(1 / c)
+        num = num.scale(1 / c)
+    return JetExpr(num, den)
 
 
 class JetExpr:
@@ -150,11 +153,7 @@ class JetExpr:
                     cancelled = cancelled * g
         if cancelled is not ONE:
             den = div_exact(den, cancelled)
-        c = _den_unit(den)
-        if c != 1:
-            den = den.scale(Fraction(1) / c)
-            num = num.scale(Fraction(1) / c)
-        return JetExpr(num, den)
+        return _over_unit(num, den)
 
     @classmethod
     def from_const(cls, c) -> "JetExpr":
@@ -493,12 +492,7 @@ def _translate(e: JetExpr, sign: int, old: str, new: str) -> JetExpr:
     num = rename(taylor_shift(e.num, ugen, a), old, new)
     if e.den == ONE:
         return JetExpr(num, ONE)
-    den = rename(taylor_shift(e.den, ugen, a), old, new)
-    c = _den_unit(den)
-    if c != 1:
-        den = den.scale(1 / c)
-        num = num.scale(1 / c)
-    return JetExpr(num, den)
+    return _over_unit(num, rename(taylor_shift(e.den, ugen, a), old, new))
 
 
 def to_w(e: JetExpr) -> JetExpr:
@@ -595,20 +589,20 @@ class FunctionSpec:
 
     def f_image(self, k: int) -> JetExpr:
         """Image of f (k = 0), r (k = -1) or rhat (k = -2) under a concrete
-        f, written out; r and rhat take zero integration constants.  Written
-        in w (``shifted``), they are the same functions of u."""
+        f, written out; r and rhat take zero integration constants.  The log
+        images are written in w = u + c (jet(0) standing for w), where the
+        logarithm is ln(w), and translated back by ``from_w`` for a spec in u."""
         if self.mode == "polynomial":
             return JetExpr.sum(c * Fraction(factorial(i), factorial(i - k)) * u() ** (i - k)
                                for i, c in enumerate(self.coeffs))
-        if self.shifted:
-            uc, uu, ln = u(), u() - par("c"), ln_w()
-        else:
-            uc, uu, ln = u() + par("c"), u(), ln_shift()
+        if not self.shifted:
+            return from_w(self.in_w().f_image(k))
+        w, uu, ln = u(), u() - par("c"), ln_w()
         if k == -2:
-            return (self.gamma * uc ** 2 / 2 * ln
-                    - 3 * self.gamma * uc ** 2 / 4 + self.delta * uu ** 2 / 2)
+            return (self.gamma * w ** 2 / 2 * ln
+                    - 3 * self.gamma * w ** 2 / 4 + self.delta * uu ** 2 / 2)
         if k == -1:
-            return self.gamma * (uc * ln - uc) + self.delta * uu
+            return self.gamma * (w * ln - w) + self.delta * uu
         return self.gamma * ln + self.delta
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .analysis import (
     ScanReport,
+    check_density,
     formal_symmetry_scan,
     linear_relations,
     solve_linear_ansatz,
@@ -29,11 +30,8 @@ from .analysis import (
 from .calculus import (
     EvolutionEquation,
     euler,
-    formal_x_integrate,
     order,
     order_text,
-    total_t,
-    total_x,
 )
 from .errors import ConstantF, NotQuadratic
 from .expr import (
@@ -57,8 +55,10 @@ def _branch(f: FunctionSpec) -> str:
     """"constant", "linear" (no u^2 or higher term), "logshift" or "abstract".
 
     Polynomial f of degree >= 2 have no catalog entries of their own and take
-    the abstract branch.
+    the abstract branch; a log f with gamma = 0 is the constant delta.
     """
+    if f.mode == "logshift":
+        return "constant" if f.gamma.is_zero else "logshift"
     if f.mode != "polynomial":
         return f.mode
     if all(c.is_zero for c in f.coeffs[1:]):
@@ -213,14 +213,11 @@ _EXPR_FIELDS = ("Q", "rho", "printed_flux", "printed_density", "flux", "characte
 def verify_entry(entry, eq: EvolutionEquation) -> bool:
     """Bind a catalog entry to eq's f and verify it in place.
 
-    A symmetry gets its residual checked.  A density gets D_t(rho) once and
-    its formal x-integral: with a zero residual the flux is reconstructed and
-    conservation is the exact check D_t(rho) - D_x(flux) = 0; otherwise the
-    Euler test decides (Olver, Thm 4.7), and a conserved density keeps
-    ``flux_reconstructed`` False, its flux lying outside the integrator's
-    class.  Then come the diffs against the printed forms and the
-    characteristic.  For an equation in w = u + c the entry is bound in w and
-    its fields are translated back.
+    A symmetry gets its residual checked, a density ``check_density``; a
+    conserved density whose flux lies outside the integrator's class keeps
+    ``flux_reconstructed`` False.  Then come the diffs against the printed
+    forms and the characteristic.  For an equation in w = u + c the entry is
+    bound in w and its fields are translated back.
     """
     spec = eq.fspec
     binding = _catalog_binding(spec)
@@ -249,15 +246,11 @@ def _verify_density(d: DensityFluxPair, eq: EvolutionEquation, bind) -> None:
     if d.printed_density is not None:
         d.printed_density = bind(d.printed_density)
         d.density_diff_vs_printed = d.rho - d.printed_density
-    dt_rho = total_t(d.rho, eq)
-    zeta, residual = formal_x_integrate(dt_rho, eq.fspec.shifted)
-    if residual.is_zero:
-        d.flux, d.flux_reconstructed = zeta, True
-        d.verified = (dt_rho - total_x(zeta)).is_zero
+    d.verified, flux, _ = check_density(eq, d.rho)
+    if flux is not None:
+        d.flux, d.flux_reconstructed = flux, True
         if d.printed_flux is not None:
             d.flux_diff_vs_printed = d.printed_flux - d.flux
-    else:
-        d.verified = euler(dt_rho).is_zero
     d.characteristic = euler(d.rho)
 
 

@@ -254,29 +254,15 @@ class Poly:
         return self._combine(other, -1)
 
     def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other over the lcm of the two denominators."""
+        """self + sign * other, a PolySum of the two."""
         if not other.terms:
             return self
         if not self.terms:
             return other if sign == 1 else -other
-        da, db = self.den, other.den
-        if da == db:
-            res = dict(self.terms)
-            fb = sign
-        else:
-            g = _int_gcd(da, db)
-            fa = db // g
-            fb = sign * (da // g)
-            res = {m: c * fa for m, c in self.terms.items()} if fa != 1 else dict(self.terms)
-            da *= fa
-        get = res.get
-        for m, c in other.terms.items():
-            s = get(m, 0) + c * fb
-            if s:
-                res[m] = s
-            else:
-                del res[m]
-        return _normalized(res, da)
+        acc = PolySum()
+        acc.add(self)
+        acc.add(other, sign)
+        return acc.value()
 
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()}, self.den)
@@ -369,6 +355,12 @@ class Poly:
         if not self.terms:
             return Fraction(1)
         return Fraction(_int_gcd(*self.terms.values()), self.den)
+
+    def unit(self) -> Fraction:
+        """The content with the sign of the leading coefficient: self/unit
+        is primitive with a positive coefficient on its leading monomial."""
+        c = self.content()
+        return -c if self.leading()[1] < 0 else c
 
     def __repr__(self):
         from .dsl import print_poly  # the one printer; cycle broken at call time
@@ -703,15 +695,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _make_primitive(p: Poly) -> Poly:
-    if p.is_zero() or p.is_const():
-        return ONE if not p.is_zero() else ZERO
-    g = _int_gcd(*p.terms.values())
-    _, lead = p.leading()
-    if lead < 0:
-        g = -g
-    if g == 1 and p.den == 1:
-        return p
-    return Poly({m: c // g for m, c in p.terms.items()})
+    """p over its unit; ONE for a nonzero constant."""
+    if p.is_const():
+        return ONE if p.terms else ZERO
+    return p.scale(1 / p.unit())
 
 
 # -- squarefree factorization ---------------------------------------------

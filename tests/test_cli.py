@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import jetcalc.analysis as analysis
 import jetcalc.series as series
+from jetcalc.calculus import total_t
 from jetcalc.cli import build_parser, main, parse_f_spec
 from jetcalc.errors import JetCalcError
 from jetcalc.expr import FunctionSpec
@@ -19,6 +21,7 @@ DATA = Path(__file__).parent / "data"
 ABSTRACT = str(DATA / "gke_abstract.json")
 LINEAR = str(DATA / "gke_linear.json")
 QUADRATIC = str(DATA / "gke_quadratic.json")
+LOG = str(DATA / "gke_log.json")
 
 
 def run(capsys, *argv):
@@ -85,6 +88,20 @@ def test_density_command(capsys):
     assert "conservation residual: 0" in out
     code, out, _ = run(capsys, "density", "u^3", "--eq", ABSTRACT)
     assert code == 1
+
+
+def test_density_takes_one_time_derivative(capsys, monkeypatch):
+    # the verdict, the flux and the conservation residual all come from one D_t(rho)
+    calls = []
+
+    def counting(e, eq):
+        calls.append(e)
+        return total_t(e, eq)
+
+    monkeypatch.setattr(analysis, "total_t", counting)
+    code, out, _ = run(capsys, "density", "u", "--eq", LOG, "--flux")
+    assert code == 0 and "conservation residual: 0\n" in out
+    assert len(calls) == 1
 
 
 def test_trivial_command(capsys):
@@ -406,6 +423,14 @@ def test_kawahara_verify_specialized_f(capsys, f, theorem):
     assert code == 0
     assert f"verdict: theorem {theorem} verified" in out
     assert "FAILED" not in out
+
+
+@pytest.mark.parametrize("f", ["poly:1", "linear:0,1", "log:0,1,c"])
+@pytest.mark.parametrize("theorem", ["1", "2", "3"])
+def test_kawahara_verify_refuses_constant_f(capsys, f, theorem):
+    # gamma = 0 makes the log f the constant delta, refused like any constant f
+    code, out, err = run(capsys, "kawahara", "verify", "--theorem", theorem, "--f", f)
+    assert (code, out, err) == (2, "", "error: f must be nonconstant (df/du != 0)\n")
 
 
 # -- pinned reports ---------------------------------------------------------------

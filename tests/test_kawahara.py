@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 import jetcalc.analysis as analysis
-import jetcalc.kawahara as kawahara
 from jetcalc import ConstantF, NotQuadratic
 from jetcalc.analysis import (
     conservation_residual,
@@ -49,6 +48,8 @@ def test_gke_linear_form():
 def test_gke_rejects_constant_f():
     with pytest.raises(ConstantF):
         gke(FunctionSpec.polynomial([par("p0")]))
+    with pytest.raises(ConstantF):
+        gke(FunctionSpec.log_shift(0, "delta"))
 
 
 def test_normalize_quadratic_generic():
@@ -210,7 +211,6 @@ def test_theorem2_takes_one_time_derivative_per_density(monkeypatch):
         return total_t(e, eq)
 
     monkeypatch.setattr(analysis, "total_t", counting)
-    monkeypatch.setattr(kawahara, "total_t", counting)
     rep = verify_theorem(2, FunctionSpec.abstract())
     assert rep.verified and all(d.flux_reconstructed for d in rep.densities)
     assert calls == [d.rho for d in rep.densities] and len(calls) == 3
