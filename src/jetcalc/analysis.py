@@ -41,7 +41,7 @@ from .poly import (
     jet,
     mono_sort_key,
 )
-from .series import PsdSeries, commutator, dt_series, dx_towers, product_coeff
+from .series import PsdSeries, commutator, commutator_coeff, dt_series, dx_towers
 
 
 # -- basic verifiers ---------------------------------------------------------
@@ -244,8 +244,10 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
     differential functions.  The xi^m coefficient of D_t(L) - [hat D_K, L]
     involves the not-yet-solved coefficient a_(m-n+1) only through
     -n a_n D_x(a_(m-n+1)), so each index yields one equation
-    -n a_n D_x(coeff) = F solved by formal integration, preceded by the Euler
-    exactness test on F whose failure emits constraints on the scan unknowns.
+    -n a_n D_x(coeff) = F solved by formal integration.  Integration leaves
+    F = D_x(zeta) + res, so only a nonzero residual takes the Euler exactness
+    test (euler(F) = euler(res)), whose failure emits constraints on the scan
+    unknowns; they are imposed on res, and stripping resumes from it.
     F is read at each step as the xi^m coefficient of D_t(L) - [hat D_K, L]
     for the solved part of L, so a step does not depend on the target rank:
     that only sets where the scan stops, at xi-index n + 1 - target_rank (one
@@ -274,16 +276,19 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
         new_idx = m - n + 1
         name = "g" if new_idx == 1 else f"l{-new_idx}"
         F = vanish(total_t(solved.get(m, ZERO_EXPR), eq)
-                   - product_coeff(dk, solved, m, dx)
-                   + product_coeff(solved, dk, m, dx), zero_from)
+                   - commutator_coeff(dk, solved, m, dx), zero_from)
         step = ScanStep(xi_index=m, coefficient_name=name)
         report.steps.append(step)
 
-        # exactness: F/lead must have zero variational derivative; else constraints
-        while True:
-            obstruction_expr = euler(F / lead)
+        # solve -lead D_x(a) = -F  i.e.  lead D_x(a) = F.  F = D_x(zeta) + res,
+        # so F/lead is exact iff res/lead has zero variational derivative;
+        # else constraints, and stripping resumes from res with them imposed
+        zeta, res = formal_x_integrate(F, eq.fspec.shifted)
+        while not res.is_zero:
+            obstruction_expr = euler(res / lead)
             if obstruction_expr.is_zero:
-                break
+                raise UnsupportedEquationShape(
+                    f"irreducible residual {user(res)!r} in the coefficient equation")
             obstruction_expr = user(obstruction_expr)
             for coeff in split_by_free_monomials(obstruction_expr, free_kinds=(KIND_X, KIND_JET)):
                 if coeff not in step.reduced_constraints:
@@ -307,24 +312,21 @@ def formal_symmetry_scan(eq: EvolutionEquation, target_rank: int = 13) -> ScanRe
             if len(step.forced) == forced_before:
                 raise UnsupportedEquationShape(
                     "exactness constraints did not determine any unknown")
-            # vanishing commutes with D_t and the ring operations, so F need
-            # not be recomputed from the forced coefficients
+            # vanishing commutes with D_t, D_x and the ring operations (the
+            # unknowns are x-constants), so F need not be recomputed from the
+            # forced coefficients, nor stripped again from the top
             solved = {i: vanish(c, zero_from) for i, c in solved.items()}
-            F = vanish(F, zero_from)
+            more, res = formal_x_integrate(vanish(res, zero_from), eq.fspec.shifted)
+            zeta = vanish(zeta, zero_from) + more
 
         # normalization: a constant l0 is a trivial formal symmetry
         if zero_from.get("l0") == 1 and solved.get(0) == unk("l0"):
             zero_from["l0"] = 0
             solved = {i: vanish(c, zero_from) for i, c in solved.items()}
-            F = vanish(F, zero_from)
+            zeta = vanish(zeta, zero_from)
             step.notes.append("l0 set to 0 (constants are trivial formal symmetries)")
 
-        # solve -lead D_x(a) = -F  i.e.  lead D_x(a) = F
-        zeta, res = formal_x_integrate(F, eq.fspec.shifted)
-        if not res.is_zero:
-            raise UnsupportedEquationShape(
-                f"irreducible residual {user(res)!r} in the coefficient equation")
-        a_new = zeta / lead + unk(name)  # F is vanished, so zeta holds no forced unknown
+        a_new = zeta / lead + unk(name)  # zeta is vanished: it holds no forced unknown
         solved[new_idx] = a_new
         if a_new == unk(name):
             step.notes.append(f"{name} is a function of t only")

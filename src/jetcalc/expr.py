@@ -181,7 +181,7 @@ class JetExpr:
             raise ValueError("not a rational constant")
         return self.num.const_value()
 
-    def generators(self) -> set:
+    def generators(self) -> frozenset:
         return self.num.generators() | self.den.generators()
 
     def top_jet(self) -> int | None:

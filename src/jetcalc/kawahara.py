@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 
 from .analysis import (
     ScanReport,
@@ -150,8 +151,17 @@ def catalog() -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair]]:
 
     rho4 carries the beta*t*u completion required for f = alpha*u + beta with
     beta != 0; the published form (valid for beta = 0) is kept as
-    printed_density and reported through the diff field.
+    printed_density and reported through the diff field.  Every call returns
+    fresh entries, since ``verify_entry`` fills them in place.
     """
+    syms, dens = _catalog_fields()
+    return [SymmetryCharacteristic(*row) for row in syms], [DensityFluxPair(*row) for row in dens]
+
+
+@cache
+def _catalog_fields() -> tuple[tuple, tuple]:
+    """The catalog's constructor arguments, built once per process: the
+    entries' expressions are immutable JetExprs."""
     bb = par("b")
     alpha, beta = par("alpha"), par("beta")
     gamma, c = par("gamma"), par("c")
@@ -160,10 +170,10 @@ def catalog() -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair]]:
     r = fn("r")
     uu, ux = u(0), u(1)
 
-    q1 = SymmetryCharacteristic("Q1", u(5) + bb * u(3) + f * ux, 5, "abstract")
-    q2 = SymmetryCharacteristic("Q2", ux, 1, "abstract")
-    q3 = SymmetryCharacteristic("Q3", t() * ux + 1 / alpha, 1, "linear")
-    q4 = SymmetryCharacteristic("Q4", t() * ux + (uu + c) / gamma, 1, "logshift")
+    syms = (("Q1", u(5) + bb * u(3) + f * ux, 5, "abstract"),
+            ("Q2", ux, 1, "abstract"),
+            ("Q3", t() * ux + 1 / alpha, 1, "linear"),
+            ("Q4", t() * ux + (uu + c) / gamma, 1, "logshift"))
 
     sigma1 = Fraction(1, 2) * df * uu ** 2 + u(2) * bb + u(4)
     sigma2 = (uu * u(4) - u(3) * ux + Fraction(1, 2) * u(2) ** 2 + bb * uu * u(2)
@@ -182,14 +192,12 @@ def catalog() -> tuple[list[SymmetryCharacteristic], list[DensityFluxPair]]:
     rho4_printed = x() * uu + alpha * t() * uu ** 2 / 2
     rho4 = rho4_printed + beta * t() * uu
 
-    d1 = DensityFluxPair("rho1", uu, "abstract", printed_flux=sigma1)
-    d2 = DensityFluxPair("rho2", uu ** 2, "abstract", printed_flux=sigma2)
-    d3 = DensityFluxPair("rho3",
-                         (u(2) ** 2 - bb * ux ** 2) / 2 + fn("rhat"),
-                         "abstract", printed_flux=sigma3)
-    d4 = DensityFluxPair("rho4", rho4, "linear", printed_flux=sigma4,
-                         printed_density=rho4_printed)
-    return [q1, q2, q3, q4], [d1, d2, d3, d4]
+    # label, rho, domain, printed_flux, printed_density
+    dens = (("rho1", uu, "abstract", sigma1, None),
+            ("rho2", uu ** 2, "abstract", sigma2, None),
+            ("rho3", (u(2) ** 2 - bb * ux ** 2) / 2 + fn("rhat"), "abstract", sigma3, None),
+            ("rho4", rho4, "linear", sigma4, rho4_printed))
+    return syms, dens
 
 
 def _catalog_binding(f: FunctionSpec) -> dict:

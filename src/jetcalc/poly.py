@@ -187,12 +187,13 @@ class Poly:
     arguments as given, and ``_normalized`` restores the gcd condition.
     """
 
-    __slots__ = ("terms", "den", "_hash")
+    __slots__ = ("terms", "den", "_hash", "_gens")
 
     def __init__(self, terms: dict | None = None, den: int = 1):
         self.terms = {} if terms is None else terms
         self.den = den
         self._hash = None
+        self._gens = None
 
     # -- constructors ---------------------------------------------------
 
@@ -225,14 +226,17 @@ class Poly:
         den = self.den
         return ((mono_factors(m), Fraction(c, den)) for m, c in self.terms.items())
 
-    def generators(self) -> set:
-        m = reduce(or_, self.terms, 0)
-        gens = set()
-        while m:
-            g = _FIELD_GENS[((m & -m).bit_length() - 1) // FIELD_BITS]
-            gens.add(g)
-            m &= ~(_FIELD_MASK << g.shift)
-        return gens
+    def generators(self) -> frozenset:
+        """The generators of the monomials, kept: a Poly is immutable."""
+        if self._gens is None:
+            m = reduce(or_, self.terms, 0)
+            gens = set()
+            while m:
+                g = _FIELD_GENS[((m & -m).bit_length() - 1) // FIELD_BITS]
+                gens.add(g)
+                m &= ~(_FIELD_MASK << g.shift)
+            self._gens = frozenset(gens)
+        return self._gens
 
     def __bool__(self):
         return bool(self.terms)

@@ -193,12 +193,12 @@ def dx_towers():
     return dx
 
 
-def _leibniz_sum(i: int, B, m: int, dx) -> JetExpr:
+def _leibniz_sum(i: int, B, m: int, dx, low: int = 0) -> JetExpr:
     """The factor of a_i in the xi^m coefficient of a_i xi^i o B: the sum of
-    C(i,k) D_x^k(b_j) over i + j - k = m, k >= 0, in B's order."""
+    C(i,k) D_x^k(b_j) over i + j - k = m, k >= low, in B's order."""
     # C(i,k) = 0 for 0 <= i < k
     return JetExpr.combination((binom_falling(i, k), d) for j, b in B.items()
-                               if (k := i + j - m) >= 0 and (i < 0 or k <= i)
+                               if (k := i + j - m) >= low and (i < 0 or k <= i)
                                and not (d := dx(b, k)).is_zero)
 
 
@@ -209,6 +209,14 @@ def product_coeff(A, B, m: int, dx) -> JetExpr:
     window that their listed coefficients fix."""
     # one product with each a_i
     return JetExpr.sum(a * _leibniz_sum(i, B, m, dx) for i, a in A.items())
+
+
+def commutator_coeff(A, B, m: int, dx) -> JetExpr:
+    """The xi^m coefficient of A o B - B o A, as ``product_coeff``: the k = 0
+    products a_i b_j of the two sides cancel, so only k >= 1 is formed."""
+    return JetExpr.combination(
+        [(1, a * _leibniz_sum(i, B, m, dx, 1)) for i, a in A.items()]
+        + [(-1, b * _leibniz_sum(j, A, m, dx, 1)) for j, b in B.items()])
 
 
 def _tail_below(A, B, floor: int, dx) -> bool:
@@ -226,6 +234,19 @@ def _tail_below(A, B, floor: int, dx) -> bool:
 
 def compose(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
     """Product in the pseudodifferential algebra."""
+    return _bilinear(A, B, slots, product_coeff, ((A, B),))
+
+
+def commutator(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
+    """compose(A, B) - compose(B, A), on their common window and inexact when
+    either is, with each coefficient from ``commutator_coeff``."""
+    return _bilinear(A, B, slots, commutator_coeff, ((A, B), (B, A)))
+
+
+def _bilinear(A: PsdSeries, B: PsdSeries, slots: int | None, coeff, orders) -> PsdSeries:
+    """The series of xi^m coefficients coeff(A, B, m, dx) on the window of
+    A o B, which is that of B o A; it is truncated when a product in
+    ``orders`` has a term below the window."""
     if not A.terms or not B.terms:
         if A.exact and B.exact:
             return PsdSeries.zero()
@@ -238,13 +259,9 @@ def compose(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
     floor = max([top - slots + 1, *bounds])
     dx = dx_towers()
     acc = {m: c for m in range(top, floor - 1, -1)
-           if not (c := product_coeff(A, B, m, dx)).is_zero}
-    truncated = bool(bounds) or _tail_below(A, B, floor, dx)
+           if not (c := coeff(A, B, m, dx)).is_zero}
+    truncated = bool(bounds) or any(_tail_below(s, t, floor, dx) for s, t in orders)
     return PsdSeries(acc, floor if truncated else None)
-
-
-def commutator(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
-    return compose(A, B, slots) - compose(B, A, slots)
 
 
 def adjoint(A: PsdSeries, slots: int | None = None) -> PsdSeries:

@@ -460,6 +460,10 @@ PIN_CASES = {
     "lemma1": ["lemma1", "(u_xx^2 - b*u_x^2)/2 + rhat(u)", "--eq", "data/gke_abstract.json"],
     "scan": ["scan", "--eq", "data/gke_quadratic.json", "--rank", "13"],
     "scan_kdv": ["scan", "--eq", "data/kdv.json", "--rank", "13"],
+    # the scans with the most forcings; the log file is scanned in u, over
+    # (u+c)^k denominators
+    "scan_linear_17": ["scan", "--eq", "data/gke_linear.json", "--rank", "17"],
+    "scan_log_17": ["scan", "--eq", "data/gke_log.json", "--rank", "17"],
     "kawahara_verify": ["kawahara", "verify", "--theorem", "3", "--f", "quadratic"],
     "kawahara_verify_log": ["kawahara", "verify", "--theorem", "3", "--f", "log:gamma,delta,c"],
     "kawahara_not_verified": ["kawahara", "verify", "--theorem", "3", "--f", "linear:alpha,beta"],

@@ -137,6 +137,23 @@ def test_catalog_symmetry_orders():
     assert [s.order for s in syms] == [5, 1, 1, 1]
 
 
+def test_catalog_entries_are_fresh_per_call():
+    # the expressions are built once per process, the entries on each call:
+    # verify_entry fills one call's entries and leaves the other's as built
+    first, second = catalog(), catalog()
+    assert first == second
+    built = catalog()
+    for mine, other in zip(first[0] + first[1], second[0] + second[1]):
+        assert mine is not other
+    eq = gke(FunctionSpec.linear())
+    for entry in first[0] + first[1]:
+        if entry.domain in ("abstract", "linear"):
+            verify_entry(entry, eq)
+    assert all(s.verified for s in first[0] if s.domain != "logshift")
+    assert first[1][-1].flux is not None
+    assert second == built and not any(e.verified for e in second[0] + second[1])
+
+
 def test_q4_verifies_under_log_shift(eq_log):
     q4 = t() * u(1) + (u(0) + c) / gamma
     assert symmetry_residual(eq_log, q4).is_zero

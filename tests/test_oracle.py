@@ -6,7 +6,10 @@ walking ``Poly.items`` (never through the DSL).  D_x, the partial
 derivatives in the jets, d/du and the Euler operator are recomputed there
 with sympy's own differentiation and compared exactly, by
 cross-multiplication; formal x-integration is checked by recomputing
-D_x(zeta) + residual there.
+D_x(zeta) + residual there.  The identities the obstruction scan's step
+relies on (Euler test on the integration residual, vanishing the scan
+unknowns, the commutator without its cancelling products) are checked
+within the engine on the same seeded inputs.
 """
 
 import random
@@ -16,9 +19,18 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from jetcalc.analysis import vanish  # noqa: E402
 from jetcalc.calculus import euler, formal_x_integrate, total_x  # noqa: E402
 from jetcalc.expr import JetExpr, fn, partial, partial_u_total, u  # noqa: E402
-from jetcalc.poly import ONE, X, Poly, fnsym, jet, param  # noqa: E402
+from jetcalc.poly import ONE, X, Poly, fnsym, jet, param, unknown_t  # noqa: E402
+from jetcalc.series import (  # noqa: E402
+    PsdSeries,
+    commutator,
+    commutator_coeff,
+    compose,
+    dx_towers,
+    product_coeff,
+)
 
 CASES = 200
 LN = fnsym("lnuc", 0)
@@ -156,3 +168,80 @@ def test_formal_x_integrate_matches_sympy():
         got = _derive(_to_sympy(zeta), DX) + _to_sympy(residual)
         assert _same(got, _to_sympy(integrand)), (case, integrand)
         assert case < len(integrands) or residual.is_zero, (case, integrand, residual)
+
+
+# -- identities the scan's step relies on --------------------------------------
+# Engine-only identities, checked by exact equality of canonical JetExprs on the
+# same seeded inputs.  The scan unknowns enter numerators only, as in the scan.
+
+UNKNOWNS = (unknown_t("g"), unknown_t("g", 1), unknown_t("l1"), unknown_t("l1", 2))
+
+
+def _scan_integrands(seed: int, count: int):
+    """Random F over jets, point generators and scan unknowns, in turn a
+    random expression, a total derivative and a total derivative plus a
+    random expression, so that most leave a residual."""
+    rng = random.Random(seed)
+    for case in range(count):
+        F = _random_expr(rng, EULER_GENS + UNKNOWNS, POINT_GENS)
+        if case % 3:
+            F = total_x(F)
+        if case % 3 == 2:
+            F = F + _random_expr(rng, EULER_GENS + UNKNOWNS, POINT_GENS)
+        yield F
+
+
+def _random_forcings(rng: random.Random) -> dict:
+    return {name: rng.randint(0, 2) for name in rng.sample(("g", "l1"), rng.randint(1, 2))}
+
+
+def test_residual_carries_the_variational_derivative():
+    # F = D_x(zeta) + res, so euler(F) = euler(res), residual or not
+    nonzero = 0
+    for case, F in enumerate(_scan_integrands(406, 60)):
+        zeta, res = formal_x_integrate(F)
+        assert F == total_x(zeta) + res, (case, F)
+        assert euler(F) == euler(res), (case, F)
+        nonzero += not res.is_zero
+    assert nonzero > 10
+
+
+def test_vanishing_commutes_with_d_x_and_the_resumed_strip():
+    # the unknowns are x-constants, so vanish commutes with D_x; stripping
+    # resumed from the vanished residual integrates the vanished F
+    rng = random.Random(407)
+    dropped = 0
+    for case, F in enumerate(_scan_integrands(408, 60)):
+        z = _random_forcings(rng)
+        assert vanish(total_x(F), z) == total_x(vanish(F, z)), (case, F, z)
+        zeta, res = formal_x_integrate(F)
+        more, rest = formal_x_integrate(vanish(res, z))
+        assert vanish(F, z) == total_x(vanish(zeta, z) + more) + rest, (case, F, z)
+        assert euler(vanish(F, z)) == euler(rest), (case, F, z)
+        dropped += vanish(F, z) != F
+    assert dropped > 10
+
+
+def _inexact_series(rng: random.Random) -> PsdSeries:
+    """A series with negative indices and a floor, its coefficients in jets."""
+    top = rng.randint(-1, 3)
+    coeffs = {i: _random_expr(rng, (jet(0), jet(1), param("b")), (param("b"), param("c")))
+              for i in range(top, top - 3, -1) if i == top or rng.random() < 0.7}
+    return PsdSeries.from_coeffs(coeffs, exact=rng.random() < 0.3, bottom=top - 2)
+
+
+def test_commutator_drops_only_the_cancelling_products():
+    # every k >= 1 product stays: the coefficients equal those of the two
+    # products, and the series equals compose - compose, floor included
+    rng = random.Random(409)
+    for case in range(30):
+        A, B = _inexact_series(rng), _inexact_series(rng)
+        dx = dx_towers()
+        top = A.degree() + B.degree()
+        for m in range(top, top - 6, -1):
+            assert commutator_coeff(A, B, m, dx) == (product_coeff(A, B, m, dx)
+                                                     - product_coeff(B, A, m, dx)), (case, m)
+        slots = rng.randint(2, 6)
+        got = commutator(A, B, slots)
+        want = compose(A, B, slots) - compose(B, A, slots)
+        assert (got.floor, got.terms) == (want.floor, want.terms), (case, A, B, slots)

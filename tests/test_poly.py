@@ -113,8 +113,9 @@ def _assert_canonical(p: Poly):
 
 def test_every_poly_of_a_scan_and_a_root_is_canonical(monkeypatch):
     # int coefficients over one positive denominator, coprime with them: every
-    # Poly built by a Theorem 3 scan on log f and a root at the default 20
-    # slots is checked
+    # Poly built by Theorem 3 scans on log and quadratic f and a root at the
+    # default 20 slots is checked.  Earlier tests warm the memos, so the two
+    # scans together keep the count bound in any test order
     built = []
     init = Poly.__init__
 
@@ -125,6 +126,7 @@ def test_every_poly_of_a_scan_and_a_root_is_canonical(monkeypatch):
 
     monkeypatch.setattr(Poly, "__init__", checked_init)
     formal_symmetry_scan(gke(FunctionSpec.log_shift()))
+    formal_symmetry_scan(gke(FunctionSpec.quadratic()))
     scan_polys = len(built)
     nth_root(parse_series("xi^5 + b*xi^3 + f(u)*xi + f'(u)*u_x"), 5, slots=20)
     assert scan_polys > 1000 and len(built) - scan_polys > 1000, (scan_polys, len(built))
