@@ -164,10 +164,15 @@ def split_by_free_monomials(e: JetExpr,
     Identical vanishing of e as a differential function is equivalent to the
     vanishing of every coefficient, because the free generators are
     algebraically independent coordinates.
+
+    A factor of a part is free of the free generators, so when one of the
+    denominator's coefficients over them is a constant, no part needs reducing.
     """
     e = as_expr(e)
-    parts = e.num.split({g for g in e.num.generators() if g.kind in free_kinds})
-    return [JetExpr._reduce(parts[m], e.den)
+    free = {g for g in e.num.generators() | e.den.generators() if g.kind in free_kinds}
+    parts = e.num.split(free)
+    coprime = any(d.is_const() for d in e.den.split(free).values())
+    return [JetExpr(parts[m], e.den) if coprime else JetExpr._reduce(parts[m], e.den)
             for m in sorted(parts, key=mono_sort_key, reverse=True)]
 
 

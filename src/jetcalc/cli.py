@@ -52,6 +52,7 @@ class Report:
         self.lines.append(line)
 
     def set(self, key: str, value):
+        """JSON field key; a callable value is called only when JSON renders."""
         self.fields[key] = value
 
     def render_text(self) -> str:
@@ -72,7 +73,7 @@ class Report:
             "verdict": self.verdict,
             "exit": self.exit_code,
         }
-        doc.update(self.fields)
+        doc.update({k: v() if callable(v) else v for k, v in self.fields.items()})
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -214,7 +215,7 @@ def _lemma1(args, report, eq):
 
 
 def _render_scan(scan, report):
-    steps = []
+    printed = []
     for s in scan.steps:
         constraints = [print_expr(c) for c in s.reduced_constraints]
         line = f"xi^{s.xi_index}: coefficient {s.coefficient_name}"
@@ -225,16 +226,16 @@ def _render_scan(scan, report):
         if s.notes:
             line += " | " + "; ".join(s.notes)
         report.add(line)
-        steps.append({
-            "xi_index": s.xi_index,
-            "coefficient": s.coefficient_name,
-            "constraints": constraints,
-            "forced": list(s.forced),
-            "solved": (print_expr(s.solved_coefficient)
-                       if s.solved_coefficient is not None else ""),
-            "notes": list(s.notes),
-        })
-    report.set("steps", steps)
+        printed.append((s, constraints))
+    report.set("steps", lambda: [{
+        "xi_index": s.xi_index,
+        "coefficient": s.coefficient_name,
+        "constraints": constraints,
+        "forced": list(s.forced),
+        "solved": (print_expr(s.solved_coefficient)
+                   if s.solved_coefficient is not None else ""),
+        "notes": list(s.notes),
+    } for s, constraints in printed])
 
 
 def _scan(args, report, eq):
@@ -262,9 +263,8 @@ def _kawahara_verify(args, report, eq):
         elif d.verified:
             report.add(f"  {FLUX_NOT_RECONSTRUCTED}")
         if d.flux_diff_vs_printed is not None:
-            report.add("  printed flux minus reconstruction: "
-                       f"{print_expr(d.flux_diff_vs_printed)}")
             diffs[d.label] = print_expr(d.flux_diff_vs_printed)
+            report.add(f"  printed flux minus reconstruction: {diffs[d.label]}")
         if d.density_diff_vs_printed is not None:
             report.add("  density minus printed density: "
                        f"{print_expr(d.density_diff_vs_printed)}")
@@ -356,24 +356,33 @@ def _add_command(sub, name, help_text, signature, handler):
 
 
 @cache
-def build_parser() -> _ArgumentParser:
-    """The parser of every command, built once per process: parsing leaves
-    it unchanged, a usage error included."""
+def build_parser(name: str | None = None) -> _ArgumentParser:
+    """The parser of command ``name`` alone, or of every command; built once
+    per name and process: parsing leaves it unchanged, a usage error included.
+    A command's help and usage errors are the same from either parser."""
     p = _ArgumentParser(prog="jetcalc",
                         description="exact jet calculus for scalar evolution equations")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = p.add_subparsers(dest="cmd", required=True)
     for command in COMMANDS:
-        _add_command(sub, *command)
-    kw = sub.add_parser("kawahara", help="case-study verifiers")
-    _add_command(kw.add_subparsers(dest="kcmd", required=True), "verify",
-                 "verify one of the three theorems", "--theorem --f", _kawahara_verify)
+        if name in (None, command[0]):
+            _add_command(sub, *command)
+    if name in (None, "kawahara"):
+        kw = sub.add_parser("kawahara", help="case-study verifiers")
+        _add_command(kw.add_subparsers(dest="kcmd", required=True), "verify",
+                     "verify one of the three theorems", "--theorem --f", _kawahara_verify)
     return p
+
+
+COMMAND_NAMES = frozenset(name for name, *_ in COMMANDS) | {"kawahara"}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # the first argument other than --json names the command; anything else
+    # (none, -h, an unknown or abbreviated token) takes the full parser
+    name = next((a for a in argv if a != "--json"), None)
+    parser = build_parser(name if name in COMMAND_NAMES else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -7,6 +7,8 @@ rationals with + - * / ^ and parentheses, evaluated straight into JetExpr.
 A series literal is such an expression in xi, one more generator, whose
 divisors (right operands of / and bases of negative powers) hold a single
 power of xi in their numerators; parse_series reads its xi-coefficients.
+A trailing + O(xi^k), as printed, makes the series inexact, known from
+xi^(k+1) on.
 
 The printer emits the canonical form: numerator and denominator as sums of
 monomials in a fixed dominance order (higher jets first, parameters last
@@ -18,12 +20,12 @@ only printer: the repr of a generator, Poly, JetExpr and PsdSeries calls it.
 from __future__ import annotations
 
 import re
-from functools import cache
 from math import gcd
 
 from .errors import DslSyntaxError
 from .expr import CHAIN_DEPTH, JetExpr, as_expr, fn, ln_shift, par, u, x as x_atom, t as t_atom
 from .poly import (
+    FIELD_BITS,
     KIND_FN,
     KIND_JET,
     KIND_PARAM,
@@ -32,7 +34,8 @@ from .poly import (
     KIND_X,
     ONE as POLY_ONE,
     Poly,
-    _unpack,
+    _FIELD_GENS,
+    _FIELD_MASK,
     mono_factors,
     param,
 )
@@ -291,15 +294,27 @@ def _xi_power(mono: int) -> int:
     return sum(e for _, e in mono_factors(mono))
 
 
+# The window of an inexact series, "+ O(xi^k)" or "+ O(xi^(k))", ending it;
+# re compiles it at its first use, not at import.
+_WINDOW = r"\+\s*O\(xi\^(\(-?\d+\)|-?\d+)\)\s*$"
+
+
 def parse_series(text: str) -> PsdSeries:
     """Parse a series literal: an expression in xi whose divisors hold a
-    single power of xi, so its denominator is xi^k times a xi-free d."""
-    v = _SeriesParser(text).parse()
+    single power of xi, so its denominator is xi^k times a xi-free d.  After
+    a trailing + O(xi^k) the series is known from xi^(k+1) on, and no term
+    may sit below that."""
+    window = re.search(_WINDOW, text)
+    parser = _SeriesParser(text[:window.start()] if window else text)
+    v = parser.parse()
     (low, d), = v.den.split((XI,)).items()
     d = JetExpr(d, POLY_ONE)
     k = _xi_power(low)
-    return PsdSeries.from_coeffs({_xi_power(m) - k: JetExpr(c, POLY_ONE) / d
-                                  for m, c in v.num.split((XI,)).items()})
+    coeffs = {_xi_power(m) - k: JetExpr(c, POLY_ONE) / d for m, c in v.num.split((XI,)).items()}
+    floor = int(window.group(1).strip("()")) + 1 if window else None
+    if floor is not None and min(coeffs, default=floor) < floor:
+        parser.error(f"a term below the window O(xi^{floor - 1})", parser.tokens[-1])
+    return PsdSeries.from_coeffs(coeffs, exact=floor is None, bottom=floor)
 
 
 # -- printing -----------------------------------------------------------------
@@ -344,35 +359,51 @@ _FACTOR_RANK = {KIND_PARAM: 0, KIND_X: 1, KIND_T: 2, KIND_UNKNOWN: 3,
                 KIND_FN: 4, KIND_JET: 5}
 
 
-@cache  # generators are interned: computed once per generator and process
-def _print_data(g) -> tuple:
-    """(spelling, dominance key, factor key) of one generator."""
-    if g.kind == KIND_JET:
-        dominance = (0, -g.index, "", 0)
-    else:
-        dominance = (1, _PRINT_RANK[g.kind], g.name, g.index)
-    return gen_name(g), dominance, (_FACTOR_RANK[g.kind], g.name, g.index)
+def _dominance(g) -> tuple:
+    return (0, -g.index) if g.kind == KIND_JET else (1, _PRINT_RANK[g.kind], g.name, g.index)
 
 
-def _print_term(mono: int) -> tuple:
+# Per packed field, (dominance rank, factor rank, spelling) of its generator.
+# A rank is a position among the interned generators, so the table is rebuilt
+# when a generator is interned.
+_FIELDS: list = []
+
+
+def _field_table() -> list:
+    if len(_FIELDS) != len(_FIELD_GENS):
+        dom, fac = ({g: i for i, g in enumerate(sorted(_FIELD_GENS, key=key))} for key in
+                    (_dominance, lambda g: (_FACTOR_RANK[g.kind], g.name, g.index)))
+        _FIELDS[:] = [(dom[g], fac[g], gen_name(g)) for g in _FIELD_GENS]
+    return _FIELDS
+
+
+def _print_term(mono: int, table: list) -> tuple:
     """(dominance key, product body) of a packed monomial.  The key sorts
-    the (dominance, -exponent) pairs of its factors, so higher jets, then
-    higher powers, print first; the body spells the factors in factor
-    order."""
+    its factors by dominance, then higher exponent first, so higher jets,
+    then higher powers, print first; the body spells the factors in factor
+    order.  A field past the interned generators raises IndexError."""
     if not mono:
         return (1, ()), ""  # pure constants print last
-    factors = [(_print_data(g), e) for g, e in _unpack(mono)]
-    key = (0, tuple(sorted((data[1], -e) for data, e in factors)))
-    factors.sort(key=lambda de: de[0][2])
-    body = "*".join(data[0] if e == 1 else f"{data[0]}^{e}" for data, e in factors)
-    return key, body
+    key, factors = [], []
+    while mono:
+        i = ((mono & -mono).bit_length() - 1) // FIELD_BITS
+        dom, fac, name = table[i]
+        e = (mono >> i * FIELD_BITS) & _FIELD_MASK
+        mono -= e << i * FIELD_BITS
+        key.append((dom << FIELD_BITS) - e)
+        factors.append((fac, name if e == 1 else f"{name}^{e}"))
+    key.sort()
+    factors.sort()
+    return (0, tuple(key)), "*".join(spelled for _, spelled in factors)
 
 
 def print_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     den = p.den
-    terms = sorted(((*_print_term(m), c) for m, c in p.terms.items()), key=lambda t: t[0])
+    table = _field_table()
+    terms = sorted(((*_print_term(m, table), c) for m, c in p.terms.items()),
+                   key=lambda t: t[0])
     parts = []
     for _, body, c in terms:
         num, d = abs(c), den

@@ -1,8 +1,12 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import jetcalc.analysis as analysis_module
+import jetcalc.expr as expr_module
 from jetcalc import (
     InsufficientPrecision,
     NotConserved,
@@ -27,9 +31,9 @@ from jetcalc.analysis import (
 from jetcalc.calculus import EvolutionEquation, euler, frechet_hat, total_t, total_x
 from jetcalc.dsl import parse
 from jetcalc.expr import (
-    ZERO_EXPR, FunctionSpec, as_expr, fn, par, specialize_f, substitute_map, t, u, unk, x,
+    ZERO_EXPR, FunctionSpec, JetExpr, as_expr, fn, par, specialize_f, substitute_map, t, u, unk, x,
 )
-from jetcalc.poly import KIND_JET, KIND_UNKNOWN, KIND_X
+from jetcalc.poly import KIND_FN, KIND_JET, KIND_UNKNOWN, KIND_X, mono_sort_key
 from jetcalc.series import PsdSeries, nth_root
 
 from conftest import gen_pool, random_expr
@@ -202,6 +206,59 @@ def test_split_by_free_monomials():
     # the narrative's split keeps f-symbols in the coefficients
     assert split_by_free_monomials(e, free_kinds=(KIND_X, KIND_JET)) == \
         [unk("g") * fn("f", 3), 3 * unk("g", 1) * par("b")]
+
+
+def _split_reference(e, free_kinds):
+    # split_by_free_monomials as it stood before its shortcut: every part
+    # reduced against the denominator by _reduce
+    parts = e.num.split({g for g in e.num.generators() if g.kind in free_kinds})
+    return [JetExpr._reduce(parts[m], e.den) for m in sorted(parts, key=mono_sort_key, reverse=True)]
+
+
+def _split_always_coprime():
+    """A mutant of split_by_free_monomials that never reduces a part."""
+    src = textwrap.dedent(inspect.getsource(split_by_free_monomials))
+    mutant = src.replace("coprime = any(d.is_const() for d in e.den.split(free).values())",
+                         "coprime = True")
+    assert mutant != src
+    namespace = dict(vars(analysis_module))
+    exec(mutant, namespace)
+    return namespace["split_by_free_monomials"]
+
+
+SPLIT_DENOMINATORS = {
+    "(u+c)^k": lambda k: (u(0) + par("c")) ** k,
+    # gamma can cancel against a part, so no coefficient over the free
+    # monomials is a constant and every part is reduced
+    "gamma*(u+c)^k": lambda k: par("gamma") * (u(0) + par("c")) ** k,
+    "(u+c)^k*(u_x+1)": lambda k: (u(0) + par("c")) ** k * (u(1) + 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SPLIT_DENOMINATORS))
+def test_split_by_free_monomials_reduces_each_part(shape, monkeypatch):
+    factored = []
+    sqf = expr_module.squarefree_factors
+    monkeypatch.setattr(expr_module, "squarefree_factors", lambda p: factored.append(p) or sqf(p))
+    gamma = par("gamma")
+    monomials = [as_expr(1), u(0), u(0) ** 2, u(1), u(0) * u(1), x(), fn("f"), u(2)]
+    coefficients = [as_expr(1), b, gamma, gamma * b, unk("g"), gamma * unk("g", 1),
+                    par("c"), gamma * par("c") + 1]
+    rng = random.Random(311)
+    mutant, caught = _split_always_coprime(), 0
+    for case in range(60):
+        num = sum((rng.choice(coefficients) * m for m in rng.sample(monomials, rng.randint(1, 4))),
+                  ZERO_EXPR)
+        e = num / SPLIT_DENOMINATORS[shape](rng.randint(1, 6))
+        for kinds in ((KIND_X, KIND_JET), (KIND_X, KIND_JET, KIND_FN)):
+            del factored[:]
+            parts = split_by_free_monomials(e, free_kinds=kinds)
+            # only gamma keeps every coefficient of the denominator nonconstant
+            assert bool(factored) == ("gamma" in {g.name for g in e.den.generators()}), (case, e)
+            assert parts == _split_reference(e, kinds), (case, e)
+            caught += mutant(e, free_kinds=kinds) != parts
+    # a part divisible by gamma is reduced only by _reduce
+    assert (caught > 0) == (shape == "gamma*(u+c)^k")
 
 
 # -- the obstruction scan -------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -11,7 +13,9 @@ import pytest
 import jetcalc.analysis as analysis
 import jetcalc.series as series
 from jetcalc.calculus import total_t
-from jetcalc.cli import build_parser, main, parse_f_spec
+import jetcalc.cli as cli
+from jetcalc.cli import COMMANDS, build_parser, main, parse_f_spec
+from jetcalc.dsl import parse_series, print_series
 from jetcalc.errors import JetCalcError
 from jetcalc.expr import FunctionSpec
 from jetcalc.poly import MAX_EXPONENT
@@ -284,10 +288,14 @@ def test_nonpositive_counts_are_usage_errors(capsys, argv):
 
 
 def test_a_usage_error_leaves_the_parser_usable(capsys):
-    # one parser serves every command of a process, so a failed parse must
-    # not change what the next command parses to
+    # one parser per command name (and the full one) serves every command of
+    # a process, so a failed parse must not change what the next command
+    # parses to
     assert build_parser() is build_parser()
-    for argv in (["dx"], ["kawahara", "verify", "--theorem", "4"], ["root", "xi^5", "--n", "0"]):
+    for name in ("dx", "kawahara", "root"):
+        assert build_parser(name) is build_parser(name) is not build_parser()
+    for argv in (["dx"], ["kawahara", "verify", "--theorem", "4"], ["root", "xi^5", "--n", "0"],
+                 ["--json", "dx"], ["nosuch"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("usage error: "), argv
     code, out, _ = run(capsys, "dx", "x*u")
@@ -296,6 +304,89 @@ def test_a_usage_error_leaves_the_parser_usable(capsys):
     code, out, _ = run(capsys, "root", "xi^2", "--n", "2")
     assert code == 0
     assert "result: xi" in out
+    code, out, _ = run(capsys, "kawahara", "verify", "--theorem", "1", "--f", "quadratic")
+    assert code == 0
+    assert "verdict: theorem 1 verified" in out
+
+
+def _parsed(parse, argv):
+    """(exit, stdout, stderr) of parsing argv alone, as main reports it."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            parse(argv)
+            code = 0
+        except SystemExit as exc:  # --help
+            code = exc.code
+        except cli._UsageError as exc:
+            stderr.write(f"usage error: {exc}\n")
+            code = 2
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _through_main(argv):
+    # the handler never runs: every argv here is --help or a usage error
+    return _parsed(lambda a: sys.exit(main(a)), argv)
+
+
+COMMAND_WORDS = [[name] for name, *_ in COMMANDS] + [["kawahara"], ["kawahara", "verify"]]
+# each command alone lacks a required operand or option
+PARSER_CASES = ([words + ["--help"] for words in COMMAND_WORDS] + COMMAND_WORDS
+                + [[], ["-h"], ["nosuch"], ["--json"], ["--json", "root", "--help"],
+                   ["--json", "kawahara", "verify"], ["--js", "dx", "--help"], ["--js", "dx"],
+                   ["dx", "u", "--json"], ["kawahara", "nosuch"], ["root", "xi", "--n", "2", "--q"]])
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_a_command_parses_as_with_the_full_parser(argv):
+    # main parses a command named first with a parser of that command alone:
+    # its help (exit 0) and its usage errors (exit 2) are the full parser's
+    want = _parsed(build_parser().parse_args, argv)
+    assert want[0] in (0, 2) and (want[0] == 0) == any(a in ("-h", "--help") for a in argv)
+    assert _through_main(argv) == want
+
+
+def test_a_one_command_parser_with_another_prog_is_caught(monkeypatch):
+    # the mutant: one-command parsers whose prog is not "jetcalc"
+    class Renamed(cli._ArgumentParser):
+        def __init__(self, **kwargs):
+            super().__init__(**dict(kwargs, prog="jetcalc.py"))
+
+    full = build_parser()
+    mutant = build_parser.__wrapped__
+    monkeypatch.setattr(cli, "_ArgumentParser", Renamed)
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: mutant(name) if name else full)
+    wrong = [argv for argv in PARSER_CASES
+             if _through_main(argv) != _parsed(full.parse_args, argv)]
+    assert ["dx", "--help"] in wrong and ["kawahara", "verify", "--help"] in wrong
+
+
+def test_json_before_the_command_and_its_abbreviation(capsys):
+    code, out, _ = run(capsys, "--json", "dx", "x*u")
+    assert code == 0 and json.loads(out)["result"] == "x*u_x + u"
+    # argparse takes --js for --json; it is not a command name, so the full
+    # parser reads it
+    assert run(capsys, "--js", "dx", "x*u") == (code, out.replace("--json", "--js"), "")
+
+
+def test_text_reports_print_only_what_they_show(capsys, monkeypatch):
+    # each step's solved coefficient is a JSON field only: text mode does not
+    # print it
+    original, printed = cli.print_expr, []
+
+    def recording(e):
+        printed.append(original(e))
+        return printed[-1]
+
+    monkeypatch.setattr(cli, "print_expr", recording)
+    argv = ["kawahara", "verify", "--theorem", "3", "--f", "quadratic"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and printed and all(text in out for text in printed)
+    text_calls = len(printed)
+    code, doc, _ = run(capsys, "--json", *argv)
+    steps = json.loads(doc)["steps"]
+    assert text_calls == sum(len(s["constraints"]) for s in steps)
+    assert len(printed) == 2 * text_calls + sum(s["solved"] != "" for s in steps)
 
 
 @pytest.mark.parametrize("content, message", [
@@ -507,6 +598,34 @@ def test_pinned_report_digest(capsys, monkeypatch, case, mode):
     code, out, err = run(capsys, *argv)
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert {"exit": code, "stderr": err, "stdout_sha256": digest} == PINNED[f"{case}/{mode}"]
+
+
+def _result_line(out: str) -> str:
+    (line,) = [ln[len("result: "):] for ln in out.splitlines() if ln.startswith("result: ")]
+    return line
+
+
+@pytest.mark.parametrize("case", ["root_readme", "root_log_14"])
+def test_a_pinned_root_parses_back(capsys, monkeypatch, case):
+    # the printed window, + O(xi^k), is the floor of the inexact root
+    monkeypatch.delenv("JETCALC_PRECISION", raising=False)
+    argv = DIGEST_PIN_CASES[case]
+    code, out, _ = run(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[f"{case}/text"]["stdout_sha256"]
+    slots = int(argv[argv.index("--prec") + 1]) if "--prec" in argv else series.DEFAULT_SLOTS
+    S = series.nth_root(parse_series(argv[1]), int(argv[3]), slots=slots)
+    line = _result_line(out)
+    assert not S.exact and print_series(S) == line
+    assert parse_series(line) == S
+
+
+def test_compose_and_root_take_a_printed_root(capsys):
+    code, out, _ = run(capsys, "root", "xi^2 + u", "--n", "2", "--prec", "6")
+    root = _result_line(out)
+    assert code == 0 and root.endswith(" + O(xi^-5)")
+    for argv in (["compose", root, "1"], ["root", root, "--n", "1"]):
+        code, out, err = run(capsys, *argv, "--prec", "6")
+        assert (code, err, _result_line(out)) == (0, "", root), argv
 
 
 # A generator owns the monomial field it was interned into, for the life of the

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import jetcalc.poly as poly_module
 from jetcalc import DslSyntaxError
 from jetcalc.dsl import gen_name, parse, parse_series, print_expr, print_poly, print_series
 from jetcalc.expr import as_expr, fn, ln_shift, par, t, u, x
@@ -195,6 +196,42 @@ def test_print_parse_roundtrip_series():
         text = print_series(S)
         assert parse_series(text) == S, text
         assert repr(S) == text
+    # an inexact series prints its window as a trailing + O(xi^k)
+    for _ in range(60):
+        terms = {k: _random_coefficient(rng) for k in rng.sample(range(-4, 6), rng.randint(0, 4))}
+        S = PsdSeries.from_coeffs(terms, exact=False, bottom=rng.randint(-6, min(terms, default=6)))
+        text = print_series(S)
+        assert not S.exact and text.endswith(f" + O(xi^{S.floor - 1})")
+        assert parse_series(text) == S, text
+
+
+def test_a_trailing_window_is_the_floor_of_an_inexact_series():
+    S = parse_series("xi^2 + (u)*xi^(-1) + O(xi^-3)")
+    assert S == PsdSeries.from_coeffs({2: 1, -1: u(0)}, exact=False, bottom=-2)
+    assert parse_series("xi^2 + (u)*xi^(-1) + O(xi^(-3))") == S
+    assert print_series(S) == "xi^2 + (u)*xi^(-1) + O(xi^-3)"
+    assert parse_series("0 + O(xi^3)") == PsdSeries.from_coeffs({}, exact=False, bottom=4)
+    assert parse_series("xi + O(xi^0)").floor == 1
+    # without a ( after it, O is still a parameter
+    assert parse_series("O*xi") == PsdSeries.from_coeffs({1: par("O")})
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("xi + u + O(xi^0)", "a term below the window O(xi^0)", 8),
+    ("xi + u +\n O(xi^(0))", "a term below the window O(xi^0)", 8),
+    ("O(xi^2)", "unexpected trailing input", 2),
+    ("xi - O(xi^-2)", "unexpected trailing input", 7),
+    ("xi + 2*O(xi^-2)", "unexpected trailing input", 9),
+    ("xi + (O(xi^-2))", "expected ')'", 8),
+    ("xi + O(xi^-2) + u", "unexpected trailing input", 7),
+    ("xi + O(xi^-2)^2", "unexpected trailing input", 7),
+    ("xi + O(u^2)", "unexpected trailing input", 7),
+])
+def test_a_misplaced_window_is_a_syntax_error(text, message, column):
+    # a window ends the series after a +; anywhere else O( does not parse
+    with pytest.raises(DslSyntaxError) as err:
+        parse_series(text)
+    assert str(err.value) == f"{message} (line 1, column {column})"
 
 
 # The printer as it stood before it cached per-generator print data and
@@ -262,6 +299,36 @@ def test_print_poly_matches_the_oracle_printer():
     assert any(p.den > 1 for p in polys)
     for p in polys:
         assert print_poly(p) == _oracle_print_poly(p)
+
+
+def test_print_poly_after_interning_between_prints():
+    # a generator interned between two prints changes the printer's ranks of
+    # the generators before it: each new one sorts between old ones
+    old = [X, T, jet(0), jet(2), fnsym("f"), fnsym("f", 2), unknown_t("h"), unknown_t("h", 1),
+           param("b"), param("gamma")]
+    rng = random.Random(93)
+
+    def draw(gens):
+        p = ZERO
+        for _ in range(rng.randint(1, 5)):
+            term = Poly.const(rng.choice((-3, -1, 1, 2, Fraction(5, 6))))
+            for g in rng.sample(gens, rng.randint(0, 4)):
+                term = term * Poly.gen(g) ** rng.randint(1, 3)
+            p = p + term
+        return p
+
+    before = [draw(old) for _ in range(60)]
+    for p in before:
+        assert print_poly(p) == _oracle_print_poly(p)
+    fields = len(poly_module._FIELD_GENS)
+    new = [param("c_interned_between_prints"), unknown_t("g_interned_between_prints", 1),
+           fnsym("fa_interned_between_prints")]
+    assert len(poly_module._FIELD_GENS) == fields + len(new)
+    for p in before + [draw(old + new) for _ in range(60)]:
+        assert print_poly(p) == _oracle_print_poly(p)
+    # a field past the interned generators is an error, as for _unpack
+    with pytest.raises(IndexError):
+        print_poly(Poly({1 << poly_module.FIELD_BITS * len(poly_module._FIELD_GENS): 1}))
 
 
 def test_whitespace_normalization():
