@@ -7,6 +7,11 @@ reports an irreducible residual instead of failing.  One stripping loop runs
 over both chains: u -> u_x -> u_xx -> ... under D_x, and rhat -> r -> f ->
 f' -> ... under d/du, where an exact expression is affine in its top symbol
 and the slope is integrated in the predecessor; ln(u+c) powers go by parts.
+Each step is one pass over the remainder: the slope is read, or a degree
+other than 1 refused, by ``Poly.affine_slope``, an antiderivative in x or u
+is ``Poly.antiderivative`` of the numerator, and D(C) is subtracted inside
+the remainder's accumulator when both are polynomial
+(``expr.subtract_derived``).
 It also runs in the log branch's coordinate w = u + c (``shifted``), with the
 same antiderivatives: those built on powers of u + c are built on powers of
 w, and those built on powers of u still vanish at u = 0, that is at w = c.
@@ -31,7 +36,7 @@ from .expr import (
     ln_w,
     par,
     partial,
-    partial_u_total,
+    subtract_derived,
     symbol_at_depth,
     symbol_depth,
     u,
@@ -46,12 +51,10 @@ from .poly import (
     X,
     Generator,
     Poly,
-    PolySum,
     _to_univariate,
     div_exact,
     horner,
     jet,
-    monomial,
     param,
     squarefree_factors,
     taylor_shift,
@@ -189,30 +192,34 @@ def euler(F: JetExpr) -> JetExpr:
 # -- formal integration in x -------------------------------------------------
 
 
-def _strip(F: JetExpr, derivation, piece) -> tuple[JetExpr, JetExpr]:
-    """(zeta, rem) with F = derivation(zeta) + rem: while piece(rem) returns
-    an antiderivative C of the top part of rem, add C to zeta and subtract
-    derivation(C) from rem."""
-    zeta = ZERO_EXPR
+def _strip(F: JetExpr, image, piece) -> tuple[JetExpr, JetExpr]:
+    """(zeta, rem) with F = D(zeta) + rem for D = derive(., image): while
+    piece(rem) returns an antiderivative C of the top part of rem, C joins
+    zeta and D(C) is subtracted from rem, in place when both are polynomial
+    (``subtract_derived``).  zeta is summed once at the end."""
+    pieces = []
     rem = F
     while not rem.is_zero:
         C = piece(rem)
         if C is None:
             break
-        zeta = zeta + C
-        rem = rem - derivation(C)
-    return zeta, rem
+        pieces.append(C)
+        rem = subtract_derived(rem, C, image)
+    return JetExpr.sum(pieces), rem
 
 
 def _affine_piece(rem: JetExpr, H: Generator, pred: Generator, shifted: bool) -> JetExpr | None:
     """Antiderivative in pred of drem/dH when rem is affine in H, else None.
     In pred = u it runs over the f-chain and the logarithm, and all or nothing."""
-    if H in rem.den.generators() or rem.num.degree_in(H) != 1:
+    if H in rem.den.generators():
         return None
-    slope = JetExpr._reduce(_to_univariate(rem.num, H)[1], rem.den)  # drem/dH
+    slope = rem.num.affine_slope(H)
+    if slope is None:
+        return None
+    slope = JetExpr._reduce(slope, rem.den)  # drem/dH
     if pred is not jet(0):
         return _integrate_in(slope, pred)
-    zeta, left = _strip(slope, partial_u_total, lambda r: _u_piece(r, shifted))
+    zeta, left = _strip(slope, u_image, lambda r: _u_piece(r, shifted))
     return zeta if left.is_zero else None
 
 
@@ -268,12 +275,7 @@ def _integrate_in(e: JetExpr, g: Generator) -> JetExpr | None:
     divides each of its coefficients in g."""
     if g in e.den.generators():
         return None
-    acc = PolySum()
-    for k, a in enumerate(_to_univariate(e.num, g), 1):
-        if a.terms:
-            # monomial raises ExponentOverflow for k > MAX_EXPONENT
-            acc.add(a * Poly({monomial(((g, k),)): 1}), 1, k)
-    return JetExpr(acc.value(), e.den)
+    return JetExpr(e.num.antiderivative(g), e.den)
 
 
 def _integrate_rational_u(R: JetExpr, shifted: bool) -> JetExpr | None:
@@ -362,4 +364,4 @@ def formal_x_integrate(F: JetExpr, shifted: bool = False) -> tuple[JetExpr, JetE
     ``shifted``: F is written in w = u + c (``expr.to_w``), and so are zeta
     and the residual, each the image of the one computed in u.
     """
-    return _strip(as_expr(F), total_x, lambda rem: _x_piece(rem, shifted))
+    return _strip(as_expr(F), _dx_image, lambda rem: _x_piece(rem, shifted))

@@ -150,15 +150,17 @@ class _Parser:
         return v
 
     def expr(self) -> JetExpr:
-        v = self.term()
+        """A sum of signed terms, summed once by ``JetExpr.combination``."""
+        terms = [(1, self.term())]
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.value in "+-":
                 self.advance()
-                rhs = self.term()
-                v = v + rhs if tok.value == "+" else v - rhs
+                terms.append((1 if tok.value == "+" else -1, self.term()))
+            elif len(terms) == 1:
+                return terms[0][1]
             else:
-                return v
+                return JetExpr.combination(terms)
 
     def term(self) -> JetExpr:
         v = self.factor()

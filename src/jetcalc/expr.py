@@ -412,11 +412,22 @@ def derive(e: JetExpr, image) -> JetExpr:
     a single reduction over d*s instead of d^2.
     """
     e = as_expr(e)
-    groups: dict[Poly, list] = {}  # in key order, so that every sum repeats exactly
+    return _derive_grouped(e, _image_groups(e, image))
+
+
+def _image_groups(e: JetExpr, image) -> dict:
+    """The nonzero images of e's generators as {denominator: [(g,
+    numerator)]}, in key order, so that every sum repeats exactly."""
+    groups: dict[Poly, list] = {}
     for g in sorted(e.generators(), key=lambda g: g.key):
         img = image(g)
         if img is not None and not img.is_zero:
             groups.setdefault(img.den, []).append((g, img.num))
+    return groups
+
+
+def _derive_grouped(e: JetExpr, groups: dict) -> JetExpr:
+    """``derive`` with the images of e's generators grouped."""
     if not groups:
         return ZERO_EXPR
     dn = _image_sum(e.num, groups)
@@ -433,6 +444,22 @@ def derive(e: JetExpr, image) -> JetExpr:
     dlog = JetExpr.combination((k, dq * JetExpr(div_exact(s, q), ONE)) for q, k, dq in moved)
     top = dn * JetExpr(s, ONE) - JetExpr(e.num, ONE) * dlog
     return top / JetExpr(e.den * s, ONE)
+
+
+def subtract_derived(r: JetExpr, e: JetExpr, image) -> JetExpr:
+    """r - derive(e, image).  When r, e and every image are polynomial, the
+    derivative is subtracted inside one PolySum over the numerator of r, in
+    the same pass over e's monomials as ``derive``; otherwise the quotient
+    rule of ``derive`` applies."""
+    groups = _image_groups(e, image)
+    if not groups:
+        return r
+    if r.den == ONE and e.den == ONE and len(groups) == 1 and ONE in groups:
+        acc = PolySum()
+        acc.add(r.num)
+        acc.add_derivation(e.num, groups[ONE], -1)
+        return JetExpr(acc.value(), ONE)
+    return r - _derive_grouped(e, groups)
 
 
 @cache  # generators are interned: one image per generator and process

@@ -333,6 +333,35 @@ class Poly:
         shift = g.shift
         return max(((m >> shift) & _FIELD_MASK for m in self.terms), default=0)
 
+    def affine_slope(self, g: Generator) -> "Poly | None":
+        """dself/dg when self has degree exactly 1 in g, else None: one pass
+        over the terms, which ends at the first exponent above 1."""
+        shift, bit = g.shift, g.bit
+        slope = {}
+        for m, c in self.terms.items():
+            e = (m >> shift) & _FIELD_MASK
+            if e:
+                if e > 1:
+                    return None
+                slope[m - bit] = c
+        return _normalized(slope, self.den) if slope else None
+
+    def antiderivative(self, g: Generator) -> "Poly":
+        """The antiderivative in g that vanishes at g = 0, term by term: each
+        monomial gains one power of g and its coefficient is taken over the
+        lcm of the new exponents, so the result is normalized once.  As in
+        ``__mul__``, an exponent past MAX_EXPONENT shows as a guard bit."""
+        if not self.terms:
+            return ZERO
+        shift, bit = g.shift, g.bit
+        steps = [((m >> shift) & _FIELD_MASK) + 1 for m in self.terms]
+        den = _int_lcm(*set(steps))
+        terms = {m + bit: c * (den // k) for (m, c), k in zip(self.terms.items(), steps)}
+        overflow = reduce(or_, terms) & _GUARDS
+        if overflow:
+            raise _overflow(overflow)
+        return _normalized(terms, self.den * den)
+
     def split(self, gens) -> dict:
         """{outer monomial over gens: inner Poly free of gens}.
 
@@ -424,10 +453,10 @@ class PolySum:
         for m, c in p.terms.items():
             terms[m] = get(m, 0) + c * k
 
-    def add_derivation(self, p: Poly, pairs) -> None:
-        """self += sum(dp/dg * img for g, img in pairs), for a sequence of
-        (generator, Poly image) pairs, in one pass over the monomials of p;
-        no partial derivative is built."""
+    def add_derivation(self, p: Poly, pairs, sign: int = 1) -> None:
+        """self += sign * sum(dp/dg * img for g, img in pairs), for a
+        sequence of (generator, Poly image) pairs and sign +-1, in one pass
+        over the monomials of p; no partial derivative is built."""
         if not p.terms:
             return
         # over p.den * lcm of the image denominators, each image scaled to it
@@ -435,7 +464,7 @@ class PolySum:
         f = self._over(p.den * img_den)
         scaled = []
         for g, img in pairs:
-            k = f * (img_den // img.den)
+            k = sign * f * (img_den // img.den)
             scaled.append((g.shift, g.bit, [(m, c * k) for m, c in img.terms.items()]))
         terms = self.terms
         get = terms.get

@@ -219,14 +219,14 @@ def commutator_coeff(A, B, m: int, dx) -> JetExpr:
         + [(-1, b * _leibniz_sum(j, A, m, dx, 1)) for j, b in B.items()])
 
 
-def _tail_below(A, B, floor: int, dx) -> bool:
-    """True when a nonzero term of A o B sits below xi^floor, for A with
-    nonzero listed coefficients.  Only terms with C(i,k) != 0 count, and
-    D_x^k(b) = 0 ends b's tower, so for each pair the first k below the
-    floor decides."""
+def _tail_below(A, B, floor: int, dx, low: int = 0) -> bool:
+    """True when a nonzero term of A o B with k >= low sits below xi^floor,
+    for A with nonzero listed coefficients.  Only terms with C(i,k) != 0
+    count, and D_x^k(b) = 0 ends b's tower, so for each pair the first k
+    below the floor decides."""
     for i, _ in A.items():
         for j, b in B.items():
-            k = max(0, i + j - floor + 1)
+            k = max(low, i + j - floor + 1)
             if (i < 0 or k <= i) and not dx(b, k).is_zero:
                 return True
     return False
@@ -234,19 +234,21 @@ def _tail_below(A, B, floor: int, dx) -> bool:
 
 def compose(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
     """Product in the pseudodifferential algebra."""
-    return _bilinear(A, B, slots, product_coeff, ((A, B),))
+    return _bilinear(A, B, slots, product_coeff, ((A, B),), 0)
 
 
 def commutator(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
     """compose(A, B) - compose(B, A), on their common window and inexact when
-    either is, with each coefficient from ``commutator_coeff``."""
-    return _bilinear(A, B, slots, commutator_coeff, ((A, B), (B, A)))
+    either is, with each coefficient from ``commutator_coeff``.  The k = 0
+    products cancel, so only those with k >= 1 can leave the window."""
+    return _bilinear(A, B, slots, commutator_coeff, ((A, B), (B, A)), 1)
 
 
-def _bilinear(A: PsdSeries, B: PsdSeries, slots: int | None, coeff, orders) -> PsdSeries:
+def _bilinear(A: PsdSeries, B: PsdSeries, slots: int | None, coeff, orders,
+              low: int) -> PsdSeries:
     """The series of xi^m coefficients coeff(A, B, m, dx) on the window of
     A o B, which is that of B o A; it is truncated when a product in
-    ``orders`` has a term below the window."""
+    ``orders`` has a term with k >= low below the window."""
     if not A.terms or not B.terms:
         if A.exact and B.exact:
             return PsdSeries.zero()
@@ -260,7 +262,7 @@ def _bilinear(A: PsdSeries, B: PsdSeries, slots: int | None, coeff, orders) -> P
     dx = dx_towers()
     acc = {m: c for m in range(top, floor - 1, -1)
            if not (c := coeff(A, B, m, dx)).is_zero}
-    truncated = bool(bounds) or any(_tail_below(s, t, floor, dx) for s, t in orders)
+    truncated = bool(bounds) or any(_tail_below(s, t, floor, dx, low) for s, t in orders)
     return PsdSeries(acc, floor if truncated else None)
 
 

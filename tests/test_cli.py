@@ -69,6 +69,14 @@ def test_compose_command(capsys):
     assert "result: (u)*xi + u_x" in out
 
 
+def test_an_exactly_zero_commutator_is_reported_exact(capsys):
+    # every product below the window has k = 0 and cancels, so no O(xi^k)
+    # is printed at a precision that cuts the series
+    code, out, _ = run(capsys, "commutator", "xi^2 + u*xi^(-5)", "b", "--prec", "3")
+    assert code == 0
+    assert "result: 0" in out.splitlines()
+
+
 def test_root_command(capsys):
     code, out, _ = run(capsys, "root", "xi^5 + b*xi^3 + f(u)*xi + f'(u)*u_x",
                        "--n", "5", "--prec", "6")

@@ -6,7 +6,7 @@ import pytest
 import jetcalc.poly as poly_module
 from jetcalc import DslSyntaxError
 from jetcalc.dsl import gen_name, parse, parse_series, print_expr, print_poly, print_series
-from jetcalc.expr import as_expr, fn, ln_shift, par, t, u, x
+from jetcalc.expr import JetExpr, as_expr, fn, ln_shift, par, t, u, x
 from jetcalc.kawahara import catalog, verify_catalog
 from jetcalc.poly import (
     KIND_FN,
@@ -108,6 +108,33 @@ def test_powers_and_fractions():
     assert parse("(u + 1)^(-1)") == 1 / (u(0) + 1)
     assert parse("u^-2") == u(0) ** -2
     assert parse("-u_x^2") == -(u(1) ** 2)
+
+
+@pytest.mark.parametrize("parse_text", [parse, parse_series])
+def test_a_sum_is_accumulated_once(monkeypatch, parse_text):
+    # n signed terms over two denominators: JetExpr.__add__ runs a bounded
+    # number of times, not once per term, and the value is the folded sum
+    n = 300
+    terms = [f"{k}*b^{k}*u" if k % 3 else f"{k}*u_x/b^{k % 2 + 1}" for k in range(1, n + 1)]
+    text = "u"
+    for k, term in enumerate(terms):
+        text += f" {'-' if k % 4 == 1 else '+'} {term}"
+    folded = parse("u")
+    for k, term in enumerate(terms):
+        folded = folded - parse(term) if k % 4 == 1 else folded + parse(term)
+    calls = []
+    add = JetExpr.__add__
+
+    def counted(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(JetExpr, "__add__", counted)
+    got = parse_text(text)
+    assert len(calls) <= 4, len(calls)
+    if parse_text is parse_series:
+        got = got.coeff(0)
+    assert got == folded
 
 
 def test_xi_rejected_outside_series():

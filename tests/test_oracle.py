@@ -6,7 +6,8 @@ walking ``Poly.items`` (never through the DSL).  D_x, the partial
 derivatives in the jets, d/du and the Euler operator are recomputed there
 with sympy's own differentiation and compared exactly, by
 cross-multiplication; formal x-integration is checked by recomputing
-D_x(zeta) + residual there.  The identities the obstruction scan's step
+D_x(zeta) + residual there, and against a reference copy of the strip
+without its one-pass kernels.  The identities the obstruction scan's step
 relies on (Euler test on the integration residual, vanishing the scan
 unknowns, the commutator without its cancelling products) are checked
 within the engine on the same seeded inputs.
@@ -19,10 +20,32 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+import jetcalc.calculus as calculus  # noqa: E402
 from jetcalc.analysis import vanish  # noqa: E402
 from jetcalc.calculus import euler, formal_x_integrate, total_x  # noqa: E402
-from jetcalc.expr import JetExpr, fn, partial, partial_u_total, u  # noqa: E402
-from jetcalc.poly import ONE, X, Poly, fnsym, jet, param, unknown_t  # noqa: E402
+from jetcalc.expr import (  # noqa: E402
+    ZERO_EXPR,
+    JetExpr,
+    derive,
+    fn,
+    partial,
+    partial_u_total,
+    to_w,
+    u,
+    u_image,
+)
+from jetcalc.poly import (  # noqa: E402
+    ONE,
+    X,
+    Poly,
+    PolySum,
+    _to_univariate,
+    fnsym,
+    jet,
+    monomial,
+    param,
+    unknown_t,
+)
 from jetcalc.series import (  # noqa: E402
     PsdSeries,
     commutator,
@@ -204,6 +227,62 @@ def test_residual_carries_the_variational_derivative():
         assert euler(F) == euler(res), (case, F)
         nonzero += not res.is_zero
     assert nonzero > 10
+
+
+# The strip as it stood before its one-pass kernels: the degree read by
+# degree_in, the slope and the powers of an antiderivative by _to_univariate,
+# D(C) subtracted as an expression of its own and zeta summed step by step.
+
+
+def _strip_reference(F, image, piece):
+    zeta, rem = ZERO_EXPR, F
+    while not rem.is_zero:
+        C = piece(rem)
+        if C is None:
+            break
+        zeta = zeta + C
+        rem = rem - derive(C, image)
+    return zeta, rem
+
+
+def _affine_piece_reference(rem, H, pred, shifted):
+    if H in rem.den.generators() or rem.num.degree_in(H) != 1:
+        return None
+    slope = JetExpr._reduce(_to_univariate(rem.num, H)[1], rem.den)
+    if pred is not jet(0):
+        return calculus._integrate_in(slope, pred)
+    zeta, left = calculus._strip(slope, u_image, lambda r: calculus._u_piece(r, shifted))
+    return zeta if left.is_zero else None
+
+
+def _integrate_in_reference(e, g):
+    if g in e.den.generators():
+        return None
+    acc = PolySum()
+    for k, a in enumerate(_to_univariate(e.num, g), 1):
+        if a.terms:
+            acc.add(a * Poly({monomial(((g, k),)): 1}), 1, k)
+    return JetExpr(acc.value(), e.den)
+
+
+def test_strip_matches_the_reference_strip(monkeypatch):
+    # F = D_x(zeta) + res exactly, in u and in w = u + c, and (zeta, res) is
+    # the pair of the reference strip
+    stripped = polynomial = 0
+    for case, F in enumerate(_scan_integrands(410, 90)):
+        for shifted in (False, True):
+            G = to_w(F) if shifted else F
+            zeta, res = formal_x_integrate(G, shifted)
+            assert G == total_x(zeta) + res, (case, shifted, G)
+            with monkeypatch.context() as m:
+                m.setattr(calculus, "_strip", _strip_reference)
+                m.setattr(calculus, "_affine_piece", _affine_piece_reference)
+                m.setattr(calculus, "_integrate_in", _integrate_in_reference)
+                want = formal_x_integrate(G, shifted)
+            assert (zeta, res) == want, (case, shifted, G)
+            stripped += not zeta.is_zero
+            polynomial += G.den == ONE and not zeta.is_zero
+    assert stripped > 60 and polynomial > 30, (stripped, polynomial)
 
 
 def test_vanishing_commutes_with_d_x_and_the_resumed_strip():

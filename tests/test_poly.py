@@ -190,6 +190,45 @@ def test_exponent_overflow_is_an_error():
         monomial([(jet(0), MAX_EXPONENT), (jet(0), 1)])
 
 
+def test_affine_slope_only_at_degree_one():
+    u, ux, b = Poly.gen(jet(0)), Poly.gen(jet(1)), Poly.gen(param("b"))
+    half = Poly.const(Fraction(1, 2))
+    assert (u * ux * half + b).affine_slope(jet(1)) == u * half
+    assert (u * ux * half + b).affine_slope(jet(0)) == ux * half
+    # degree 2 in the generator, even beside a degree-1 term, and degree 0
+    assert (ux ** 2 + u * ux).affine_slope(jet(1)) is None
+    assert (u * ux ** 2).affine_slope(jet(1)) is None
+    assert (u + b).affine_slope(jet(1)) is None
+    assert ZERO.affine_slope(jet(1)) is None
+    # the slope is canonical: 2u*u_x/3 + b has slope 2u/3, over 3 alone
+    slope = (u * ux * Poly.const(Fraction(2, 3)) + b).affine_slope(jet(1))
+    assert slope.terms == {jet(0).bit: 2} and slope.den == 3
+
+
+def test_antiderivative_term_by_term():
+    u, ux, b = Poly.gen(jet(0)), Poly.gen(jet(1)), Poly.gen(param("b"))
+    third = Poly.const(Fraction(1, 3))
+    assert (u ** 2 + b).antiderivative(jet(0)) == u ** 3 * third + b * u
+    assert (u * ux).antiderivative(jet(1)) == u * ux ** 2 * Poly.const(Fraction(1, 2))
+    assert ONE.antiderivative(X) == Poly.gen(X)
+    assert ZERO.antiderivative(X) == ZERO
+    # over the lcm 6 of the new exponents 2 and 3: (9u^2 + 4u^3)/6
+    p = (Poly.const(3) * u + Poly.const(2) * u ** 2).antiderivative(jet(0))
+    assert p == u ** 2 * Poly.const(Fraction(3, 2)) + u ** 3 * Poly.const(Fraction(2, 3))
+    assert p.den == 6 and set(p.terms.values()) == {9, 4}
+
+
+def test_an_antiderivative_past_max_exponent_is_an_overflow():
+    u, ux = Poly.gen(jet(0)), Poly.gen(jet(1))
+    p = u ** MAX_EXPONENT * ux + ux
+    # in u_x the exponent of u stays at MAX_EXPONENT
+    assert p.antiderivative(jet(1)).degree_in(jet(0)) == MAX_EXPONENT
+    with pytest.raises(ExponentOverflow, match=f"exponent of u exceeds {MAX_EXPONENT}"):
+        p.antiderivative(jet(0))
+    assert (u ** (MAX_EXPONENT - 1)).antiderivative(jet(0)) == \
+        u ** MAX_EXPONENT * Poly.const(Fraction(1, MAX_EXPONENT))
+
+
 def test_squarefree_factors_of_a_monomial():
     # read off the exponents, not found by one Yun step per unit of them
     u, b = Poly.gen(jet(0)), Poly.gen(param("b"))

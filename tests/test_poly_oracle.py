@@ -3,8 +3,9 @@
 Seeded random polynomials over Q in x, u..u_xxx, b, c, ln(u+c) and f(u) are
 converted to sympy's sparse polynomial ring over QQ through ``Poly.items``
 (never through the DSL).  The ring operations, ``content``, partial
-derivatives, ``split``, the in-place sums of ``PolySum``, ``div_exact`` and
-``poly_gcd`` are recomputed there.  Values are compared through the
+derivatives, ``split``, the in-place sums of ``PolySum``, the affine slope
+and term-wise antiderivative, ``div_exact`` and ``poly_gcd`` are recomputed
+there.  Values are compared through the
 conversion, and the canonical form by structural equality with a Poly
 rebuilt one term at a time from sympy's answer.  ``div_exact`` also runs on
 divisors of set shapes (monomials, non-unit leading coefficients, products
@@ -200,6 +201,55 @@ def test_a_derivation_past_max_exponent_is_an_overflow():
     # the image u of u_x raises the exponent of u past MAX_EXPONENT
     with pytest.raises(ExponentOverflow, match=f"exponent of u exceeds {MAX_EXPONENT}"):
         PolySum().add_derivation(p, ((jet(1), u),))
+
+
+def _kernel_oracle(cases: int) -> tuple[list, int]:
+    """(failing cases, degree-1 checks) of ``Poly.affine_slope`` and
+    ``Poly.antiderivative`` against sympy.  In each generator v the
+    slope must be None unless sympy finds degree 1 in v, and then be the
+    derivative in v; the antiderivative A must be canonical, with dA/dv = p
+    and A = 0 at v = 0."""
+    rng = random.Random(720)
+    failures = []
+    affine = 0
+    for case in range(cases):
+        p = _random_poly(rng, max_exp=3)
+        s = _to_ring(p)
+        try:
+            for g in GENS:
+                v = SYMS[INDEX[g]]
+                slope = p.affine_slope(g)
+                if s.degree(v) == 1:
+                    affine += 1
+                    assert slope is not None, (case, p, g)
+                    _assert_canonical(slope)
+                    _check(slope, s.diff(v), case, p, g)
+                else:
+                    assert slope is None, (case, p, g)
+                A = p.antiderivative(g)
+                _assert_canonical(A)
+                a = _to_ring(A)
+                assert a.diff(v) == s and a.subs(v, 0) == 0, (case, p, g)
+        except AssertionError:
+            failures.append(case)
+    return failures, affine
+
+
+def test_affine_slope_and_antiderivative_match_sympy():
+    failures, affine = _kernel_oracle(300)
+    assert failures == []
+    assert affine > 150
+
+
+def test_kernel_oracle_catches_a_slope_at_degree_two(monkeypatch):
+    # a mutant of affine_slope that accepts degree 2 and keeps its slope terms
+    src = textwrap.dedent(inspect.getsource(Poly.affine_slope))
+    mutant = src.replace("if e > 1:", "if e > 2:")
+    assert mutant != src
+    namespace = dict(vars(poly_module))
+    exec(mutant, namespace)
+    monkeypatch.setattr(Poly, "affine_slope", namespace["affine_slope"])
+    assert len(_kernel_oracle(100)[0]) > 20
 
 
 def test_split_matches_sympy():

@@ -74,6 +74,19 @@ def test_exact_product_ending_on_the_window_floor_stays_exact():
     assert got.exact and got.degree() == 5 and got.coeff(1) == u(5)
 
 
+def test_commutator_tail_counts_only_the_products_that_survive():
+    # below the window of 3 slots sit only the k = 0 products u*b, which
+    # cancel: the commutator is exactly zero, while A o B is cut there
+    A = xi(2) + PsdSeries.monomial(u(0), -5)
+    B = PsdSeries.const(par("b"))
+    got = commutator(A, B, slots=3)
+    assert got == PsdSeries.zero() and got.exact
+    assert not compose(A, B, slots=3).exact
+    # a k = 1 product below the window keeps the commutator inexact
+    got = commutator(A, PsdSeries.const(u(0)), slots=3)
+    assert not got.exact and got.floor == 0
+
+
 def test_compose_matches_operator_application_randomized():
     # A o B as differential operators: xi^k acts as D_x^k, so A(B(u_12)) holds
     # the xi^k coefficient of A o B on u_(12+k); built with total_x alone
