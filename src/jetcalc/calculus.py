@@ -159,7 +159,7 @@ def frechet(F: JetExpr, Q: JetExpr) -> JetExpr:
     if n is NEG_INF:
         return ZERO_EXPR
     dq = accumulate(range(n), lambda d, _: total_x(d), initial=Q)  # D_x^j(Q), j = 0..n
-    return JetExpr.sum(du_coefficient(F, j) * d for j, d in enumerate(dq))
+    return JetExpr.combination((1, du_coefficient(F, j), d) for j, d in enumerate(dq))
 
 
 def frechet_hat(F: JetExpr):

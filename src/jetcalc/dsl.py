@@ -23,7 +23,8 @@ import re
 from math import gcd
 
 from .errors import DslSyntaxError
-from .expr import CHAIN_DEPTH, JetExpr, as_expr, fn, ln_shift, par, u, x as x_atom, t as t_atom
+from .expr import (CHAIN_DEPTH, ONE_EXPR, JetExpr, as_expr, fn, ln_shift, par, u, x as x_atom,
+                   t as t_atom)
 from .poly import (
     FIELD_BITS,
     KIND_FN,
@@ -151,12 +152,12 @@ class _Parser:
 
     def expr(self) -> JetExpr:
         """A sum of signed terms, summed once by ``JetExpr.combination``."""
-        terms = [(1, self.term())]
+        terms = [(1, self.term(), ONE_EXPR)]
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.value in "+-":
                 self.advance()
-                terms.append((1 if tok.value == "+" else -1, self.term()))
+                terms.append((1 if tok.value == "+" else -1, self.term(), ONE_EXPR))
             elif len(terms) == 1:
                 return terms[0][1]
             else:

@@ -26,15 +26,19 @@ the factors of d that the derivation moves, where D(n)/d - (n/d) * D(d)/d
 would reduce over d^2.
 
 Reductions are spent only where they can cancel something.
-``JetExpr.combination`` is the one summation of a list, sum(c * t) for
-rational c, and ``JetExpr.sum`` is its case c = 1: the scaled numerators
-over each distinct denominator are added in place into one
-``poly.PolySum``, each group is reduced once (a lone term is reduced
-already), and the groups are merged over the lcm, so m terms over d
-denominators cost at most 2d - 1 reductions, not m.  ``derive`` groups the
-images of the generators by denominator the same way and folds
-sum(dp/dg * image(g)) into one PolySum per group in a single pass over the
-monomials of p, with no partial derivative built.  A rational-constant
+``JetExpr.combination`` is the one summation of a list, sum(c * a * b) for
+rational c, and ``JetExpr.sum`` is its case c = b = 1: the scaled
+numerators over each distinct denominator are added in place into one
+``poly.PolySum``, each group is reduced once (a lone term, or a sum over
+1, is reduced already), and the groups are merged over the lcm, so m terms
+over d denominators cost at most 2d - 1 reductions, not m.  A product of
+two polynomials is folded into the PolySum term by term and never built
+(``PolySum.add_product``); a rational factor takes the product a * b.
+Substitution is such a sum: each part of a numerator over the replaced
+generators times the product of their powers, each power formed once.
+``derive`` groups the images of the generators by denominator the same way
+and folds sum(dp/dg * image(g)) into one PolySum per group in a single pass
+over the monomials of p, with no partial derivative built.  A rational-constant
 factor on either side, or a rational divisor, scales the numerator and
 keeps the denominator: scaling cannot create a common factor, so there is
 nothing to reduce.
@@ -64,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial, prod
+from math import factorial
 
 from .errors import DivisionByZero, InconsistentJetSubstitution, NotAPointFunction
 from .poly import (
@@ -82,6 +86,7 @@ from .poly import (
     div_exact,
     fnsym,
     jet,
+    mono_factors,
     param,
     poly_gcd,
     rename,
@@ -235,22 +240,37 @@ class JetExpr:
     __radd__ = __add__
 
     @staticmethod
-    def combination(pairs) -> "JetExpr":
-        """sum(c * t) over (c, t) pairs, c an int or Fraction and t a JetExpr
-        or a rational constant: the scaled numerators over each distinct
-        denominator go into one PolySum and are reduced once, a lone term
-        being reduced already, and the groups are merged over the lcm by
-        ``__add__``."""
-        groups: dict[Poly, list] = {}  # den -> [PolySum of the numerators, number of terms]
-        for c, t in pairs:
-            t = as_expr(t)
-            if c and not t.is_zero:
-                group = groups.get(t.den)
+    def combination(terms) -> "JetExpr":
+        """sum(c * a * b) over (c, a, b) triples, c an int or Fraction and a, b
+        JetExprs or rational constants, b = ONE_EXPR for a plain term c * a.
+        The scaled numerators over each distinct denominator go into one
+        PolySum and are reduced once, a lone term or a sum over 1 being
+        reduced already, and the groups are merged over the lcm by
+        ``__add__``.  A product of two
+        polynomials is folded into the PolySum over 1 by
+        ``PolySum.add_product`` and never built; a product with a rational
+        factor is a * b."""
+        polynomial = PolySum()  # the terms and products over 1, reduced already
+        groups: dict[Poly, list] = {}  # other den -> [PolySum of the numerators, number of terms]
+        for c, a, b in terms:
+            if not c:
+                continue
+            a = as_expr(a)
+            if b is not ONE_EXPR:
+                b = as_expr(b)
+                if a.den == ONE and b.den == ONE:
+                    polynomial.add_product(a.num, b.num, c.numerator, c.denominator)
+                    continue
+                a = a * b
+            if a.den == ONE:
+                polynomial.add(a.num, c.numerator, c.denominator)
+            elif not a.is_zero:
+                group = groups.get(a.den)
                 if group is None:
-                    group = groups[t.den] = [PolySum(), 0]
-                group[0].add(t.num, c.numerator, c.denominator)
+                    group = groups[a.den] = [PolySum(), 0]
+                group[0].add(a.num, c.numerator, c.denominator)
                 group[1] += 1
-        total = ZERO_EXPR
+        total = JetExpr(polynomial.value(), ONE)
         for den, (acc, count) in groups.items():
             num = acc.value()
             total = total + (JetExpr(num, den) if count == 1 else JetExpr._reduce(num, den))
@@ -259,8 +279,8 @@ class JetExpr:
     @staticmethod
     def sum(terms) -> "JetExpr":
         """The sum of terms (JetExprs or rational constants): ``combination``
-        with every coefficient 1."""
-        return JetExpr.combination((1, t) for t in terms)
+        with every coefficient and second factor 1."""
+        return JetExpr.combination((1, t, ONE_EXPR) for t in terms)
 
     def __sub__(self, other) -> "JetExpr":
         return self + (-as_expr(other))
@@ -441,7 +461,7 @@ def _derive_grouped(e: JetExpr, groups: dict) -> JetExpr:
             moved.append((q, k, dq))
             s = s * q
     # sum k*D(q)*s/q = s * D(d)/d
-    dlog = JetExpr.combination((k, dq * JetExpr(div_exact(s, q), ONE)) for q, k, dq in moved)
+    dlog = JetExpr.combination((k, dq, JetExpr(div_exact(s, q), ONE)) for q, k, dq in moved)
     top = dn * JetExpr(s, ONE) - JetExpr(e.num, ONE) * dlog
     return top / JetExpr(e.den * s, ONE)
 
@@ -485,13 +505,21 @@ def partial_u_total(e: JetExpr) -> JetExpr:
 
 
 def _evaluate(p: Poly, mapping: dict) -> JetExpr:
-    """p with the generators in mapping replaced by their values; each power
-    g**e is formed once."""
-    terms = list(p.items())
-    powers = {(g, e): mapping.get(g, JetExpr.from_gen(g)) ** e
-              for g, e in {ge for mono, _ in terms for ge in mono}}
-    # each term starts from its rational coefficient, which scales without a reduction
-    return JetExpr.sum(prod((powers[ge] for ge in mono), start=c) for mono, c in terms)
+    """p with the generators in mapping replaced by their values, in one
+    ``JetExpr.combination``: each part of p over a monomial in those
+    generators times the product of their powers, each power formed once."""
+    powers = {}
+    terms = []
+    for outer, inner in p.split(mapping).items():
+        factor = ONE_EXPR
+        for ge in mono_factors(outer):
+            power = powers.get(ge)
+            if power is None:
+                g, e = ge
+                power = powers[ge] = mapping[g] if e == 1 else mapping[g] ** e
+            factor = power if factor is ONE_EXPR else factor * power
+        terms.append((1, JetExpr(inner, ONE), factor))
+    return JetExpr.combination(terms)
 
 
 def substitute_map(e: JetExpr, mapping: dict) -> JetExpr:
@@ -633,16 +661,24 @@ class FunctionSpec:
         return self.gamma * ln + self.delta
 
 
+# Specs are few per process (one per f branch), and so are the depths.
+@lru_cache(maxsize=64)
+def _chain_image(spec: FunctionSpec, d: int) -> JetExpr:
+    """The image under spec of the chain symbol at depth d: f_image for
+    d <= 0, and the u-derivative of the image at depth d - 1 for d >= 1, so
+    each depth is derived once per spec and process."""
+    if d <= 0:
+        return spec.f_image(d)
+    return derive(_chain_image(spec, d - 1), u_image)
+
+
 def specialize_f(e: JetExpr, spec: FunctionSpec) -> JetExpr:
     """Rewrite every chain symbol according to spec, then renormalize;
-    the logarithm stays opaque.  Each f^(k), k >= 1, is the u-derivative of
-    f^(k-1), derived once per call."""
+    the logarithm stays opaque.  The images are memoized per spec and
+    depth (``_chain_image``)."""
     e = as_expr(e)
     depths = {g: symbol_depth(g) for g in e.generators()
               if g.kind == KIND_FN and g.name in CHAIN_DEPTH}
     if spec.mode == "abstract" or not depths:
         return e
-    images = {d: spec.f_image(d) for d in {*depths.values(), 0} if d <= 0}
-    for k in range(1, max(depths.values()) + 1):
-        images[k] = derive(images[k - 1], u_image)
-    return substitute_map(e, {g: images[d] for g, d in depths.items()})
+    return substitute_map(e, {g: _chain_image(spec, d) for g, d in depths.items()})

@@ -6,8 +6,8 @@ function symbols, undetermined functions of t and named parameters.  A
 polynomial is a dict mapping monomials to int coefficients over one positive
 int denominator, as in FLINT's fmpq_poly, so the arithmetic runs on ints and
 Fractions appear only where a single coefficient leaves the layer.  A sum
-of many terms, or a derivation, folds them into one mutable dict in place
-(``PolySum``) and builds a single Poly at the end.
+of many terms or products, or a derivation, folds them into one mutable
+dict in place (``PolySum``) and builds a single Poly at the end.
 
 A monomial is one non-negative int that packs its exponent vector (Bachmann
 & Schoenemann, ISSAC 1998; Monagan & Pearce, ASCM 2012): every generator
@@ -329,10 +329,6 @@ class Poly:
 
     # -- structure ------------------------------------------------------
 
-    def degree_in(self, g: Generator) -> int:
-        shift = g.shift
-        return max(((m >> shift) & _FIELD_MASK for m in self.terms), default=0)
-
     def affine_slope(self, g: Generator) -> "Poly | None":
         """dself/dg when self has degree exactly 1 in g, else None: one pass
         over the terms, which ends at the first exponent above 1."""
@@ -417,9 +413,10 @@ def _normalized(terms: dict, den: int) -> Poly:
 class PolySum:
     """A sum of Poly terms added in place: a mutable dict of packed monomials
     over one running int denominator, the lcm of the terms' (Monagan &
-    Pearce, CASC 2007).  A term is folded into the dict as it comes, with no
-    intermediate Poly; ``value`` drops the cancelled monomials and normalizes
-    once.  An accumulator lives inside one call: ``value`` ends its use.
+    Pearce, CASC 2007).  A term, or a product of two (``add_product``), is
+    folded into the dict as it comes, with no intermediate Poly; ``value``
+    drops the cancelled monomials and normalizes once.  An accumulator lives
+    inside one call: ``value`` ends its use.
     """
 
     __slots__ = ("terms", "den")
@@ -452,6 +449,34 @@ class PolySum:
         get = terms.get
         for m, c in p.terms.items():
             terms[m] = get(m, 0) + c * k
+
+    def add_product(self, p: Poly, q: Poly, num: int = 1, den: int = 1) -> None:
+        """self += p * q * num/den, for ints num and den > 0, with no product
+        built: each pair of terms is folded into the dict as it comes.  As in
+        ``Poly.__mul__``, an exponent past MAX_EXPONENT raises ExponentOverflow,
+        here before the sum is touched: the largest exponent of a field in
+        p * q is the sum of its largest in p and in q, and the or of a field's
+        exponents bounds their largest from above."""
+        if not p.terms or not q.terms or not num:
+            return
+        if q.is_const():
+            return self.add(p, num * q.terms[EMPTY_MONO], den * q.den)
+        if p.is_const():
+            return self.add(q, num * p.terms[EMPTY_MONO], den * p.den)
+        if (reduce(or_, p.terms) + reduce(or_, q.terms)) & _GUARDS:
+            top = reduce(_mono_max, p.terms) + reduce(_mono_max, q.terms)
+            if top & _GUARDS:
+                raise _overflow(top)
+        k = num * self._over(p.den * q.den * den)
+        if len(p.terms) > len(q.terms):
+            p, q = q, p
+        inner = [(m, c * k) for m, c in q.terms.items()] if k != 1 else q.terms.items()
+        terms = self.terms
+        get = terms.get
+        for m1, c1 in p.terms.items():
+            for m2, c2 in inner:
+                m = m1 + m2
+                terms[m] = get(m, 0) + c1 * c2
 
     def add_derivation(self, p: Poly, pairs, sign: int = 1) -> None:
         """self += sign * sum(dp/dg * img for g, img in pairs), for a

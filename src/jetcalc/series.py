@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import chain
+from math import comb
 
 from .calculus import NEG_INF, order_text, total_t, total_x
 from .errors import JetCalcError, RootNotInClass
@@ -52,15 +54,13 @@ def default_slots() -> int:
     return value
 
 
-def binom_falling(i: int, k: int) -> Fraction:
-    """i(i-1)...(i-k+1)/k! for any integer i, exact."""
-    num = 1
-    for j in range(k):
-        num *= i - j
-    den = 1
-    for j in range(2, k + 1):
-        den *= j
-    return Fraction(num, den)
+def binom_falling(i: int, k: int) -> int:
+    """C(i,k) = i(i-1)...(i-k+1)/k! for any integer i, an exact int:
+    comb(i, k) for i >= 0, and (-1)^k comb(k-i-1, k) for i < 0."""
+    if i >= 0:
+        return comb(i, k)
+    c = comb(k - i - 1, k)
+    return -c if k % 2 else c
 
 
 class PsdSeries:
@@ -193,30 +193,38 @@ def dx_towers():
     return dx
 
 
-def _leibniz_sum(i: int, B, m: int, dx, low: int = 0) -> JetExpr:
+def _leibniz_terms(A, B, m: int, dx, low: int = 0, sign: int = 1):
+    """The (sign * C(i,k), a_i, D_x^k(b_j)) triples of the xi^m coefficient of
+    sign * A o B over i + j - k = m, k >= low, for ``JetExpr.combination``."""
+    for i, a in A.items():
+        for j, b in B.items():
+            k = i + j - m
+            # C(i,k) = 0 for 0 <= i < k
+            if k >= low and (i < 0 or k <= i) and not (d := dx(b, k)).is_zero:
+                yield sign * binom_falling(i, k), a, d
+
+
+def _leibniz_sum(i: int, B, m: int, dx) -> JetExpr:
     """The factor of a_i in the xi^m coefficient of a_i xi^i o B: the sum of
-    C(i,k) D_x^k(b_j) over i + j - k = m, k >= low, in B's order."""
-    # C(i,k) = 0 for 0 <= i < k
-    return JetExpr.combination((binom_falling(i, k), d) for j, b in B.items()
-                               if (k := i + j - m) >= low and (i < 0 or k <= i)
-                               and not (d := dx(b, k)).is_zero)
+    C(i,k) D_x^k(b_j) over i + j - k = m, k >= 0."""
+    return JetExpr.combination((c, d, ONE_EXPR)
+                               for c, _, d in _leibniz_terms({i: ONE_EXPR}, B, m, dx))
 
 
 def product_coeff(A, B, m: int, dx) -> JetExpr:
     """The xi^m coefficient of A o B, the sum of a_i C(i,k) D_x^k(b_j) over
-    i + j - k = m, k >= 0, with dx from ``dx_towers()``.  A and B map
-    xi-indices to coefficients (a PsdSeries or a dict); m must lie in the
-    window that their listed coefficients fix."""
-    # one product with each a_i
-    return JetExpr.sum(a * _leibniz_sum(i, B, m, dx) for i, a in A.items())
+    i + j - k = m, k >= 0, with dx from ``dx_towers()``, in one
+    ``JetExpr.combination``.  A and B map xi-indices to coefficients (a
+    PsdSeries or a dict); m must lie in the window that their listed
+    coefficients fix."""
+    return JetExpr.combination(_leibniz_terms(A, B, m, dx))
 
 
 def commutator_coeff(A, B, m: int, dx) -> JetExpr:
     """The xi^m coefficient of A o B - B o A, as ``product_coeff``: the k = 0
     products a_i b_j of the two sides cancel, so only k >= 1 is formed."""
-    return JetExpr.combination(
-        [(1, a * _leibniz_sum(i, B, m, dx, 1)) for i, a in A.items()]
-        + [(-1, b * _leibniz_sum(j, A, m, dx, 1)) for j, b in B.items()])
+    return JetExpr.combination(chain(_leibniz_terms(A, B, m, dx, 1),
+                                     _leibniz_terms(B, A, m, dx, 1, -1)))
 
 
 def _tail_below(A, B, floor: int, dx, low: int = 0) -> bool:
@@ -278,8 +286,8 @@ def adjoint(A: PsdSeries, slots: int | None = None) -> PsdSeries:
     # one product (+-xi^i) o a_i per coefficient
     terms = [({i: as_expr(-1 if i % 2 else 1)}, {0: a}) for i, a in A.items()]
     acc = {m: c for m in range(top, floor - 1, -1)
-           if not (c := JetExpr.sum(product_coeff(sign, a, m, dx)
-                                    for sign, a in terms)).is_zero}
+           if not (c := JetExpr.combination(t for sign, a in terms
+                                            for t in _leibniz_terms(sign, a, m, dx))).is_zero}
     truncated = not A.exact or any(_tail_below(sign, a, floor, dx) for sign, a in terms)
     return PsdSeries(acc, floor if truncated else None)
 
@@ -338,8 +346,8 @@ def nth_root(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
                 inner = known.get(key)
                 if inner is None:
                     inner = known[key] = _leibniz_sum(i, R, m, dx)
-                terms.append(a * inner)
-            powers[k][m] = JetExpr.sum(terms)
+                terms.append((1, a, inner))
+            powers[k][m] = JetExpr.combination(terms)
         r = (A.coeff(n - s) - powers[n].get(n - s, ZERO_EXPR)) / (n * root ** (n - 1))
         R[1 - s] = r
         for k in range(2, n + 1):

@@ -19,6 +19,7 @@ from jetcalc.expr import (
     partial_u_total,
     specialize_f,
     substitute,
+    substitute_map,
     t,
     u,
     x,
@@ -233,8 +234,10 @@ def test_sum_reduces_once_per_group_and_once_per_merge(monkeypatch, d, lone):
         expected = expected + term
     calls = _count_reductions(monkeypatch)
     assert JetExpr.sum(terms) == expected
-    # a lone term is reduced already: only the d - 1 merges reduce
-    assert len(calls) == (d - 1 if lone else 2 * d - 1)
+    # a lone term is reduced already, and so is the sum over 1 of the third
+    # group: each other group reduces once, and the d - 1 merges reduce
+    rational = d - (d >= 3)
+    assert len(calls) == (d - 1 if lone else rational + d - 1)
 
 
 @pytest.mark.parametrize("spec, f6_f3", [
@@ -254,10 +257,95 @@ def test_specialize_derives_each_depth_once(monkeypatch, spec, f6_f3):
         return derive(e, image)
 
     monkeypatch.setattr(expr_module, "derive", counting_derive)
-    got = specialize_f(parse("df^6*f'''(u) + rhat(u)"), spec)
+    expr_module._chain_image.cache_clear()
+    e = parse("df^6*f'''(u) + rhat(u)")
+    got = specialize_f(e, spec)
     # f', ..., f^(6) once each; f''' is on the way to f^(6)
     assert len(calls) == 6
     assert got == f6_f3 + spec.f_image(-2)
+    # the images are memoized per spec and depth: a second call derives none
+    assert specialize_f(e, spec) == got
+    assert len(calls) == 6
+
+
+def _count_products(monkeypatch) -> list:
+    """Record each JetExpr product as True when a factor is rational, not
+    polynomial; the engine still computes them."""
+    calls = []
+    original = JetExpr.__mul__
+
+    def counted(self, other):
+        calls.append(self.den != ONE or as_expr(other).den != ONE)
+        return original(self, other)
+
+    monkeypatch.setattr(JetExpr, "__mul__", counted)
+    return calls
+
+
+def _rational_expr(rng: random.Random) -> JetExpr:
+    """A random expression over one of a few denominators, some shared."""
+    den = rng.choice((u(0) + par("c"), (u(0) + par("c")) ** 2, u(1) ** 2 + 1, par("b") * u(0)))
+    return random_expr(rng, max_terms=2) / den
+
+
+def test_combination_of_products_matches_the_sum_of_the_products(monkeypatch):
+    # sum(c * a * b): a product of two polynomials is folded into the sum
+    # without a JetExpr product, one with a rational factor is a * b
+    rng = random.Random(735)
+    for case in range(200):
+        rational = case % 2
+        triples = []
+        for _ in range(rng.randint(1, 6)):
+            c = Fraction(rng.choice((-3, -1, 0, 1, 2)), rng.choice((1, 2, 3)))
+            a, b = random_expr(rng), random_expr(rng)
+            if rational and rng.random() < 0.5:
+                a = _rational_expr(rng)
+            if rng.random() < 0.2:
+                b = a * -1  # products that cancel between terms
+            triples.append((c, a, b))
+        want = JetExpr.sum(c * a * b for c, a, b in triples)
+        with monkeypatch.context() as m:
+            calls = _count_products(m)
+            got = JetExpr.combination(triples)
+        assert got == want, (case, triples)
+        fallback = sum(1 for c, a, b in triples if c and a.den != ONE)
+        assert calls == [True] * fallback, (case, calls)
+
+
+def _evaluate_reference(p: Poly, mapping: dict) -> JetExpr:
+    """p with its generators replaced, term by term in JetExpr arithmetic."""
+    total = as_expr(0)
+    for mono, c in p.items():
+        term = as_expr(c)
+        for g, e in mono:
+            term = term * mapping.get(g, JetExpr.from_gen(g)) ** e
+        total = total + term
+    return total
+
+
+def test_substitute_map_with_polynomial_images_matches_the_expression_route(monkeypatch):
+    # the parts of e over the replaced generators times their power
+    # products: with polynomial images no product has a rational factor
+    rng = random.Random(736)
+    pool = gen_pool()
+    gens = [g for e in pool for g in e.generators()]
+    for case in range(200):
+        e = random_expr(rng, max_terms=4, max_factors=3)
+        if case % 3 == 0:
+            e = e / rng.choice((u(0) * fn("f") + 1, u(1) ** 2 + par("b") * u(0), x() - t()))
+        mapping = {g: random_expr(rng) for g in rng.sample(gens, rng.randint(1, 3))}
+        polynomial = case % 4 != 1
+        if not polynomial:
+            mapping[rng.choice(list(mapping))] = _rational_expr(rng)
+        relevant = {g: v for g, v in mapping.items() if g in e.generators()}
+        want = (_evaluate_reference(e.num, relevant) / _evaluate_reference(e.den, relevant)
+                if relevant else e)
+        with monkeypatch.context() as m:
+            calls = _count_products(m)
+            got = substitute_map(e, mapping)
+        assert got == want, (case, e, mapping)
+        if polynomial:
+            assert not any(calls), (case, calls)
 
 
 def test_is_zero_examples():

@@ -15,6 +15,7 @@ within the engine on the same seeded inputs.
 
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -23,6 +24,7 @@ sympy = pytest.importorskip("sympy")
 import jetcalc.calculus as calculus  # noqa: E402
 from jetcalc.analysis import vanish  # noqa: E402
 from jetcalc.calculus import euler, formal_x_integrate, total_x  # noqa: E402
+from jetcalc.dsl import parse_series  # noqa: E402
 from jetcalc.expr import (  # noqa: E402
     ZERO_EXPR,
     JetExpr,
@@ -46,14 +48,7 @@ from jetcalc.poly import (  # noqa: E402
     param,
     unknown_t,
 )
-from jetcalc.series import (  # noqa: E402
-    PsdSeries,
-    commutator,
-    commutator_coeff,
-    compose,
-    dx_towers,
-    product_coeff,
-)
+from jetcalc.series import PsdSeries, commutator, compose  # noqa: E402
 
 CASES = 200
 LN = fnsym("lnuc", 0)
@@ -229,9 +224,14 @@ def test_residual_carries_the_variational_derivative():
     assert nonzero > 10
 
 
-# The strip as it stood before its one-pass kernels: the degree read by
-# degree_in, the slope and the powers of an antiderivative by _to_univariate,
+# The strip as it stood before its one-pass kernels: the degree read off the
+# exponents, the slope and the powers of an antiderivative by _to_univariate,
 # D(C) subtracted as an expression of its own and zeta summed step by step.
+
+
+def _degree(p, g):
+    """The degree of p in g, the largest exponent of g in its terms."""
+    return max((dict(mono).get(g, 0) for mono, _ in p.items()), default=0)
 
 
 def _strip_reference(F, image, piece):
@@ -246,7 +246,7 @@ def _strip_reference(F, image, piece):
 
 
 def _affine_piece_reference(rem, H, pred, shifted):
-    if H in rem.den.generators() or rem.num.degree_in(H) != 1:
+    if H in rem.den.generators() or _degree(rem.num, H) != 1:
         return None
     slope = JetExpr._reduce(_to_univariate(rem.num, H)[1], rem.den)
     if pred is not jet(0):
@@ -309,18 +309,80 @@ def _inexact_series(rng: random.Random) -> PsdSeries:
     return PsdSeries.from_coeffs(coeffs, exact=rng.random() < 0.3, bottom=top - 2)
 
 
+def _binom(i: int, k: int) -> Fraction:
+    """i(i-1)...(i-k+1)/k!, as the falling product it is defined by."""
+    return Fraction(prod(i - j for j in range(k)), factorial(k))
+
+
+def _dx_power(b, k: int):
+    for _ in range(k):
+        b = total_x(b)
+    return b
+
+
+def _product_reference(A: PsdSeries, B: PsdSeries, m: int):
+    """The xi^m coefficient of A o B, one Leibniz product at a time."""
+    total = ZERO_EXPR
+    for i, a in A.terms.items():
+        for j, b in B.terms.items():
+            k = i + j - m
+            if k >= 0:
+                total = total + a * _binom(i, k) * _dx_power(b, k)
+    return total
+
+
+def _leaves_window(A: PsdSeries, B: PsdSeries, floor: int) -> bool:
+    """True when some product a_i C(i,k) D_x^k(b_j) of A o B with k >= 1 is
+    nonzero and sits below xi^floor.  C(i,k) vanishes for 0 <= i < k, and
+    D_x^k(b) = 0 ends b's tower, so a few k past the first one decide."""
+    for i in A.terms:
+        for j, b in B.terms.items():
+            first = max(1, i + j - floor + 1)
+            for k in range(first, first + 4):
+                if _binom(i, k) and not _dx_power(b, k).is_zero:
+                    return True
+    return False
+
+
 def test_commutator_drops_only_the_cancelling_products():
-    # every k >= 1 product stays: the coefficients equal those of the two
-    # products, and the series equals compose - compose, floor included
+    # on its window the commutator has the coefficients of A o B - B o A, and
+    # it is inexact exactly when an operand is or when a product with k >= 1
+    # leaves the window: the k = 0 products a_i b_j cancel between the sides
     rng = random.Random(409)
-    for case in range(30):
-        A, B = _inexact_series(rng), _inexact_series(rng)
-        dx = dx_towers()
-        top = A.degree() + B.degree()
-        for m in range(top, top - 6, -1):
-            assert commutator_coeff(A, B, m, dx) == (product_coeff(A, B, m, dx)
-                                                     - product_coeff(B, A, m, dx)), (case, m)
+    outcomes = {True: 0, False: 0}
+    for case in range(60):
+        if case % 2:
+            A, B = _inexact_series(rng), _inexact_series(rng)
+        else:
+            # exact operands at indices >= 0, some free of jets, so that the
+            # products below the window can all vanish
+            A, B = (PsdSeries.from_coeffs(
+                {i: _random_expr(rng, rng.choice(((jet(0), jet(1)), (param("b"), param("c")))))
+                 for i in range(top, top - 3, -1) if i == top or rng.random() < 0.6})
+                for top in (rng.randint(1, 3), rng.randint(1, 3)))
         slots = rng.randint(2, 6)
         got = commutator(A, B, slots)
-        want = compose(A, B, slots) - compose(B, A, slots)
-        assert (got.floor, got.terms) == (want.floor, want.terms), (case, A, B, slots)
+        # the window of A o B: slots below the top, and no lower than the
+        # floor of an inexact operand allows
+        top = A.degree() + B.degree()
+        window = max([top - slots + 1] + [s.floor + t.degree()
+                                          for s, t in ((A, B), (B, A)) if not s.exact])
+        for m in range(top, window - 1, -1):
+            want = _product_reference(A, B, m) - _product_reference(B, A, m)
+            assert got.coeff(m) == want, (case, m, A, B)
+        inexact = (not A.exact or not B.exact or _leaves_window(A, B, window)
+                   or _leaves_window(B, A, window))
+        assert got.exact is not inexact, (case, A, B, slots)
+        if inexact:
+            assert got.floor == window, (case, A, B, slots)
+        else:
+            # nothing below the window: every lower coefficient is zero
+            for m in range(window - 1, window - 4, -1):
+                assert (_product_reference(A, B, m) - _product_reference(B, A, m)).is_zero
+        outcomes[inexact] += 1
+    assert min(outcomes.values()) > 5, outcomes
+    # every product below the 3-slot window has k = 0, so the zero is exact
+    # although compose - compose is not
+    A, B = parse_series("xi^2 + u*xi^(-5)"), parse_series("b")
+    assert commutator(A, B, 3) == PsdSeries.zero()
+    assert not (compose(A, B, 3) - compose(B, A, 3)).exact

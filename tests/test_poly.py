@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +9,7 @@ import pytest
 from jetcalc import ExponentOverflow, FunctionSpec, gke
 from jetcalc.analysis import formal_symmetry_scan
 from jetcalc.dsl import parse_series
+import jetcalc.poly as poly_module
 from jetcalc.expr import ONE_EXPR, JetExpr, derive
 from jetcalc.poly import (
     EMPTY_MONO,
@@ -17,6 +20,7 @@ from jetcalc.poly import (
     X,
     ZERO,
     Poly,
+    PolySum,
     _to_univariate,
     fnsym,
     jet,
@@ -31,20 +35,20 @@ from jetcalc.series import nth_root
 POOL = [X, T, jet(0), jet(1), jet(2), fnsym("f"), fnsym("f", 1), param("b"), param("c")]
 
 
-def random_poly(rng: random.Random, max_terms=5, max_factors=3, max_exp=3) -> Poly:
+def random_poly(rng: random.Random, max_terms=5, max_factors=3, max_exp=3, pool=POOL) -> Poly:
     total = ZERO
     for _ in range(rng.randint(0, max_terms)):
         term = Poly.const(Fraction(rng.randint(1, 5) * rng.choice((1, -1)),
                                    rng.choice((1, 2, 3))))
         for _ in range(rng.randint(0, max_factors)):
-            term = term * Poly.gen(rng.choice(POOL)) ** rng.randint(1, max_exp)
+            term = term * Poly.gen(rng.choice(pool)) ** rng.randint(1, max_exp)
         total = total + term
     return total
 
 
 def dense_reference(p: Poly, v) -> list[Poly]:
     """Coefficient list of p in v, one g-power at a time."""
-    d = p.degree_in(v)
+    d = max((dict(m).get(v, 0) for m, _ in p.items()), default=0)
     out = []
     for k in range(d + 1):
         terms = {}
@@ -113,9 +117,12 @@ def _assert_canonical(p: Poly):
 
 def test_every_poly_of_a_scan_and_a_root_is_canonical(monkeypatch):
     # int coefficients over one positive denominator, coprime with them: every
-    # Poly built by Theorem 3 scans on log and quadratic f and a root at the
-    # default 20 slots is checked.  Earlier tests warm the memos, so the two
-    # scans together keep the count bound in any test order
+    # Poly built by Theorem 3 scans on log and quadratic f and by two roots at
+    # the default 20 slots is checked.  Earlier tests warm the memos, so the
+    # two scans together keep the count bound in any test order.  The README
+    # root folds its polynomial products into sums without building them, so
+    # the root of the log branch, computed in w = u + c with rational
+    # coefficients and translated back, joins it to keep the bound
     built = []
     init = Poly.__init__
 
@@ -129,6 +136,8 @@ def test_every_poly_of_a_scan_and_a_root_is_canonical(monkeypatch):
     formal_symmetry_scan(gke(FunctionSpec.quadratic()))
     scan_polys = len(built)
     nth_root(parse_series("xi^5 + b*xi^3 + f(u)*xi + f'(u)*u_x"), 5, slots=20)
+    nth_root(parse_series("xi^5 + b*xi^3 + (gamma*ln(u+c) + delta)*xi + gamma*u_x/(u + c)"), 5,
+             slots=20)
     assert scan_polys > 1000 and len(built) - scan_polys > 1000, (scan_polys, len(built))
     assert max(built) > 1
     for p in (ZERO, ONE):
@@ -175,8 +184,11 @@ def test_exponent_overflow_is_an_error():
     u = Poly.gen(jet(0))
     top = u ** MAX_EXPONENT
     assert top.terms == {monomial([(jet(0), MAX_EXPONENT)]): 1}
-    assert top.degree_in(jet(0)) == MAX_EXPONENT
-    assert (top * Poly.gen(jet(1))).degree_in(jet(0)) == MAX_EXPONENT
+    assert len(_to_univariate(top, jet(0))) == MAX_EXPONENT + 1
+    assert top.affine_slope(jet(0)) is None
+    # u_x takes a field of its own: u keeps its exponent, the slope in u_x
+    assert len(_to_univariate(top * Poly.gen(jet(1)), jet(0))) == MAX_EXPONENT + 1
+    assert (top * Poly.gen(jet(1))).affine_slope(jet(1)) == top
     with pytest.raises(ExponentOverflow, match=f"exponent of u exceeds {MAX_EXPONENT}"):
         u ** (MAX_EXPONENT + 1)
     with pytest.raises(ExponentOverflow):
@@ -188,6 +200,87 @@ def test_exponent_overflow_is_an_error():
         monomial([(jet(0), MAX_EXPONENT + 1)])
     with pytest.raises(ExponentOverflow):
         monomial([(jet(0), MAX_EXPONENT), (jet(0), 1)])
+
+
+def _product_oracle(cases: int, add_product=PolySum.add_product) -> list:
+    """The cases in which add_product disagrees with Poly.__mul__ followed by
+    PolySum.add.
+
+    Each case folds one to four rational multiples of products p * q into
+    one PolySum, and the products built by __mul__ into another; in half the
+    cases each product is added again with the opposite sign, so the sum
+    cancels to zero.  A third of the products carry u to a power near
+    MAX_EXPONENT in p and to a small one in q: where __mul__ raises
+    ExponentOverflow, add_product must raise it too and leave the sum as it
+    was."""
+    rng = random.Random(730)
+    u = Poly.gen(jet(0))
+    no_u = [g for g in POOL if g is not jet(0)]
+    failures = []
+    for case in range(cases):
+        acc, ref = PolySum(), PolySum()
+        cancel = case % 2
+        try:
+            for _ in range(rng.randint(1, 4)):
+                p, q = random_poly(rng, pool=no_u), random_poly(rng, pool=no_u)
+                if rng.random() < 0.35:
+                    # u^big on every term of p beside a u-free part
+                    p = p * u ** rng.randint(MAX_EXPONENT - 6, MAX_EXPONENT) + random_poly(rng)
+                    q = q * u ** rng.randint(0, 4) + random_poly(rng, max_terms=1, pool=no_u)
+                c = Fraction(rng.choice((-3, -1, 1, 2, 6)), rng.choice((1, 2, 3, 4)))
+                try:
+                    want = p * q
+                except ExponentOverflow:
+                    before = dict(acc.terms), acc.den
+                    try:
+                        add_product(acc, p, q, c.numerator, c.denominator)
+                    except ExponentOverflow:
+                        assert (dict(acc.terms), acc.den) == before, (case, p, q)
+                        continue
+                    raise AssertionError(f"no overflow: {case}, {p}, {q}")
+                add_product(acc, p, q, c.numerator, c.denominator)
+                ref.add(want, c.numerator, c.denominator)
+                if cancel:
+                    add_product(acc, q, p, -c.numerator, c.denominator)
+            got = acc.value()
+            _assert_canonical(got)
+            assert got == (ZERO if cancel else ref.value()), (case, got)
+        except AssertionError:
+            failures.append(case)
+    return failures
+
+
+def test_add_product_matches_mul_and_add():
+    assert _product_oracle(300) == []
+
+
+def test_product_oracle_catches_an_add_product_without_its_guard_check():
+    # a mutant of add_product that never looks at the guard bits
+    src = textwrap.dedent(inspect.getsource(PolySum.add_product))
+    mutant = src.replace("if (reduce(or_, p.terms) + reduce(or_, q.terms)) & _GUARDS:",
+                         "if False:")
+    assert mutant != src
+    namespace = dict(vars(poly_module))
+    exec(mutant, namespace)
+    assert len(_product_oracle(100, namespace["add_product"])) > 10
+
+
+def test_add_product_at_max_exponent():
+    u, ux = Poly.gen(jet(0)), Poly.gen(jet(1))
+    # the exponents 2^14 and 2^14 - 1 of u or to MAX_EXPONENT, so the first
+    # test passes the sum to the exact one, which finds no overflow in u^(2^14 + 1)
+    p = u ** 2 ** 14 + u ** (2 ** 14 - 1) * ux
+    acc = PolySum()
+    acc.add_product(p, u + ux, 2, 3)
+    assert acc.value() == (p * (u + ux)).scale(Fraction(2, 3))
+    acc = PolySum()
+    acc.add_product(u ** MAX_EXPONENT, ux)
+    acc.add_product(ux, u ** MAX_EXPONENT, -1)
+    assert acc.value() == ZERO
+    with pytest.raises(ExponentOverflow, match=f"exponent of u exceeds {MAX_EXPONENT}"):
+        PolySum().add_product(p, u ** 2 ** 14 + ux)
+    with pytest.raises(ExponentOverflow, match=f"exponent of u exceeds {MAX_EXPONENT}"):
+        PolySum().add_product(u ** MAX_EXPONENT + ux, u * ux + ONE)
 
 
 def test_affine_slope_only_at_degree_one():
@@ -222,7 +315,8 @@ def test_an_antiderivative_past_max_exponent_is_an_overflow():
     u, ux = Poly.gen(jet(0)), Poly.gen(jet(1))
     p = u ** MAX_EXPONENT * ux + ux
     # in u_x the exponent of u stays at MAX_EXPONENT
-    assert p.antiderivative(jet(1)).degree_in(jet(0)) == MAX_EXPONENT
+    assert len(_to_univariate(p.antiderivative(jet(1)), jet(0))) == MAX_EXPONENT + 1
+    assert p.antiderivative(jet(1)).affine_slope(jet(0)) is None
     with pytest.raises(ExponentOverflow, match=f"exponent of u exceeds {MAX_EXPONENT}"):
         p.antiderivative(jet(0))
     assert (u ** (MAX_EXPONENT - 1)).antiderivative(jet(0)) == \

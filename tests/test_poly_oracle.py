@@ -275,6 +275,11 @@ def _main_gen(p: Poly):
     return max(p.generators(), key=lambda g: g.key)
 
 
+def _degree(p: Poly, v) -> int:
+    """The degree of p in v, the largest exponent of v in its terms."""
+    return max((dict(mono_factors(m)).get(v, 0) for m in p.terms), default=0)
+
+
 def _check_division(a: Poly, b: Poly, *context, divide=div_exact) -> bool:
     q_s, r_s = _to_ring(a).div(_to_ring(b))
     q = divide(a, b)
@@ -310,7 +315,7 @@ def test_div_exact_low_degree_dividend_matches_sympy():
         v = _main_gen(b)
         rest = tuple(g for g in GENS if g is not v)
         a = ZERO
-        for k in range(b.degree_in(v)):
+        for k in range(_degree(b, v)):
             a = a + _random_poly(rng, max_terms=2, gens=rest) * Poly.gen(v) ** k
         if a.is_zero():
             continue
@@ -337,7 +342,7 @@ def test_div_exact_gapped_dividend_matches_sympy():
         a = b * gapped()
         if rng.random() < 0.5:
             a = a + _random_nonzero(rng, max_terms=1, gens=rest) * Poly.gen(v)
-        assert _main_gen(b) is v and b.degree_in(v) >= 2, (case, b)
+        assert _main_gen(b) is v and _degree(b, v) >= 2, (case, b)
         exact += _check_division(a, b, case, a, b)
     assert 50 < exact < 200
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 
@@ -46,6 +47,20 @@ def test_binom_falling():
     assert binom_falling(5, 6) == 0
     assert binom_falling(-1, 3) == -1
     assert binom_falling(-2, 2) == 3
+
+
+def test_binom_falling_is_an_exact_int():
+    # C(i,k) is an integer for every integer i: comb(i, k) for i >= 0, and
+    # (-1)^k C(k-i-1, k) for i < 0, both the falling product over k!
+    for i in range(-30, 31):
+        for k in range(12):
+            c = binom_falling(i, k)
+            assert type(c) is int, (i, k)
+            assert c == Fraction(prod(i - j for j in range(k)), factorial(k)), (i, k)
+            if i >= 0:
+                assert c == comb(i, k), (i, k)
+            else:
+                assert c == (-1) ** k * comb(k - i - 1, k), (i, k)
 
 
 def test_compose_leibniz():
