@@ -100,7 +100,7 @@ def is_trivial_density(rho: JetExpr) -> bool:
     return euler(as_expr(rho)).is_zero
 
 
-def symmetry_from_density(eq: EvolutionEquation, rho: JetExpr) -> JetExpr:
+def symmetry_from_density(rho: JetExpr) -> JetExpr:
     """Hamiltonian map density -> symmetry characteristic: D_x(delta rho/ delta u)."""
     return total_x(euler(as_expr(rho)))
 
@@ -122,9 +122,6 @@ class RankResult:
     value: int | None
     at_least: bool = False
     unbounded: bool = False
-
-    def satisfies(self, k: int) -> bool:
-        return self.unbounded or (self.value is not None and self.value >= k)
 
     def __repr__(self):
         if self.unbounded:

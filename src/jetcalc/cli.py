@@ -205,7 +205,7 @@ def _density(args, report, eq):
 
 
 def _lemma1(args, report, eq):
-    Q = symmetry_from_density(eq, _operand(args, report, "rho", eq))
+    Q = symmetry_from_density(_operand(args, report, "rho", eq))
     residual = symmetry_residual(eq, Q)
     _result(report, print_expr(Q), "characteristic")
     _result(report, print_expr(residual), "residual", "residual")

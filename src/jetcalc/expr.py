@@ -74,9 +74,7 @@ from .errors import DivisionByZero, InconsistentJetSubstitution, NotAPointFuncti
 from .poly import (
     KIND_FN,
     KIND_JET,
-    KIND_PARAM,
     KIND_T,
-    KIND_UNKNOWN,
     KIND_X,
     ONE,
     ZERO,
@@ -196,10 +194,6 @@ class JetExpr:
             if g.kind == KIND_JET and (best is None or g.index > best):
                 best = g.index
         return best
-
-    def depends_only_on_t(self) -> bool:
-        """True when the expression lies in ker D_x (t, unknowns, params)."""
-        return all(g.kind in (KIND_T, KIND_UNKNOWN, KIND_PARAM) for g in self.generators())
 
     def __eq__(self, other):
         if not isinstance(other, JetExpr):
@@ -328,7 +322,7 @@ class JetExpr:
             if self.is_zero:
                 raise DivisionByZero("zero to a negative power")
             return JetExpr._reduce(self.den ** (-n), self.num ** (-n))
-        return JetExpr(self.num ** n, self.den ** n)
+        return JetExpr(self.num ** n, self.den if self.den == ONE else self.den ** n)
 
     def __repr__(self):
         from .dsl import print_expr  # the one printer; cycle broken at call time
@@ -516,7 +510,7 @@ def _evaluate(p: Poly, mapping: dict) -> JetExpr:
             power = powers.get(ge)
             if power is None:
                 g, e = ge
-                power = powers[ge] = mapping[g] if e == 1 else mapping[g] ** e
+                power = powers[ge] = mapping[g] ** e
             factor = power if factor is ONE_EXPR else factor * power
         terms.append((1, JetExpr(inner, ONE), factor))
     return JetExpr.combination(terms)

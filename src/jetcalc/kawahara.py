@@ -42,13 +42,12 @@ from .expr import (
     fn,
     par,
     specialize_f,
-    substitute,
     substitute_map,
     t,
     u,
     x,
 )
-from .poly import jet, param
+from .poly import param
 from .series import _fraction_nth_root
 
 
@@ -94,10 +93,6 @@ class QuadraticNormalization:
     x_shift_rate: JetExpr
     scale: JetExpr
     scale_relation: tuple[JetExpr, JetExpr] | None
-
-    def apply_to_density(self, rho: JetExpr) -> JetExpr:
-        """Transform a density expression through the u-shift and scaling."""
-        return substitute(as_expr(rho), jet(0), u(0) / self.scale + self.u_shift)
 
 
 def normalize_quadratic_f(f: FunctionSpec) -> tuple[FunctionSpec, QuadraticNormalization]:

@@ -229,13 +229,7 @@ class Poly:
     def generators(self) -> frozenset:
         """The generators of the monomials, kept: a Poly is immutable."""
         if self._gens is None:
-            m = reduce(or_, self.terms, 0)
-            gens = set()
-            while m:
-                g = _FIELD_GENS[((m & -m).bit_length() - 1) // FIELD_BITS]
-                gens.add(g)
-                m &= ~(_FIELD_MASK << g.shift)
-            self._gens = frozenset(gens)
+            self._gens = frozenset(g for g, _ in _unpack(reduce(or_, self.terms, 0)))
         return self._gens
 
     def __bool__(self):
@@ -318,14 +312,17 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power on Poly")
-        result = ONE
-        base = self
-        while n:
+        if n == 0:
+            return ONE
+        # square and multiply, starting from the base: p**1 is p itself
+        base, result = self, None
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- structure ------------------------------------------------------
 

@@ -1,10 +1,13 @@
 """Formal Laurent series in xi with JetExpr coefficients.
 
-Composition follows the generalized Leibniz rule
+Every product follows the generalized Leibniz rule
 
     a xi^i o b xi^j = a * sum_k  C(i,k) D_x^k(b) xi^(i+j-k)
 
-with C(i,k) = i(i-1)...(i-k+1)/k! computed exactly for any integer i.
+with C(i,k) = i(i-1)...(i-k+1)/k! computed exactly for any integer i.  One
+coefficient routine sums it over a list of signed products S o T, and one
+window routine runs that over a product's guaranteed window: compose,
+commutator, adjoint and nth_root's inner sums all go through them.
 Precision is explicit window bookkeeping: a series stores its nonzero
 coefficients and its floor, the lowest xi-power whose coefficient is
 guaranteed; below that, coefficients are dropped, never silently wrong.  A
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import chain
 from math import comb
 
 from .calculus import NEG_INF, order_text, total_t, total_x
@@ -144,10 +146,6 @@ class PsdSeries:
             self._hash = hash((frozenset(self.terms.items()), self.floor))
         return self._hash
 
-    def agrees_with(self, other: "PsdSeries") -> bool:
-        """Equality of coefficients on the common guaranteed window."""
-        return (self - other).is_zero_on_window()
-
     def __repr__(self):
         from .dsl import print_series  # the one printer; cycle broken at call time
         return print_series(self)
@@ -194,37 +192,35 @@ def dx_towers():
 
 
 def _leibniz_terms(A, B, m: int, dx, low: int = 0, sign: int = 1):
-    """The (sign * C(i,k), a_i, D_x^k(b_j)) triples of the xi^m coefficient of
+    """The (sign * C(i,k), D_x^k(b_j), a_i) triples of the xi^m coefficient of
     sign * A o B over i + j - k = m, k >= low, for ``JetExpr.combination``."""
     for i, a in A.items():
         for j, b in B.items():
             k = i + j - m
             # C(i,k) = 0 for 0 <= i < k
             if k >= low and (i < 0 or k <= i) and not (d := dx(b, k)).is_zero:
-                yield sign * binom_falling(i, k), a, d
+                yield sign * binom_falling(i, k), d, a
 
 
-def _leibniz_sum(i: int, B, m: int, dx) -> JetExpr:
-    """The factor of a_i in the xi^m coefficient of a_i xi^i o B: the sum of
-    C(i,k) D_x^k(b_j) over i + j - k = m, k >= 0."""
-    return JetExpr.combination((c, d, ONE_EXPR)
-                               for c, _, d in _leibniz_terms({i: ONE_EXPR}, B, m, dx))
+def _products_coeff(products, m: int, dx, low: int = 0) -> JetExpr:
+    """The xi^m coefficient of the sum of sign * S o T over the (S, T, sign)
+    products, terms with k >= low, in one ``JetExpr.combination``, with dx
+    from ``dx_towers()``.  S and T map xi-indices to coefficients (a PsdSeries
+    or a dict); an s_i of ``ONE_EXPR`` makes plain terms, no products."""
+    return JetExpr.combination(t for S, T, sign in products
+                               for t in _leibniz_terms(S, T, m, dx, low, sign))
 
 
 def product_coeff(A, B, m: int, dx) -> JetExpr:
     """The xi^m coefficient of A o B, the sum of a_i C(i,k) D_x^k(b_j) over
-    i + j - k = m, k >= 0, with dx from ``dx_towers()``, in one
-    ``JetExpr.combination``.  A and B map xi-indices to coefficients (a
-    PsdSeries or a dict); m must lie in the window that their listed
-    coefficients fix."""
-    return JetExpr.combination(_leibniz_terms(A, B, m, dx))
+    i + j - k = m, k >= 0."""
+    return _products_coeff(((A, B, 1),), m, dx)
 
 
 def commutator_coeff(A, B, m: int, dx) -> JetExpr:
-    """The xi^m coefficient of A o B - B o A, as ``product_coeff``: the k = 0
-    products a_i b_j of the two sides cancel, so only k >= 1 is formed."""
-    return JetExpr.combination(chain(_leibniz_terms(A, B, m, dx, 1),
-                                     _leibniz_terms(B, A, m, dx, 1, -1)))
+    """The xi^m coefficient of A o B - B o A: the k = 0 products a_i b_j of
+    the two sides cancel, so only k >= 1 is formed."""
+    return _products_coeff(((A, B, 1), (B, A, -1)), m, dx, 1)
 
 
 def _tail_below(A, B, floor: int, dx, low: int = 0) -> bool:
@@ -240,56 +236,52 @@ def _tail_below(A, B, floor: int, dx, low: int = 0) -> bool:
     return False
 
 
+def _window(top: int, bounds: list[int], slots: int | None, products, low: int) -> PsdSeries:
+    """The sum of sign * S o T over the (S, T, sign) products, terms with
+    k >= low, on ``slots`` indices from xi^top and none below a bound that an
+    inexact operand sets; truncated when there is such a bound or when a
+    product has a term below the window."""
+    if slots is None:
+        slots = default_slots()
+    floor = max([top - slots + 1, *bounds])
+    dx = dx_towers()
+    acc = {m: c for m in range(top, floor - 1, -1)
+           if not (c := _products_coeff(products, m, dx, low)).is_zero}
+    truncated = bool(bounds) or any(_tail_below(S, T, floor, dx, low)
+                                    for S, T, _ in products)
+    return PsdSeries(acc, floor if truncated else None)
+
+
 def compose(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
     """Product in the pseudodifferential algebra."""
-    return _bilinear(A, B, slots, product_coeff, ((A, B),), 0)
+    return _bilinear(A, B, slots, ((A, B, 1),), 0)
 
 
 def commutator(A: PsdSeries, B: PsdSeries, slots: int | None = None) -> PsdSeries:
     """compose(A, B) - compose(B, A), on their common window and inexact when
-    either is, with each coefficient from ``commutator_coeff``.  The k = 0
-    products cancel, so only those with k >= 1 can leave the window."""
-    return _bilinear(A, B, slots, commutator_coeff, ((A, B), (B, A)), 1)
+    either is.  The k = 0 products cancel, so only those with k >= 1 are
+    formed, and only they can leave the window."""
+    return _bilinear(A, B, slots, ((A, B, 1), (B, A, -1)), 1)
 
 
-def _bilinear(A: PsdSeries, B: PsdSeries, slots: int | None, coeff, orders,
+def _bilinear(A: PsdSeries, B: PsdSeries, slots: int | None, products,
               low: int) -> PsdSeries:
-    """The series of xi^m coefficients coeff(A, B, m, dx) on the window of
-    A o B, which is that of B o A; it is truncated when a product in
-    ``orders`` has a term with k >= low below the window."""
+    """``_window`` over the products of A and B, from the top of A o B, which
+    is that of B o A; an inexact operand bounds the window by its floor plus
+    the other's degree."""
     if not A.terms or not B.terms:
         if A.exact and B.exact:
             return PsdSeries.zero()
         return PsdSeries({}, _lead(A) + _lead(B))
-    if slots is None:
-        slots = default_slots()
-    top = A.degree() + B.degree()
-    # window guaranteed by the operands
     bounds = [s.floor + t.degree() for s, t in ((A, B), (B, A)) if not s.exact]
-    floor = max([top - slots + 1, *bounds])
-    dx = dx_towers()
-    acc = {m: c for m in range(top, floor - 1, -1)
-           if not (c := coeff(A, B, m, dx)).is_zero}
-    truncated = bool(bounds) or any(_tail_below(s, t, floor, dx, low) for s, t in orders)
-    return PsdSeries(acc, floor if truncated else None)
+    return _window(A.degree() + B.degree(), bounds, slots, products, low)
 
 
 def adjoint(A: PsdSeries, slots: int | None = None) -> PsdSeries:
-    """Formal adjoint: sum (-xi)^i o a_i."""
-    if slots is None:
-        slots = default_slots()
-    top = _lead(A)
-    floor = top - slots + 1
-    if not A.exact:
-        floor = max(floor, A.floor)
-    dx = dx_towers()
-    # one product (+-xi^i) o a_i per coefficient
-    terms = [({i: as_expr(-1 if i % 2 else 1)}, {0: a}) for i, a in A.items()]
-    acc = {m: c for m in range(top, floor - 1, -1)
-           if not (c := JetExpr.combination(t for sign, a in terms
-                                            for t in _leibniz_terms(sign, a, m, dx))).is_zero}
-    truncated = not A.exact or any(_tail_below(sign, a, floor, dx) for sign, a in terms)
-    return PsdSeries(acc, floor if truncated else None)
+    """Formal adjoint: sum (-xi)^i o a_i, one product (+-xi^i) o a_i per
+    coefficient, bounded by A's floor when A is inexact."""
+    products = [({i: ONE_EXPR}, {0: a}, -1 if i % 2 else 1) for i, a in A.items()]
+    return _window(_lead(A), [] if A.exact else [A.floor], slots, products, 0)
 
 
 def series_power(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
@@ -345,7 +337,7 @@ def nth_root(A: PsdSeries, n: int, slots: int | None = None) -> PsdSeries:
                 key = (i, max(2 - s, m - i))
                 inner = known.get(key)
                 if inner is None:
-                    inner = known[key] = _leibniz_sum(i, R, m, dx)
+                    inner = known[key] = product_coeff({i: ONE_EXPR}, R, m, dx)
                 terms.append((1, a, inner))
             powers[k][m] = JetExpr.combination(terms)
         r = (A.coeff(n - s) - powers[n].get(n - s, ZERO_EXPR)) / (n * root ** (n - 1))

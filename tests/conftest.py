@@ -5,6 +5,17 @@ import pytest
 
 from jetcalc import EvolutionEquation, FunctionSpec, gke
 from jetcalc.expr import as_expr, fn, par, t, u, x
+from jetcalc.poly import KIND_PARAM, KIND_T, KIND_UNKNOWN
+
+
+def agrees(a, b) -> bool:
+    """Two series are equal on their common guaranteed window."""
+    return (a - b).is_zero_on_window()
+
+
+def in_ker_dx(e) -> bool:
+    """e lies in ker D_x: it holds only t, unknowns of t and parameters."""
+    return all(g.kind in (KIND_T, KIND_UNKNOWN, KIND_PARAM) for g in e.generators())
 
 
 @pytest.fixture(scope="session")

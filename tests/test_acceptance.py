@@ -43,7 +43,7 @@ from jetcalc.series import (
     series_power,
 )
 
-from conftest import gen_pool, random_expr
+from conftest import agrees, gen_pool, in_ker_dx, random_expr
 
 GOLDEN = Path(__file__).parent / "golden"
 alpha, beta, gamma, c, b = (par(n) for n in ("alpha", "beta", "gamma", "c", "b"))
@@ -140,7 +140,7 @@ def test_criterion_4_lemma_2_ranks():
     for Q, s in ((q1, 5), (u(1), 1)):
         assert symmetry_residual(eq, Q).is_zero
         r = rank_of(eq, frechet_hat(Q))
-        assert r.satisfies(s + 4), (Q, r)
+        assert r.unbounded or r.value >= s + 4, (Q, r)
     _report(4, "Lemma 2 rank bound")
 
 
@@ -151,11 +151,11 @@ def test_criterion_5_lemma_1_chain():
     for d in dens:
         eq = gke(FunctionSpec.abstract() if d.domain == "abstract"
                  else FunctionSpec.linear())
-        Q = symmetry_from_density(eq, d.rho)
+        Q = symmetry_from_density(d.rho)
         assert symmetry_residual(eq, Q).is_zero, d.label
     rho3 = next(d for d in dens if d.label == "rho3")
     eq = gke(FunctionSpec.abstract())
-    assert (symmetry_from_density(eq, rho3.rho) - q1).is_zero
+    assert (symmetry_from_density(rho3.rho) - q1).is_zero
     _report(5, "Lemma 1 chain")
 
 
@@ -175,13 +175,12 @@ def test_criterion_6_property_suites():
     rng = random.Random(101)
     for _ in range(200):
         A, B, C = (_rand_series(rng) for _ in range(3))
-        assert compose(compose(A, B), C).agrees_with(compose(A, compose(B, C)))
+        assert agrees(compose(compose(A, B), C), compose(A, compose(B, C)))
     # adjoint anti-homomorphism
     rng = random.Random(102)
     for _ in range(200):
         A, B = (_rand_series(rng) for _ in range(2))
-        assert adjoint(compose(A, B)).agrees_with(
-            compose(adjoint(B), adjoint(A)))
+        assert agrees(adjoint(compose(A, B)), compose(adjoint(B), adjoint(A)))
     # Jacobi identity
     rng = random.Random(103)
     for _ in range(200):
@@ -202,7 +201,7 @@ def test_criterion_6_property_suites():
                     coeffs[i] = rng.choice(pool)
             A = PsdSeries.from_coeffs(coeffs, exact=True)
             R = nth_root(A, n, slots=5)
-            assert series_power(R, n, slots=5).agrees_with(A)
+            assert agrees(series_power(R, n, slots=5), A)
             cases += 1
     # euler annihilates total derivatives
     rng = random.Random(105)
@@ -222,7 +221,7 @@ def test_criterion_6_property_suites():
         G = random_expr(rng, pool=pool)
         F = total_x(G)
         zeta, res = formal_x_integrate(F)
-        assert res.depends_only_on_t()
+        assert in_ker_dx(res)
         assert total_x(zeta) == F - res
     _report(6, "randomized algebra property suites")
 

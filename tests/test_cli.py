@@ -193,6 +193,21 @@ def test_scan_refusals_exit_2_in_dsl_spelling(capsys, tmp_path):
         2, "", "error: constraint coefficient 1/9*g + 1/9*t*dg/dt depends on t\n")
 
 
+def test_scan_below_rank_13_is_refused(capsys):
+    code, out, err = run(capsys, "scan", "--eq", str(DATA / "kdv.json"), "--rank", "12")
+    assert (code, out, err) == (2, "", "error: scan supports target ranks >= 13\n")
+
+
+def test_kawahara_verify_says_when_a_flux_is_not_reconstructed(capsys, monkeypatch):
+    # with the integrator refusing every input the Euler test still finds each
+    # density conserved, and the report says that its flux was not built
+    monkeypatch.setattr(analysis, "formal_x_integrate", lambda F, shifted=False: (0 * F, F))
+    code, out, _ = run(capsys, "kawahara", "verify", "--theorem", "2", "--f", "abstract")
+    assert code == 0
+    assert f"  {cli.FLUX_NOT_RECONSTRUCTED}\n" in out
+    assert "FAILED" not in out and "flux (reconstructed)" not in out
+
+
 def test_kawahara_verify_exit_zero_on_obstruction(capsys):
     code, out, _ = run(capsys, "kawahara", "verify", "--theorem", "3",
                        "--f", "quadratic")
@@ -548,6 +563,10 @@ PIN_CASES = {
     "compose": ["compose", "xi^(-1)", "u", "--prec", "6"],
     "adjoint": ["adjoint", "u*xi", "--prec", "6"],
     "commutator": ["commutator", "xi^5", "u*xi", "--prec", "6"],
+    # inexact operands: the window ends at the bound that the O(xi^k) sets
+    "adjoint_inexact": ["adjoint", "u*xi^2 + b*xi^(-1) + O(xi^(-4))", "--prec", "8"],
+    "commutator_inexact": ["commutator", "xi^3 + u*xi^(-1) + O(xi^(-4))", "u*xi^2",
+                           "--prec", "8"],
     "root": ["root", "xi^5 + b*xi^3 + f(u)*xi + f'(u)*u_x", "--n", "5", "--prec", "6"],
     "symmetry": ["symmetry", "t*u_x + 1/alpha", "--eq", "data/gke_linear.json"],
     "symmetry_residual": ["symmetry", "u", "--eq", "data/gke_abstract.json"],

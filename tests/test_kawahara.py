@@ -106,7 +106,7 @@ def test_conjugation_of_rho2():
     assert is_conserved_density(eq1, u(0) ** 2)
     new_spec, rec = normalize_quadratic_f(spec)
     eq2 = gke(new_spec)
-    transported = rec.apply_to_density(u(0) ** 2)
+    transported = substitute(u(0) ** 2, jet(0), u(0) / rec.scale + rec.u_shift)
     assert transported == (u(0) - 1) ** 2
     assert is_conserved_density(eq2, transported)
 
@@ -170,11 +170,11 @@ def test_density_to_symmetry_links(eq_abstract, eq_linear):
     rho2 = dens[1].rho
     rho3 = dens[2].rho
     q1 = u(5) + b * u(3) + fn("f") * u(1)
-    assert symmetry_from_density(eq_abstract, rho3) == q1
-    assert symmetry_from_density(eq_abstract, rho2) == 2 * u(1)
+    assert symmetry_from_density(rho3) == q1
+    assert symmetry_from_density(rho2) == 2 * u(1)
     rho4 = specialize_f(dens[3].rho, eq_linear.fspec)
     q3 = t() * u(1) + 1 / alpha
-    assert symmetry_from_density(eq_linear, rho4) == alpha * q3
+    assert symmetry_from_density(rho4) == alpha * q3
 
 
 def test_characteristic_orders_at_most_four():
@@ -266,7 +266,7 @@ def test_lemma2_rank_bound(eq_abstract):
     syms, _ = catalog()
     for s in syms[:2]:
         r = rank_of(eq_abstract, frechet_hat(s.Q))
-        assert r.satisfies(s.order + 4)
+        assert r.unbounded or r.value >= s.order + 4
 
 
 def test_point_basis_labels():

@@ -202,6 +202,34 @@ def test_exponent_overflow_is_an_error():
         monomial([(jet(0), MAX_EXPONENT), (jet(0), 1)])
 
 
+def test_power_squares_from_the_base(monkeypatch):
+    rng = random.Random(67)
+    polys = [p for p in (random_poly(rng) for _ in range(40)) if p.den > 1][:12]
+    assert len(polys) == 12
+    for p in polys:
+        expect = ONE
+        for n in range(10):
+            assert p ** n == expect, (p, n)
+            expect = expect * p
+    calls = [0]
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for p in polys:
+        assert p ** 1 is p
+    assert calls[0] == 0
+    # squaring from the base still meets the exponent bound
+    m = Poly.gen(jet(0)) * Poly.gen(jet(1))
+    assert (m ** MAX_EXPONENT).terms == {monomial([(jet(0), MAX_EXPONENT),
+                                                   (jet(1), MAX_EXPONENT)]): 1}
+    with pytest.raises(ExponentOverflow):
+        m ** (MAX_EXPONENT + 1)
+
+
 def _product_oracle(cases: int, add_product=PolySum.add_product) -> list:
     """The cases in which add_product disagrees with Poly.__mul__ followed by
     PolySum.add.

@@ -6,7 +6,7 @@ import pytest
 
 from jetcalc import NEG_INF, RootNotInClass
 from jetcalc.calculus import frechet_hat, total_x
-from jetcalc.expr import JetExpr, as_expr, fn, par, partial, u
+from jetcalc.expr import JetExpr, as_expr, fn, par, partial, u, x
 from jetcalc.poly import jet
 from jetcalc.series import (
     PsdSeries,
@@ -19,7 +19,7 @@ from jetcalc.series import (
     series_power,
 )
 
-from conftest import random_expr
+from conftest import agrees, random_expr
 
 
 xi = PsdSeries.xi
@@ -102,6 +102,97 @@ def test_commutator_tail_counts_only_the_products_that_survive():
     assert not got.exact and got.floor == 0
 
 
+# A brute-force reference for the product windows, sharing no code with
+# series: every (i, j, k) term summed per xi-index, with D_x^k and C(i,k) formed
+# from their definitions, and the window taken by definition.
+
+def _ref_window(products, top: int, bounds: list, slots: int, exact: bool) -> PsdSeries:
+    """The sum of sign * S o T over the (S, T, sign) products on xi^top down to
+    ``slots`` indices and no lower than a bound, exact when the operands are
+    and the sum is zero at every index below the window.  A term with i >= 0
+    sits at or above xi^j, and one with i < 0 at each index from xi^(i+j)
+    down: below the lowest of these, four more indices are checked."""
+    towers = {}
+
+    def dx(b, k):
+        tower = towers.setdefault(b, [b])
+        while len(tower) <= k:
+            tower.append(total_x(tower[-1]))
+        return tower[k]
+
+    floor = max([top - slots + 1, *bounds])
+    lowest = min([floor, *(min(i + j, j) for S, T, _ in products
+                           for i, _ in S.items() for j, _ in T.items())]) - 4
+    window = {}
+    for m in range(top, lowest - 1, -1):
+        c = as_expr(0)
+        for S, T, sign in products:
+            for i, a in S.items():
+                for j, b in T.items():
+                    k = i + j - m
+                    if k >= 0:
+                        c = c + sign * Fraction(prod(i - r for r in range(k)), factorial(k)) \
+                            * a * dx(b, k)
+        if m >= floor:
+            window[m] = c
+        elif not c.is_zero:
+            exact = False
+    return PsdSeries.from_coeffs(window, exact, floor)
+
+
+def _ref_bilinear(A, B, slots, products):
+    if not A.terms or not B.terms:
+        # zero on the window that the leads fix: a degree, else a floor, else 0
+        if A.exact and B.exact:
+            return PsdSeries.zero()
+        return PsdSeries({}, sum(max(S.terms, default=S.floor or 0) for S in (A, B)))
+    bounds = [S.floor + T.degree() for S, T in ((A, B), (B, A)) if not S.exact]
+    return _ref_window(products, A.degree() + B.degree(), bounds, slots,
+                       A.exact and B.exact)
+
+
+def _ref_adjoint(A, slots):
+    # (-xi)^i o a_i for each coefficient; A's unknown tail reaches only below
+    # its floor
+    products = [({i: as_expr(-1 if i % 2 else 1)}, {0: a}, 1) for i, a in A.terms.items()]
+    top = max(A.terms, default=A.floor or 0)
+    return _ref_window(products, top, [] if A.exact else [A.floor], slots, A.exact)
+
+
+def _window_series(rng):
+    """A seeded series: indices from 3 down to -8, exact or not, maybe empty."""
+    pool = [as_expr(1), as_expr(Fraction(-2, 3)), u(0), u(1), par("b"), x(), x() * u(0)]
+    top = rng.randint(-3, 3)
+    coeffs = {i: rng.choice(pool) for i in range(top, top - 5, -1) if rng.random() < 0.5}
+    if rng.random() < 0.1:
+        coeffs = {}
+    if rng.random() < 0.5:
+        return PsdSeries.from_coeffs(coeffs)
+    return PsdSeries.from_coeffs(coeffs, exact=False,
+                                 bottom=min(coeffs, default=top) - rng.randint(0, 3))
+
+
+def test_products_match_a_brute_force_window_reference():
+    rng = random.Random(89)
+    empty = [PsdSeries.zero(), PsdSeries({}, -2)]
+    cases = [(xi(2) + PsdSeries.monomial(u(0), -5), PsdSeries.const(par("b")), 3)]
+    cases += [(_window_series(rng), _window_series(rng), rng.randint(1, 8)) for _ in range(150)]
+    cases += [(E, _window_series(rng), slots) for E in empty for slots in (1, 8)]
+    cases += [(_window_series(rng), E, slots) for E in empty for slots in (1, 8)]
+    kinds = set()
+    for A, B, slots in cases:
+        kinds.add((A.exact, B.exact, not A.terms or not B.terms))
+        assert compose(A, B, slots) == _ref_bilinear(A, B, slots, ((A, B, 1),)), (A, B, slots)
+        assert commutator(A, B, slots) == _ref_bilinear(A, B, slots, ((A, B, 1), (B, A, -1))), \
+            (A, B, slots)
+        assert adjoint(A, slots) == _ref_adjoint(A, slots), (A, slots)
+    # the draw covers every pairing of exact and inexact operands, with and
+    # without an empty one, negative indices and every window of 1 to 8 slots
+    assert len(kinds) == 8
+    assert any(min(A.terms, default=0) < 0 for A, _, _ in cases)
+    assert {slots for _, _, slots in cases} == set(range(1, 9))
+
+
 def test_compose_matches_operator_application_randomized():
     # A o B as differential operators: xi^k acts as D_x^k, so A(B(u_12)) holds
     # the xi^k coefficient of A o B on u_(12+k); built with total_x alone
@@ -148,7 +239,7 @@ def test_commutator_examples():
         1: -total_x(fn("f")),
         0: -total_x(fn("f", 1) * u(1)),
     }, exact=True)
-    assert got.agrees_with(expect)
+    assert agrees(got, expect)
     assert got.degree() == 1
 
 
@@ -174,7 +265,7 @@ def test_adjoint_involution_randomized():
     rng = random.Random(17)
     for _ in range(100):
         A = rand_series(rng)
-        assert adjoint(adjoint(A)).agrees_with(A)
+        assert agrees(adjoint(adjoint(A)), A)
 
 
 def test_adjoint_antihomomorphism_randomized():
@@ -184,14 +275,14 @@ def test_adjoint_antihomomorphism_randomized():
         B = rand_series(rng)
         lhs = adjoint(compose(A, B))
         rhs = compose(adjoint(B), adjoint(A))
-        assert lhs.agrees_with(rhs)
+        assert agrees(lhs, rhs)
 
 
 def test_compose_associativity_randomized():
     rng = random.Random(29)
     for _ in range(100):
         A, B, C = (rand_series(rng) for _ in range(3))
-        assert compose(compose(A, B), C).agrees_with(compose(A, compose(B, C)))
+        assert agrees(compose(compose(A, B), C), compose(A, compose(B, C)))
 
 
 def test_degree_additivity():
@@ -216,7 +307,7 @@ def test_nth_root_square():
     R = nth_root(A, 2, slots=6)
     assert R.coeff(1) == as_expr(1)
     assert R.coeff(0) == u(0)
-    assert series_power(R, 2, slots=6).agrees_with(A)
+    assert agrees(series_power(R, 2, slots=6), A)
 
 
 def test_nth_root_of_linearization_symbol():
@@ -229,7 +320,7 @@ def test_nth_root_of_linearization_symbol():
     assert R.coeff(-2).is_zero
     # the xi^-3 slot carries f/5 plus the b^2 correction from the ansatz
     assert R.coeff(-3) == f / 5 - 2 * b ** 2 / 25
-    assert series_power(R, 5, slots=8).agrees_with(dk)
+    assert agrees(series_power(R, 5, slots=8), dk)
 
 
 def test_nth_root_requires_rational_root():
@@ -254,14 +345,14 @@ def test_nth_root_roundtrip_randomized_degrees():
                     coeffs[i] = rng.choice(pool)
             A = PsdSeries.from_coeffs(coeffs, exact=True)
             R = nth_root(A, n, slots=5)
-            assert series_power(R, n, slots=5).agrees_with(A)
+            assert agrees(series_power(R, n, slots=5), A)
     # an inexact input: a truncated product
     B = xi(1) + PsdSeries.monomial(u(0), -1)
     A = compose(B, B, slots=6)
     assert not A.exact
     R = nth_root(A, 2)
     assert R.floor == A.floor - 1
-    assert series_power(R, 2, slots=6).agrees_with(A)
+    assert agrees(series_power(R, 2, slots=6), A)
 
 
 def test_nth_root_builds_each_leibniz_sum_once(monkeypatch):
@@ -291,7 +382,7 @@ def test_nth_root_builds_each_leibniz_sum_once(monkeypatch):
     R = nth_root(A, n, slots=slots)
     assert calls[0] <= len(sums) + (slots - 1) * (n - 1), (calls[0], len(sums))
     monkeypatch.undo()
-    assert series_power(R, n, slots=slots).agrees_with(A)
+    assert agrees(series_power(R, n, slots=slots), A)
 
 
 def test_nth_root_roundtrip_rational_randomized():
@@ -312,7 +403,7 @@ def test_nth_root_roundtrip_rational_randomized():
         A = PsdSeries.from_coeffs(coeffs, exact=True)
         R = nth_root(A, n, slots=slots)
         assert R.floor == 2 - slots
-        assert series_power(R, n, slots=slots).agrees_with(A), (n, lead)
+        assert agrees(series_power(R, n, slots=slots), A), (n, lead)
     # an inexact input, the cube of a truncated series B: its root is B
     B = PsdSeries.from_coeffs({1: as_expr(2), 0: u(0) / uc, -1: par("b"), -2: u(1) / uc ** 2},
                               exact=False, bottom=-3)
@@ -320,8 +411,8 @@ def test_nth_root_roundtrip_rational_randomized():
     assert not A.exact
     R = nth_root(A, 3, slots=12)
     assert R.floor == A.floor - 2
-    assert R.agrees_with(B)
-    assert series_power(R, 3, slots=12).agrees_with(A)
+    assert agrees(R, B)
+    assert agrees(series_power(R, 3, slots=12), A)
 
 
 def test_jacobi_identity_randomized():
@@ -395,4 +486,4 @@ def test_windows_count_from_the_degree_after_a_cancelled_lead():
     assert compose(S, S, slots=3).floor == 2
     R = nth_root(S, 2)
     assert R.floor == S.floor - 1
-    assert series_power(R, 2, slots=4).agrees_with(S)
+    assert agrees(series_power(R, 2, slots=4), S)
